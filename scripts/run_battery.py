@@ -2,12 +2,16 @@
 """Run the standard battery: three games x four data sources.
 
 Writes per-run artifacts under the output directory and prints a summary
-table of cumulative losses, certificate slack, and worst-case bounds.
+table of cumulative losses, certificate slack, and worst-case bounds.  The
+SHA-256 of each run's round log and regret report is printed below its row
+and written to summary.json, so two checkouts can be compared for
+byte-identical artifacts with one diff of their summary.json files.
 
 Usage: python3 scripts/run_battery.py [--horizon N] [--seed S] [--out DIR]
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -34,6 +38,10 @@ COMPARATORS = [
 ]
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizon", type=int, default=1000)
@@ -46,6 +54,7 @@ def main():
     print(header)
     print("-" * len(header))
     all_ok = True
+    hashes = {}
     for game in ("square", "absolute", "log"):
         for gen_name, gen_doc in GENERATORS.items():
             doc = {
@@ -56,9 +65,10 @@ def main():
                 "seed": args.seed,
                 "comparators": COMPARATORS,
             }
+            name = f"{game}_{gen_name}"
             t0 = time.perf_counter()
             artifacts = run(ExperimentConfig.from_json(doc),
-                            Path(args.out) / f"{game}_{gen_name}")
+                            Path(args.out) / name)
             dt = time.perf_counter() - t0
             rep = artifacts.report
             worst = max(r["realized_regret"] for r in rep["comparators"])
@@ -68,10 +78,16 @@ def main():
                   f"{rep['cumulative_loss']:>10.3f} "
                   f"{rep['large_numbers_certificate']['slack']:>11.2e} "
                   f"{worst:>13.3f} {bound:>9.3f} {dt:>6.2f}s")
+            hashes[name] = {
+                "round_log_sha256": sha256(artifacts.round_log_path),
+                "regret_report_sha256": sha256(artifacts.regret_report_path),
+            }
+            print(f"  round_log {hashes[name]['round_log_sha256']}")
+            print(f"  regret_report {hashes[name]['regret_report_sha256']}")
     print()
     print("all inequalities pass" if all_ok else "INEQUALITY VIOLATED")
     summary = {"all_pass": all_ok, "horizon": args.horizon,
-               "seed": args.seed}
+               "seed": args.seed, "sha256": hashes}
     (Path(args.out) / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
     return 0 if all_ok else 1

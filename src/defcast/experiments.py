@@ -261,7 +261,12 @@ def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
     fc = Forecaster(game, kernel)
     with open(log_path) as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
+    missing = [c for c in ("x", "p", "q", "y", "s_residual", "branch")
+               if c not in header]
+    if missing:
+        raise ConfigError(f"{log_path}: not a round log (header lacks "
+                          f"{', '.join(missing)})")
     idx = {name: header.index(name) for name in header}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

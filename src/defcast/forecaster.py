@@ -10,6 +10,11 @@ by the kernel column at the new datum.  Stage 1 scans a p-grid recording
 the value range of the quadratic over each face; stage 2 bisects to the
 first p, in lexicographic order, whose range brackets zero; stage 3 solves
 the quadratic in e analytically and maps e back to the tie-breaker q.
+
+Stage 1 runs on numpy arrays; stage 2 runs in plain Python floats and
+must reproduce the scan's arithmetic bit for bit: the same expressions in
+the same order, and np.log rather than math.log for log-loss exposures.
+A last-bit difference moves the bisection and changes the forecasts.
 """
 
 from __future__ import annotations
@@ -154,6 +159,22 @@ class Forecaster:
     def _sgn(lo, hi):
         return np.where(lo > 0.0, 1, np.where(hi < 0.0, -1, 0))
 
+    def _sgn_at(self, p: float, A: float, B: float, C: float) -> int:
+        """Scalar twin of _sgn(*_ranges_on(np.array([p]), A, B, C))[0]."""
+        e_hi, e_lo = self.game.exposure_interval_arrays(p)
+        a = 0.5 * (1.0 - 2.0 * p)
+        c = B + C * p
+        vals = [a * e_hi * e_hi + A * e_hi + c, a * e_lo * e_lo + A * e_lo + c]
+        if a != 0.0:
+            ev = -A / (2.0 * a)
+            if e_hi > e_lo and math.isfinite(ev) and e_lo < ev < e_hi:
+                vals.append(a * ev * ev + A * ev + c)
+        if any(map(math.isnan, vals)):
+            return 0  # np.minimum/np.maximum propagate NaN: neither side
+        if min(vals) > 0.0:
+            return 1
+        return -1 if max(vals) < 0.0 else 0
+
     def next_forecast(self, x) -> RootReport:
         """Forecast for datum x: a root of S, or the endpoint rule."""
         A, B, C = self.coefficients(x)
@@ -199,8 +220,7 @@ class Forecaster:
             pm = 0.5 * (pa + pb)
             if pm <= pa or pm >= pb:
                 break
-            lo, hi = self._ranges_on(np.array([pm]), A, B, C)
-            s = int(self._sgn(lo, hi)[0])
+            s = self._sgn_at(pm, A, B, C)
             if s == 0:
                 return self._solve_at(pm, A, B, C)
             if s == s0:

@@ -23,6 +23,10 @@ LOG_CLAMP = 1e-12
 # p-grid size for the numeric sup defining the game/kernel constant.
 _CLAMBDA_GRID = 4096
 
+# relative tolerance on expected loss for a polyline vertex to count as
+# lying on the optimal face
+_FACE_TOL = 1e-12
+
 
 class DomainError(ValueError):
     """Input outside the decision set or the choice-function domain."""
@@ -221,7 +225,7 @@ class Game:
             return len(pts) - 1, len(pts) - 1
         scores = [(1.0 - p) * a + p * b for a, b in pts]
         best = min(scores)
-        tol = 1e-12 * (1.0 + abs(best))
+        tol = _FACE_TOL * (1.0 + abs(best))
         idx = [i for i, s in enumerate(scores) if s <= best + tol]
         return idx[0], idx[-1]
 
@@ -272,8 +276,23 @@ class Game:
         a1, b1 = self.boundary[j]
         return b0 - a0, b1 - a1
 
-    def exposure_interval_arrays(self, ps: np.ndarray):
-        """Vectorized exposure_interval over an array of p values."""
+    def exposure_interval_arrays(self, ps):
+        """Vectorized exposure_interval over an array of p values.
+
+        A scalar p (inside the choice domain) gives a pair of floats with
+        the same bits as the one-element array [p]; for log loss that means
+        np.log, which can differ from math.log in the last bit.
+        """
+        if not isinstance(ps, np.ndarray):
+            if self.kind is GameKind.SQUARE:
+                e = 1.0 - 2.0 * ps
+            elif self.kind is GameKind.LOG:
+                e = float(np.log((1.0 - ps) / ps))
+            elif self.kind is GameKind.ABSOLUTE:
+                return (-1.0 if ps > 0.5 else 1.0), (1.0 if ps < 0.5 else -1.0)
+            else:
+                return self.exposure_interval(ps)
+            return e, e
         if self.kind is GameKind.SQUARE:
             e = 1.0 - 2.0 * ps
             return e, e.copy()
@@ -284,9 +303,20 @@ class Game:
             e_hi = np.where(ps > 0.5, -1.0, 1.0)
             e_lo = np.where(ps < 0.5, 1.0, -1.0)
             return e_hi, e_lo
-        pairs = [self.exposure_interval(p) for p in ps]
-        arr = np.asarray(pairs)
-        return arr[:, 0], arr[:, 1]
+        bad = ~((ps >= 0.0) & (ps <= 1.0))
+        if bad.any():  # raise exposure_interval's error for the first one
+            self.check_forecast(Forecast(float(ps[bad][0]), 0.0))
+        # _custom_face on every p at once: one row of scores per p
+        loss0, loss1 = np.asarray(self.boundary).T
+        scores = (1.0 - ps)[:, None] * loss0 + ps[:, None] * loss1
+        best = scores.min(axis=1)
+        on_face = scores <= (best + _FACE_TOL * (1.0 + np.abs(best)))[:, None]
+        first = np.argmax(on_face, axis=1)
+        last = len(loss0) - 1 - np.argmax(on_face[:, ::-1], axis=1)
+        first[ps <= 0.0] = last[ps <= 0.0] = 0
+        first[ps >= 1.0] = last[ps >= 1.0] = len(loss0) - 1
+        exposures = loss1 - loss0
+        return exposures[first], exposures[last]
 
     def special_ps(self) -> list[float]:
         """Forecast probabilities whose optimal face is not a singleton."""

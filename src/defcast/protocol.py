@@ -8,12 +8,13 @@ benchmark decision rules given as kernel expansions of their exposure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from defcast.forecaster import Branch, Forecaster, RootReport
-from defcast.games import Forecast, Game, GameKind
+from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 
 
@@ -73,6 +74,9 @@ class Engine:
         """Produce the decision for datum x; awaits the observation next."""
         if self._pending is not None:
             raise UsageError("previous round still awaiting an observation")
+        # real data must be finite; custom kernels may take opaque points
+        if isinstance(x, numbers.Real) and not math.isfinite(x):
+            raise DomainError(f"datum must be finite, got {x}")
         report = self.forecaster.next_forecast(x)
         gamma = self.game.canonical_choice(report.forecast).gamma
         self._pending = (x, report, gamma)
@@ -82,6 +86,8 @@ class Engine:
         """Log the outcome of the pending decision."""
         if self._pending is None:
             raise UsageError("observe called without a pending decision")
+        if y not in (0, 1):
+            raise DomainError(f"observation must be binary, got {y}")
         x, report, gamma = self._pending
         self._pending = None
         loss = self.game.loss(y, gamma)

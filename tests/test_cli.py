@@ -82,3 +82,17 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(config),
                  "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", "1,0.5,0.5,0.5,1,0.25,0.0,root\n"],
+                         ids=["empty", "headerless"])
+def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
+    log = tmp_path / "round_log.csv"
+    log.write_text(content)
+    assert main(["certify", "--log", str(log)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_certify_missing_log_exits_two(tmp_path, capsys):
+    assert main(["certify", "--log", str(tmp_path / "absent.csv")]) == 2
+    assert "error:" in capsys.readouterr().err

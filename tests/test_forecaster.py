@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from defcast.forecaster import Branch, Forecaster
-from defcast.games import DomainError, Forecast, Game, GameKind
+from defcast.games import DomainError, DomainTag, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 
 SOB = Kernel.sobolev()
@@ -93,6 +94,78 @@ def test_log_trace_round_one():
     fc = Forecaster(Game.log(), SOB)
     rep = fc.next_forecast(0.0)
     assert rep.forecast.p == pytest.approx(0.5, abs=1e-9)
+
+
+# -- scalar bisection matches the array scan bit for bit ------------------
+
+POLY = Game.custom([(0.0, 1.0), (0.2, 0.55), (0.55, 0.2), (1.0, 0.0)])
+PARITY_GAMES = [Game.square(), Game.absolute(), Game.log(), POLY]
+
+
+def array_sign(fc, p, A, B, C):
+    with np.errstate(all="ignore"):
+        return int(fc._sgn(*fc._ranges_on(np.array([p]), A, B, C))[0])
+
+
+@given(st.floats(0.0, 1.0), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+       st.floats(-1e6, 1e6))
+def test_scalar_sign_equals_array_sign(p, A, B, C):
+    for game in PARITY_GAMES:
+        fc = Forecaster(game, SOB)
+        for q in (p, 0.5, *game.special_ps()):
+            if game.domain_tag is not DomainTag.FULL_SQUARE \
+                    and q in (0.0, 1.0):
+                continue
+            assert fc._sgn_at(q, A, B, C) == array_sign(fc, q, A, B, C)
+
+
+@pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+def test_scalar_sign_sees_the_interior_vertex(frac):
+    # on a non-singleton face the quadratic's vertex can cross zero while
+    # both endpoint values keep one sign
+    fc = Forecaster(POLY, SOB)
+    for p in POLY.special_ps():
+        e_hi, e_lo = POLY.exposure_interval(p)
+        a = 0.5 * (1.0 - 2.0 * p)
+        ev = e_lo + frac * (e_hi - e_lo)
+        d = min(e_hi - ev, ev - e_lo)
+        A, B = -2.0 * a * ev, a * ev * ev - 0.5 * a * d * d
+        assert fc._sgn_at(p, A, B, 0.0) == array_sign(fc, p, A, B, 0.0) == 0
+
+
+def test_scalar_sign_is_zero_on_nan():
+    fc = Forecaster(Game.square(), SOB)
+    assert fc._sgn_at(0.3, math.nan, 0.0, 0.0) == 0
+    assert array_sign(fc, 0.3, math.nan, 0.0, 0.0) == 0
+    # one NaN endpoint value (inf * 0 at exposure 0), the other +inf
+    game = Game.custom([(0.0, 3.0), (1.0, 1.0), (2.0, 0.0)])
+    fc = Forecaster(game, SOB)
+    p = game.special_ps()[0]
+    assert game.exposure_interval(p) == (3.0, 0.0)
+    assert fc._sgn_at(p, math.inf, 0.0, 0.0) == 0
+    assert array_sign(fc, p, math.inf, 0.0, 0.0) == 0
+
+
+class ArraySignForecaster(Forecaster):
+    """Bisects with the one-element array sign the scan uses."""
+
+    def _sgn_at(self, p, A, B, C):
+        return array_sign(self, p, A, B, C)
+
+
+@pytest.mark.parametrize("game", PARITY_GAMES, ids=lambda g: g.kind.value)
+def test_scalar_bisection_reproduces_array_forecasts(game):
+    fast = Forecaster(game, SOB)
+    slow = ArraySignForecaster(game, SOB)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        x = float(rng.uniform(-1, 1))
+        rep = fast.next_forecast(x)
+        assert slow.next_forecast(x) == rep
+        y = int(rng.integers(0, 2))
+        for fc in (fast, slow):
+            fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
+                      branch=rep.branch)
 
 
 # -- invariants -----------------------------------------------------------

@@ -171,6 +171,83 @@ def test_exposure_interval_arrays_agrees_with_scalar():
             assert lo[i] == pytest.approx(l, abs=1e-12)
 
 
+@st.composite
+def convex_polylines(draw):
+    """Random convex polylines: loss0 up, loss1 down, slopes increasing."""
+    slopes = sorted(draw(st.lists(st.floats(-40.0, -0.025), min_size=1,
+                                  max_size=6, unique=True)))
+    a = draw(st.floats(-1.0, 1.0))
+    b = draw(st.floats(-1.0, 1.0))
+    pts = [(a, b)]
+    for s in slopes:
+        dx = draw(st.floats(0.01, 2.0))
+        a, b = a + dx, b + s * dx
+        pts.append((a, b))
+    return Game.custom(pts)
+
+
+def parity_grid(game):
+    """A p-grid holding every special p, both its neighbours, 0 and 1.
+
+    Points 1e-13 to 1e-12 away from each special p probe the face
+    tolerance, whose score gap is about that size there.
+    """
+    ps = [0.0, 1.0, *np.linspace(0.0, 1.0, 129).tolist()]
+    for p in game.special_ps():
+        ps += [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, 1.0))]
+        ps += [p + d for d in (-1e-12, -3e-13, -1e-13, 1e-13, 3e-13, 1e-12)]
+    return np.array(sorted({p for p in ps if 0.0 <= p <= 1.0}))
+
+
+def assert_arrays_equal_per_point(game):
+    ps = parity_grid(game)
+    hi, lo = game.exposure_interval_arrays(ps)
+    pairs = np.array([game.exposure_interval(float(p)) for p in ps])
+    assert np.array_equal(hi, pairs[:, 0])
+    assert np.array_equal(lo, pairs[:, 1])
+
+
+@given(convex_polylines())
+def test_polyline_exposure_arrays_equal_per_point(game):
+    assert_arrays_equal_per_point(game)
+
+
+def test_polyline_exposure_arrays_equal_per_point_on_near_degenerate_faces():
+    # vertices 1e-13 apart in one loss sit inside the face tolerance at
+    # p = 0 or p = 1, where the face is pinned to the end vertex instead
+    assert_arrays_equal_per_point(
+        Game.custom([(0.0, 1.0), (1e-13, 0.5), (1.0, 0.0)]))
+    assert_arrays_equal_per_point(
+        Game.custom([(0.0, 1.0), (0.5, 1e-13), (1.0, 0.0)]))
+
+
+def test_polyline_exposure_arrays_reject_p_outside_domain():
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            POLY.exposure_interval_arrays(np.array([0.5, bad]))
+
+
+def assert_float_matches_one_element(game, p):
+    hi, lo = game.exposure_interval_arrays(p)
+    hi1, lo1 = game.exposure_interval_arrays(np.array([p]))
+    assert type(hi) is float and type(lo) is float
+    assert hi == hi1[0] and lo == lo1[0]
+
+
+@given(st.floats(1e-300, 1.0, exclude_max=True))
+def test_float_exposure_interval_has_the_one_element_bits(p):
+    for game in ALL_GAMES + [Game.custom([(0.0, 1.0), (1.0, 0.0)])]:
+        for q in (p, *game.special_ps()):
+            assert_float_matches_one_element(game, q)
+
+
+def test_float_log_exposure_uses_numpy_log():
+    # math.log and a vectorized np.log may differ in the last bit on a
+    # few arguments in a thousand; a dense sweep finds them
+    for p in np.random.default_rng(3).random(20_000).tolist():
+        assert_float_matches_one_element(LG, p)
+
+
 def test_special_ps():
     assert SQ.special_ps() == []
     assert LG.special_ps() == []

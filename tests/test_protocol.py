@@ -1,11 +1,12 @@
 """The online decision loop, comparators, and regret reports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from defcast.games import Game
+from defcast.games import DomainError, Game
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
 
@@ -52,6 +53,44 @@ def test_protocol_order_enforced():
     engine.observe(1)
     assert engine.rounds == 1
     assert engine.pending_forecast is None
+
+
+def test_rejected_observation_leaves_engine_unchanged():
+    engine = Engine(Game.square(), SOB)
+    engine.decide(0.0)
+    pending = engine.pending_forecast
+    with pytest.raises(DomainError):
+        engine.observe(2)
+    assert engine.cumulative_loss == 0.0
+    assert engine.rounds == 0 and engine.forecaster.round == 0
+    assert engine.pending_forecast == pending
+    engine.observe(1)
+    assert engine.cumulative_loss == 0.25
+    assert engine.rounds == 1
+
+
+@pytest.mark.parametrize("game_name", ["square", "log"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               np.float64("nan")])
+def test_non_finite_datum_rejected_before_any_state_change(game_name, x):
+    engine = Engine(Game.from_name(game_name), SOB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            engine.decide(x)
+    assert engine.pending_forecast is None
+    assert engine.forecaster.round == 0
+    assert engine.decide(0.0) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_opaque_points_still_accepted_by_custom_kernels():
+    kernel = Kernel.custom(lambda a, b: 1.0 if a == b else 0.0,
+                           data_range=1.0)
+    engine = Engine(Game.square(), kernel)
+    for x, y in (("red", 1), (("a", 2), 0), ("red", 1)):
+        engine.decide(x)
+        engine.observe(y)
+    assert engine.rounds == 3
 
 
 # -- comparators ----------------------------------------------------------
