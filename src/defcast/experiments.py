@@ -211,8 +211,8 @@ def run_engine(config: ExperimentConfig) -> Engine:
 
 def _regret_curve(engine: Engine, comparators) -> list[dict]:
     n = engine.rounds
-    own = np.cumsum([r.loss for r in engine.round_log])
-    res = np.cumsum([abs(r.s_residual) for r in engine.round_log])
+    own = np.cumsum(engine.forecaster.column("loss"))
+    res = np.cumsum(np.abs(engine.forecaster.column("s_residual")))
     cl = engine.game.clambda(engine.kernel.c_f())
     comp_cums = [np.cumsum(engine.comparator_round_losses(c))
                  for c in comparators]

@@ -15,6 +15,26 @@ Stage 1 runs on numpy arrays; stage 2 runs in plain Python floats and
 must reproduce the scan's arithmetic bit for bit: the same expressions in
 the same order, and np.log rather than math.log for log-loss exposures.
 A last-bit difference moves the bisection and changes the forecasts.
+
+The history is one columnar store: a numpy column per field (x, p, q, y,
+exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
+doubling, of which rows [:round] are live.  x is float for the built-in
+kernels and object for custom kernels, whose points are opaque.  Kernel
+sums and certificates read contiguous float64 slices of the columns, with
+the same expressions as over arrays built from per-round lists, so the
+bits are unchanged: the residual column holds float(y) - p, which is what
+np.asarray(ys, float) - np.asarray(ps) computes, and the stored loss is
+the canonical decision's loss1 or loss0, which equals Game.loss(y, gamma)
+bit for bit (square and log build the pair with Game.loss, absolute and
+polyline games with the same arithmetic).  Values leave the store through
+tolist(), never as numpy scalars, whose repr under numpy 2 is not the
+shortest round-trip decimal.
+
+The grid, its exposure interval and its quadratic coefficient do not
+depend on the history, so the scan takes them from a cache keyed by the
+stripped-domain width delta, filled on first use; each round computes only
+the constant term B + C*p and the value ranges.  _ranges_on is the
+uncached reference the scan and _sgn_at must both match.
 """
 
 from __future__ import annotations
@@ -35,6 +55,13 @@ DEFAULT_P_GRID = 1024
 # is bracketed; exposure diverges at the stripped edges, so this terminates
 _DELTA_START = 1e-6
 _DELTA_MIN = 1e-15
+
+# rows the history columns hold before their first doubling
+_INITIAL_CAPACITY = 64
+# dtype of each history column; None marks x, whose dtype the kernel sets
+_COLUMNS = {"x": None, "p": float, "q": float, "y": int, "e": float,
+            "residual": float, "gamma": float, "loss": float,
+            "s_residual": float, "branch": object}
 
 
 class RootFinderError(RuntimeError):
@@ -64,36 +91,45 @@ class Forecaster:
         self.kernel = kernel
         self.epsilon_root = float(epsilon_root)
         self.p_grid_size = int(p_grid_size)
-        self.xs: list = []
-        self.ps: list[float] = []
-        self.qs: list[float] = []
-        self.ys: list[int] = []
-        self.es: list[float] = []
-        self.s_residuals: list[float] = []
-        self.branches: list[Branch] = []
+        x_dtype = object if kernel.kind is KernelKind.CUSTOM else float
+        self._cols = {name: np.empty(_INITIAL_CAPACITY, dtype or x_dtype)
+                      for name, dtype in _COLUMNS.items()}
+        self._n = 0
         self.agg_a = 0.0  # running sum of e_i * (y_i - p_i)
+        # sum of |s_residual_i| added in round order, which is what sum()
+        # did before Python 3.12 started compensating its float sums
+        self._residual_total = 0.0
+        # delta -> (grid, e_hi, e_lo, a) of the stage-1 scan
+        self._scans: dict[float, tuple] = {}
 
     @property
     def round(self) -> int:
-        return len(self.ys)
+        return self._n
 
     @property
     def residual_total(self) -> float:
-        return float(sum(abs(r) for r in self.s_residuals))
+        return self._residual_total
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only view of one history column over the rounds so far."""
+        view = self._cols[name][:self._n]
+        view.flags.writeable = False
+        return view
 
     # -- kernel sums ------------------------------------------------------
 
     def _kernel_row(self, x) -> np.ndarray:
-        if not self.xs:
+        if not self._n:
             return np.zeros(0)
+        xs = self._cols["x"][:self._n]
         if self.kernel.kind is KernelKind.CUSTOM:
-            return np.array([float(self.kernel(x, xi)) for xi in self.xs])
-        return np.asarray(self.kernel(x, np.asarray(self.xs, dtype=float)))
+            return np.array([float(self.kernel(x, xi)) for xi in xs])
+        return np.asarray(self.kernel(x, xs))
 
     def coefficients(self, x) -> tuple[float, float, float]:
         """(A, B, C) of the quadratic-in-e form of S at datum x."""
         kxx = float(self.kernel.diag(x))
-        resid = np.asarray(self.ys, dtype=float) - np.asarray(self.ps)
+        resid = self._cols["residual"][:self._n]
         b = float(self._kernel_row(x) @ resid) + 0.5 * kxx
         return self.agg_a, b, -kxx
 
@@ -103,9 +139,10 @@ class Forecaster:
         e = d.exposure
         kxx = float(self.kernel.diag(x))
         total = 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
-        if self.xs:
-            resid = np.asarray(self.ys, dtype=float) - np.asarray(self.ps)
-            terms = (e * np.asarray(self.es) + self._kernel_row(x)) * resid
+        if self._n:
+            resid = self._cols["residual"][:self._n]
+            es = self._cols["e"][:self._n]
+            terms = (e * es + self._kernel_row(x)) * resid
             total += float(terms.sum())
         return total
 
@@ -131,6 +168,18 @@ class Forecaster:
         if specials:
             grid = np.unique(np.concatenate([grid, np.array(specials)]))
         return grid
+
+    def _scan_terms(self, delta: float) -> tuple:
+        """(grid, e_hi, e_lo, a) of the scan at delta, cached per delta."""
+        terms = self._scans.get(delta)
+        if terms is None:
+            grid = self._p_grid(delta)
+            e_hi, e_lo = self.game.exposure_interval_arrays(grid)
+            terms = (grid, e_hi, e_lo, 0.5 * (1.0 - 2.0 * grid))
+            for arr in terms:
+                arr.flags.writeable = False
+            self._scans[delta] = terms
+        return terms
 
     @staticmethod
     def _range(a, A, c, e_hi, e_lo):
@@ -181,8 +230,8 @@ class Forecaster:
         tag = self.game.domain_tag
         delta = _DELTA_START
         while True:
-            grid = self._p_grid(delta)
-            lo, hi = self._ranges_on(grid, A, B, C)
+            grid, e_hi, e_lo, a = self._scan_terms(delta)
+            lo, hi = self._range(a, A, B + C * grid, e_hi, e_lo)
             sgn = self._sgn(lo, hi)
             s0 = int(sgn[0])
             if s0 == 0:
@@ -285,19 +334,34 @@ class Forecaster:
     # -- protocol hooks ---------------------------------------------------
 
     def update(self, x, forecast: Forecast, y: int,
-               s_residual: float = 0.0, branch: Branch = Branch.ROOT) -> None:
-        """Append a completed round to the history."""
+               s_residual: float = 0.0, branch: Branch = Branch.ROOT) -> float:
+        """Append a completed round to the history; return its loss."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
         d = self.game.canonical_choice(forecast)
-        self.xs.append(x)
-        self.ps.append(forecast.p)
-        self.qs.append(forecast.q)
-        self.ys.append(int(y))
-        self.es.append(d.exposure)
-        self.s_residuals.append(float(s_residual))
-        self.branches.append(branch)
-        self.agg_a += d.exposure * (y - forecast.p)
+        y = int(y)
+        e = d.exposure
+        resid = float(y) - forecast.p
+        loss = d.loss1 if y else d.loss0
+        n = self._n
+        if n == len(self._cols["p"]):  # full: double every column
+            self._cols = {name: np.concatenate([col, np.empty_like(col)])
+                          for name, col in self._cols.items()}
+        cols = self._cols
+        cols["x"][n] = x
+        cols["p"][n] = forecast.p
+        cols["q"][n] = forecast.q
+        cols["y"][n] = y
+        cols["e"][n] = e
+        cols["residual"][n] = resid
+        cols["gamma"][n] = d.gamma
+        cols["loss"][n] = loss
+        cols["s_residual"][n] = s_residual
+        cols["branch"][n] = branch
+        self._n = n + 1
+        self.agg_a += e * resid
+        self._residual_total += abs(float(s_residual))
+        return loss
 
     # -- certificates -----------------------------------------------------
 
@@ -307,13 +371,13 @@ class Forecaster:
         lhs is the squared norm of the residual-weighted feature sum; rhs
         the accumulated variance term.  lhs <= rhs + 2*sum|s_residual|.
         """
-        if not self.ys:
+        if not self._n:
             return 0.0, 0.0
-        resid = np.asarray(self.ys, dtype=float) - np.asarray(self.ps)
-        es = np.asarray(self.es)
-        gram = self.kernel.gram(self.xs)
+        resid = self._cols["residual"][:self._n]
+        es = self._cols["e"][:self._n]
+        gram = self.kernel.gram(self._cols["x"][:self._n])
         lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
-        ps = np.asarray(self.ps)
+        ps = self._cols["p"][:self._n]
         rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
         return lhs, rhs
 
@@ -321,14 +385,15 @@ class Forecaster:
         """Resolution certificate for a data-space function f."""
         if f.kernel != self.kernel:
             raise DomainError("expansion uses a different kernel")
-        if not self.ys:
+        if not self._n:
             return 0.0, 0.0
-        resid = np.asarray(self.ys, dtype=float) - np.asarray(self.ps)
-        fx = np.array([float(f(xi)) for xi in self.xs])
+        xs = self._cols["x"][:self._n].tolist()
+        resid = self._cols["residual"][:self._n]
+        fx = np.array([float(f(xi)) for xi in xs])
         lhs = abs(float(resid @ fx))
-        ps = np.asarray(self.ps)
-        es = np.asarray(self.es)
-        diag = np.array([float(self.kernel.diag(xi)) for xi in self.xs])
+        ps = self._cols["p"][:self._n]
+        es = self._cols["e"][:self._n]
+        diag = np.array([float(self.kernel.diag(xi)) for xi in xs])
         bound = f.norm() * math.sqrt(
             float(np.sum(ps * (1.0 - ps) * (es * es + diag))))
         return lhs, bound

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,42 @@ class RoundRecord:
     branch: Branch
 
 
+# RoundRecord fields after n, as forecaster history columns
+_RECORD_COLUMNS = ("x", "p", "q", "gamma", "y", "loss", "s_residual",
+                   "branch")
+
+
+class RoundLog(Sequence):
+    """Read-only view of a forecaster's history as RoundRecords.
+
+    Records are built on access, with plain Python values.
+    """
+
+    def __init__(self, forecaster: Forecaster):
+        self._forecaster = forecaster
+
+    def __len__(self) -> int:
+        return self._forecaster.round
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError(f"round log index {i} out of range")
+        return next(self._records(j, j + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def _records(self, start: int, stop: int):
+        cols = [self._forecaster.column(name)[start:stop].tolist()
+                for name in _RECORD_COLUMNS]
+        for n, values in enumerate(zip(*cols), start=start + 1):
+            yield RoundRecord(n, *values)
+
+
 class Engine:
     """One online decision sequence; single-writer."""
 
@@ -59,12 +96,12 @@ class Engine:
         self.kernel = kernel
         self.forecaster = Forecaster(game, kernel, **forecaster_kwargs)
         self.cumulative_loss = 0.0
-        self.round_log: list[RoundRecord] = []
-        self._pending: tuple[object, RootReport, float] | None = None
+        self.round_log = RoundLog(self.forecaster)
+        self._pending: tuple[object, RootReport] | None = None
 
     @property
     def rounds(self) -> int:
-        return len(self.round_log)
+        return self.forecaster.round
 
     @property
     def pending_forecast(self) -> Forecast | None:
@@ -79,7 +116,7 @@ class Engine:
             raise DomainError(f"datum must be finite, got {x}")
         report = self.forecaster.next_forecast(x)
         gamma = self.game.canonical_choice(report.forecast).gamma
-        self._pending = (x, report, gamma)
+        self._pending = (x, report)
         return gamma
 
     def observe(self, y: int) -> None:
@@ -88,22 +125,18 @@ class Engine:
             raise UsageError("observe called without a pending decision")
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
-        x, report, gamma = self._pending
+        x, report = self._pending
         self._pending = None
-        loss = self.game.loss(y, gamma)
-        self.cumulative_loss += loss
-        self.forecaster.update(x, report.forecast, y,
-                               s_residual=report.s_residual,
-                               branch=report.branch)
-        f = report.forecast
-        self.round_log.append(RoundRecord(
-            len(self.round_log) + 1, x, f.p, f.q, gamma, int(y), loss,
-            report.s_residual, report.branch))
+        # the forecaster stores the round, gamma and loss included
+        self.cumulative_loss += self.forecaster.update(
+            x, report.forecast, y, s_residual=report.s_residual,
+            branch=report.branch)
 
     # -- comparators ------------------------------------------------------
 
     def _comparator_exposures(self, c: Comparator) -> list[float]:
-        vals = [float(c.exposure_fn(r.x)) for r in self.round_log]
+        xs = self.forecaster.column("x").tolist()
+        vals = [float(c.exposure_fn(x)) for x in xs]
         if self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
             bad = [v for v in vals if abs(v) > 1.0 + 1e-12]
             if bad:
@@ -115,12 +148,13 @@ class Engine:
     def comparator_round_losses(self, c: Comparator) -> list[float]:
         """Per-round losses of the benchmark rule D = inverse exposure."""
         losses = []
-        for rec, v in zip(self.round_log, self._comparator_exposures(c)):
+        ys = self.forecaster.column("y").tolist()
+        for y, v in zip(ys, self._comparator_exposures(c)):
             gamma = self.game.decision_from_exposure(
                 min(max(v, -1.0), 1.0)
                 if self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE)
                 else v)
-            losses.append(self.game.loss(rec.y, gamma))
+            losses.append(self.game.loss(y, gamma))
         return losses
 
     def comparator_loss(self, c: Comparator) -> float:
@@ -186,9 +220,13 @@ class Engine:
 
     def round_log_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]
-        for r in self.round_log:
+        # tolist() gives Python floats: repr of a numpy scalar is not the
+        # shortest round-trip decimal under numpy 2
+        cols = [self.forecaster.column(name).tolist()
+                for name in _RECORD_COLUMNS]
+        for n, (x, p, q, gamma, y, loss, s_res, branch) in enumerate(
+                zip(*cols), start=1):
             rows.append(",".join([
-                str(r.n), repr(float(r.x)), repr(r.p), repr(r.q),
-                repr(r.gamma), str(r.y), repr(r.loss), repr(r.s_residual),
-                r.branch.value]))
+                str(n), repr(float(x)), repr(p), repr(q), repr(gamma),
+                str(y), repr(loss), repr(s_res), branch.value]))
         return rows

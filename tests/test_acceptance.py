@@ -172,7 +172,7 @@ def test_criterion_5_root_finder_oracle_equivalence():
                 fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
                           branch=rep.branch)
                 history.append((x, rep.forecast.p, rep.forecast.q, y,
-                                fc.es[-1]))
+                                float(fc.column("e")[-1])))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 60.0
     report_line(5, "root finder matches brute-force oracle", ok)

@@ -1,12 +1,14 @@
 """The staged root finder and its certificates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from defcast.forecaster import Branch, Forecaster
+from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
+                                Forecaster)
 from defcast.games import DomainError, DomainTag, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 
@@ -168,6 +170,146 @@ def test_scalar_bisection_reproduces_array_forecasts(game):
                       branch=rep.branch)
 
 
+# -- history store and scan cache -----------------------------------------
+
+def list_coefficients(kernel, xs, ps, ys, agg_a, x):
+    """coefficients(x) computed from per-round lists."""
+    kxx = float(kernel.diag(x))
+    resid = np.asarray(ys, dtype=float) - np.asarray(ps)
+    row = np.asarray(kernel(x, np.asarray(xs, dtype=float))) if xs \
+        else np.zeros(0)
+    return agg_a, float(row @ resid) + 0.5 * kxx, -kxx
+
+
+def list_s_value(game, kernel, xs, ps, ys, es, p, q, x):
+    """s_value(p, q, x) computed from per-round lists."""
+    e = game.canonical_choice(Forecast(p, q)).exposure
+    kxx = float(kernel.diag(x))
+    total = 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
+    if xs:
+        resid = np.asarray(ys, dtype=float) - np.asarray(ps)
+        row = np.asarray(kernel(x, np.asarray(xs, dtype=float)))
+        total += float(((e * np.asarray(es) + row) * resid).sum())
+    return total
+
+
+@pytest.mark.parametrize("game", [Game.square(), Game.log(), POLY],
+                         ids=lambda g: g.kind.value)
+def test_store_growth_matches_list_formulas(game):
+    # three doublings of the columns: 64 -> 128 -> 256 -> 512 rows
+    rounds = 4 * _INITIAL_CAPACITY + 8
+    fc = Forecaster(game, SOB)
+    xs, ps, ys, es, agg_a = [], [], [], [], 0.0
+    rng = np.random.default_rng(59)
+    for _ in range(rounds):
+        x = float(rng.uniform(-1, 1))
+        assert fc.coefficients(x) == list_coefficients(SOB, xs, ps, ys,
+                                                       agg_a, x)
+        rep = fc.next_forecast(x)
+        p, q = rep.forecast.p, rep.forecast.q
+        assert fc.s_value(p, q, x) == list_s_value(game, SOB, xs, ps, ys,
+                                                   es, p, q, x)
+        y = int(rng.integers(0, 2))
+        fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
+                  branch=rep.branch)
+        e = game.canonical_choice(rep.forecast).exposure
+        xs.append(x), ps.append(p), ys.append(y), es.append(e)
+        agg_a += e * (y - p)
+    assert len(fc._cols["p"]) == 8 * _INITIAL_CAPACITY
+    assert fc.column("x").tolist() == xs and fc.column("p").tolist() == ps
+    assert fc.column("y").tolist() == ys and fc.column("e").tolist() == es
+
+
+def in_round_order(s_residuals):
+    """sum(abs(r) for r in s_residuals) as Python before 3.12 adds it."""
+    total = 0.0
+    for r in s_residuals:
+        total += abs(r)
+    if sys.version_info < (3, 12):  # later versions compensate in sum()
+        assert total == sum(abs(r) for r in s_residuals)
+    return total
+
+
+def test_residual_total_is_a_running_sum():
+    fc, _ = run_random(Game.log(), SOB, 50, seed=61)
+    assert fc.residual_total > 0.0
+    assert fc.residual_total == in_round_order(
+        fc.column("s_residual").tolist())
+    # residuals whose total depends on the order and precision of the sum
+    fc = Forecaster(Game.square(), SOB)
+    s_residuals = (np.random.default_rng(85).normal(size=50) * 1e-10).tolist()
+    for r in s_residuals:
+        fc.update(0.0, Forecast(0.5, 0.5), 1, s_residual=r)
+    total = in_round_order(s_residuals)
+    assert math.fsum(abs(r) for r in s_residuals) != total
+    assert float(np.sum(np.abs(s_residuals))) != total
+    assert fc.residual_total == total
+
+
+def test_columns_are_read_only():
+    fc, _ = run_random(Game.square(), SOB, 5, seed=67)
+    with pytest.raises(ValueError):
+        fc.column("p")[0] = 0.5
+
+
+def replayed(fc):
+    """A fresh forecaster fed fc's history through update."""
+    fresh = Forecaster(fc.game, fc.kernel)
+    for x, p, q, y, s_res, br in zip(
+            *(fc.column(name).tolist()
+              for name in ("x", "p", "q", "y", "s_residual", "branch"))):
+        fresh.update(x, Forecast(p, q), y, s_residual=s_res, branch=br)
+    return fresh
+
+
+@pytest.mark.parametrize("game", PARITY_GAMES, ids=lambda g: g.kind.value)
+def test_scan_cache_holds_nothing_history_dependent(game):
+    played = Forecaster(game, SOB)
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        x = float(rng.uniform(-1, 1))
+        rep = played.next_forecast(x)
+        assert replayed(played).next_forecast(x) == rep
+        played.update(x, rep.forecast, int(rng.integers(0, 2)),
+                      s_residual=rep.s_residual, branch=rep.branch)
+
+
+@pytest.mark.parametrize("game", PARITY_GAMES, ids=lambda g: g.kind.value)
+def test_cached_scan_equals_uncached_ranges(game):
+    fc = Forecaster(game, SOB)
+    rng = np.random.default_rng(79)
+    for delta in (_DELTA_START, _DELTA_START / 2.0, _DELTA_START / 64.0):
+        grid, e_hi, e_lo, a = fc._scan_terms(delta)
+        assert np.array_equal(grid, fc._p_grid(delta))
+        for A, B, C in rng.normal(scale=5.0, size=(20, 3)).tolist():
+            cached = fc._range(a, A, B + C * grid, e_hi, e_lo)
+            uncached = fc._ranges_on(grid, A, B, C)
+            assert all(np.array_equal(u, v) for u, v in zip(cached, uncached))
+        assert fc._scan_terms(delta)[0] is grid  # filled once per delta
+
+
+def test_scan_cache_across_delta_halvings():
+    # rounds at p = 0.2 with y = 0 drive A to about -10, rounds at p = 1/2
+    # with y = 0 drive B to about -50: S is then negative on the whole
+    # delta = 1e-6 grid and the root lies below 1e-6
+    game = Game.log()
+    history = [(0.0, Forecast(0.2, 0.5), 0)] * 36 \
+        + [(0.0, Forecast(0.5, 0.5), 0)] * 200
+    played = Forecaster(game, SOB)
+    for x, f, y in history:
+        played.next_forecast(x)
+        played.update(x, f, y)
+    reports = []
+    for _ in range(10):
+        rep = played.next_forecast(0.0)
+        assert replayed(played).next_forecast(0.0) == rep
+        reports.append(rep)
+        played.update(0.0, rep.forecast, 0, s_residual=rep.s_residual,
+                      branch=rep.branch)
+    assert reports[0].forecast.p < _DELTA_START  # found after halvings
+    assert sum(r.forecast.p < _DELTA_START for r in reports) > 1
+
+
 # -- invariants -----------------------------------------------------------
 
 @pytest.mark.parametrize("game_name", ["square", "absolute", "log"])
@@ -189,13 +331,14 @@ def test_root_residual_within_epsilon(game_name):
 
 def test_log_runs_stay_strictly_inside():
     fc, reports = run_random(Game.log(), SOB, 60, seed=13)
-    for p in fc.ps:
+    for p in fc.column("p"):
         assert 0.0 < p < 1.0
 
 
 def test_absolute_off_half_q_only_at_special_p():
     fc, reports = run_random(Game.absolute(), SOB, 60, seed=17)
-    for p, q, br in zip(fc.ps, fc.qs, fc.branches):
+    for p, q, br in zip(fc.column("p"), fc.column("q"),
+                        fc.column("branch")):
         if q != 0.5:
             assert p == 0.5 or br is not Branch.ROOT
 
@@ -226,8 +369,8 @@ def test_endpoint_branch_negative():
 
 def test_agg_a_matches_recomputation():
     fc, _ = run_random(Game.absolute(), SOB, 50, seed=19)
-    resid = np.asarray(fc.ys, dtype=float) - np.asarray(fc.ps)
-    assert fc.agg_a == pytest.approx(float(np.asarray(fc.es) @ resid),
+    resid = np.asarray(fc.column("y"), dtype=float) - fc.column("p")
+    assert fc.agg_a == pytest.approx(float(fc.column("e") @ resid),
                                      abs=1e-12)
 
 
@@ -314,7 +457,8 @@ def test_next_forecast_is_deterministic():
     for game_name in ("square", "absolute", "log"):
         a, ra = run_random(Game.from_name(game_name), SOB, 40, seed=41)
         b, rb = run_random(Game.from_name(game_name), SOB, 40, seed=41)
-        assert a.ps == b.ps and a.qs == b.qs
+        assert np.array_equal(a.column("p"), b.column("p"))
+        assert np.array_equal(a.column("q"), b.column("q"))
 
 
 def test_gaussian_kernel_runs():

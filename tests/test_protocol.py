@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from defcast.forecaster import _INITIAL_CAPACITY, Branch
 from defcast.games import DomainError, Game
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
@@ -91,6 +92,46 @@ def test_opaque_points_still_accepted_by_custom_kernels():
         engine.decide(x)
         engine.observe(y)
     assert engine.rounds == 3
+
+
+def test_round_log_reads_back_opaque_points_past_a_doubling():
+    # strings and tuples as points; K is a Laplace kernel of their index
+    names = ["red", ("a", 2), "blue", ("b", (1, 2)), ("c",)]
+    index = {name: i for i, name in enumerate(names)}
+    kernel = Kernel.custom(
+        lambda a, b: 0.5 * math.exp(-abs(index[a] - index[b]) / 4.0),
+        data_range=1.0)
+    engine = Engine(Game.square(), kernel)
+    rng = np.random.default_rng(73)
+    points = [names[n % len(names)] for n in range(_INITIAL_CAPACITY + 10)]
+    for x in points:
+        engine.decide(x)
+        engine.observe(int(rng.integers(0, 2)))
+    xs = [r.x for r in engine.round_log]
+    assert xs == points
+    assert all(type(a) is type(b) for a, b in zip(xs, points))
+    assert engine.round_log[-1].x == points[-1]
+
+
+def test_round_log_is_a_view_of_plain_records():
+    engine = run_engine_random(Game.log(), 5, seed=23)
+    log = engine.round_log
+    recs = list(log)
+    assert len(log) == engine.rounds == 5
+    assert [r.n for r in recs] == [1, 2, 3, 4, 5]
+    assert log[0] == recs[0] and log[-1] == recs[-1]
+    assert log[1:3] == recs[1:3]
+    for r in recs:
+        for v in (r.x, r.p, r.q, r.gamma, r.loss, r.s_residual):
+            assert type(v) is float
+        assert type(r.y) is int and isinstance(r.branch, Branch)
+    assert sum(r.loss for r in recs) == engine.cumulative_loss
+    with pytest.raises(IndexError):
+        log[5]
+    assert not hasattr(log, "append")
+    engine.decide(0.1)
+    engine.observe(1)
+    assert len(log) == 6 and log[-1].x == 0.1
 
 
 # -- comparators ----------------------------------------------------------
@@ -202,6 +243,23 @@ def test_exposure_identity_per_round():
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_stored_loss_and_gamma_match_the_game():
+    poly = Game.custom([(0.0, 1.0), (0.2, 0.55), (0.55, 0.2), (1.0, 0.0)])
+    for game in (Game.square(), Game.absolute(), Game.log(), poly):
+        rng = np.random.default_rng(29)
+        engine = Engine(game, SOB)
+        cumulative = 0.0
+        for _ in range(60):
+            gamma = engine.decide(float(rng.uniform(-1, 1)))
+            y = int(rng.integers(0, 2))
+            engine.observe(y)
+            rec = engine.round_log[-1]
+            assert rec.gamma == gamma
+            assert rec.loss == game.loss(y, gamma)
+            cumulative += game.loss(y, gamma)
+        assert engine.cumulative_loss == cumulative
+
+
 # -- CSV export -----------------------------------------------------------
 
 def test_round_log_rows_format():
@@ -213,5 +271,9 @@ def test_round_log_rows_format():
     assert first[0] == "1"
     assert float(first[2]) == engine.round_log[0].p
     assert first[8] in ("root", "endpoint_positive", "endpoint_negative")
-    # repr round-trips exactly
-    assert repr(float(first[1])) == first[1]
+    # repr round-trips exactly; a numpy scalar's repr would not
+    for row in rows[1:]:
+        fields = row.split(",")
+        assert not any("np." in f for f in fields)
+        for i in (1, 2, 3, 4, 6, 7):  # x, p, q, gamma, loss, s_residual
+            assert repr(float(fields[i])) == fields[i]
