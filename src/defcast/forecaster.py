@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from defcast.games import DomainError, DomainTag, Forecast, Game
+from defcast.games import Decision, DomainError, DomainTag, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion, KernelKind
 
 DEFAULT_EPSILON_ROOT = 1e-9
@@ -334,11 +334,13 @@ class Forecaster:
     # -- protocol hooks ---------------------------------------------------
 
     def update(self, x, forecast: Forecast, y: int,
-               s_residual: float = 0.0, branch: Branch = Branch.ROOT) -> float:
+               s_residual: float = 0.0, branch: Branch = Branch.ROOT,
+               decision: Decision | None = None) -> float:
         """Append a completed round to the history; return its loss."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
-        d = self.game.canonical_choice(forecast)
+        # decision, when the caller has it, is the canonical choice at forecast
+        d = decision or self.game.canonical_choice(forecast)
         y = int(y)
         e = d.exposure
         resid = float(y) - forecast.p
@@ -365,35 +367,36 @@ class Forecaster:
 
     # -- certificates -----------------------------------------------------
 
+    def _variance(self) -> float:
+        """sum_i p_i (1 - p_i) (e_i^2 + K(x_i, x_i)), both certificates' rhs."""
+        ps, es = self._cols["p"][:self._n], self._cols["e"][:self._n]
+        diag = self.kernel.diags(self._cols["x"][:self._n])
+        return float(np.sum(ps * (1.0 - ps) * (es * es + diag)))
+
     def k29_certificate(self) -> tuple[float, float]:
         """Large-number certificate under the merged kernel.
 
         lhs is the squared norm of the residual-weighted feature sum; rhs
         the accumulated variance term.  lhs <= rhs + 2*sum|s_residual|.
+        Its kernel part is one Kernel.quad_form pass: O(N) memory, the
+        Gram's bits (README: why not a running sum in update).
         """
         if not self._n:
             return 0.0, 0.0
         resid = self._cols["residual"][:self._n]
         es = self._cols["e"][:self._n]
-        gram = self.kernel.gram(self._cols["x"][:self._n])
-        lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
-        ps = self._cols["p"][:self._n]
-        rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
-        return lhs, rhs
+        lhs = float(es @ resid) ** 2 + self.kernel.quad_form(
+            self._cols["x"][:self._n], resid)
+        return lhs, self._variance()
 
-    def resolution_certificate(self, f: KernelExpansion) -> tuple[float, float]:
-        """Resolution certificate for a data-space function f."""
+    def resolution_certificate(self, f: KernelExpansion,
+                               fx=None) -> tuple[float, float]:
+        """Resolution certificate for f; fx, if given, lists f(x_i)."""
         if f.kernel != self.kernel:
             raise DomainError("expansion uses a different kernel")
         if not self._n:
             return 0.0, 0.0
-        xs = self._cols["x"][:self._n].tolist()
-        resid = self._cols["residual"][:self._n]
-        fx = np.array([float(f(xi)) for xi in xs])
-        lhs = abs(float(resid @ fx))
-        ps = self._cols["p"][:self._n]
-        es = self._cols["e"][:self._n]
-        diag = np.array([float(self.kernel.diag(xi)) for xi in xs])
-        bound = f.norm() * math.sqrt(
-            float(np.sum(ps * (1.0 - ps) * (es * es + diag))))
-        return lhs, bound
+        if fx is None:
+            fx = [float(f(xi)) for xi in self._cols["x"][:self._n].tolist()]
+        lhs = abs(float(self._cols["residual"][:self._n] @ np.array(fx)))
+        return lhs, f.norm() * math.sqrt(self._variance())

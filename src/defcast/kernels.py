@@ -92,6 +92,12 @@ class Kernel:
     def diag(self, x):
         return self(x, x)
 
+    def diags(self, points) -> np.ndarray:
+        """K(x, x) at each point; custom kernels are called point by point."""
+        if self.kind is KernelKind.CUSTOM:
+            return np.array([float(self.diag(x)) for x in points])
+        return self.diag(np.asarray(points, dtype=float))
+
     def c_f(self) -> float:
         """Sup over the data space of sqrt(K(x, x))."""
         if self.kind is KernelKind.SOBOLEV:
@@ -102,14 +108,12 @@ class Kernel:
             return math.inf  # unbounded diagonal, no declared compact range
         r = float(self.data_range)
         grid = np.linspace(-r, r, 10_000)
-        diag = np.array([float(self.diag(x)) for x in grid]) \
-            if self.kind is KernelKind.CUSTOM else np.asarray(self.diag(grid))
+        diag = self.diags(grid)
         best = int(np.argmax(diag))
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, len(grid) - 1)]
         fine = np.linspace(lo, hi, 1_000)
-        vals = np.array([float(self.diag(x)) for x in fine]) \
-            if self.kind is KernelKind.CUSTOM else np.asarray(self.diag(fine))
+        vals = self.diags(fine)
         return math.sqrt(max(float(diag[best]), float(vals.max())))
 
     def gram(self, points) -> np.ndarray:
@@ -126,6 +130,28 @@ class Kernel:
             return g
         xs = np.asarray(pts, dtype=float)
         return np.asarray(self(xs[:, None], xs[None, :]))
+
+    def quad_form(self, points, w) -> float:
+        """w @ gram(points) @ w in O(N) memory, one Gram column slab at a time.
+
+        Custom slab entries are gram's: func(pts[min(i,j)], pts[max(i,j)]).
+        OpenBLAS sums the last (width mod 4) entries of each thread's share
+        of w @ slab another way, so the bits are gram's when N is a multiple
+        of 4 per BLAS thread; otherwise the last bits can differ.
+        """
+        pts = list(points)
+        w, n = np.asarray(w, dtype=float), len(pts)
+        xs = None if self.kind is KernelKind.CUSTOM else np.asarray(pts, float)
+        # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
+        width = 32 * max(1, 4096 // max(n, 1))
+        v = np.empty(n)
+        for j in range(0, n, width):
+            k = min(j + width, n)
+            slab = self(xs[:, None], xs[None, j:k]) if xs is not None else [
+                [float(self.func(pts[min(i, c)], pts[max(i, c)]))
+                 for c in range(j, k)] for i in range(n)]
+            v[j:k] = w @ np.asarray(slab)
+        return float(v @ w)
 
 
 @dataclass(frozen=True)
@@ -168,11 +194,7 @@ class KernelExpansion:
 
     def norm(self) -> float:
         """RKHS norm sqrt(w' G w) of the expansion."""
-        if not self.centers:
-            return 0.0
-        w = np.asarray(self.weights)
-        g = self.kernel.gram(self.centers)
-        quad = float(w @ g @ w)
+        quad = self.kernel.quad_form(self.centers, self.weights)
         if quad < PSD_TOL:
             raise KernelError(
                 f"negative quadratic form {quad}: kernel is not PSD")

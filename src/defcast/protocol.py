@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from defcast.forecaster import Branch, Forecaster, RootReport
-from defcast.games import DomainError, Forecast, Game, GameKind
+from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 
 
@@ -97,7 +97,9 @@ class Engine:
         self.forecaster = Forecaster(game, kernel, **forecaster_kwargs)
         self.cumulative_loss = 0.0
         self.round_log = RoundLog(self.forecaster)
-        self._pending: tuple[object, RootReport] | None = None
+        self._pending: tuple[object, RootReport, Decision] | None = None
+        # id(c) -> (c, exposures) this round; holding c keeps its id unique
+        self._exposures: dict[int, tuple] = {}
 
     @property
     def rounds(self) -> int:
@@ -115,9 +117,9 @@ class Engine:
         if isinstance(x, numbers.Real) and not math.isfinite(x):
             raise DomainError(f"datum must be finite, got {x}")
         report = self.forecaster.next_forecast(x)
-        gamma = self.game.canonical_choice(report.forecast).gamma
-        self._pending = (x, report)
-        return gamma
+        decision = self.game.canonical_choice(report.forecast)
+        self._pending = (x, report, decision)
+        return decision.gamma
 
     def observe(self, y: int) -> None:
         """Log the outcome of the pending decision."""
@@ -125,16 +127,19 @@ class Engine:
             raise UsageError("observe called without a pending decision")
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
-        x, report = self._pending
+        x, report, decision = self._pending
         self._pending = None
+        self._exposures.clear()
         # the forecaster stores the round, gamma and loss included
         self.cumulative_loss += self.forecaster.update(
             x, report.forecast, y, s_residual=report.s_residual,
-            branch=report.branch)
+            branch=report.branch, decision=decision)
 
     # -- comparators ------------------------------------------------------
 
     def _comparator_exposures(self, c: Comparator) -> list[float]:
+        if id(c) in self._exposures:
+            return self._exposures[id(c)][1]
         xs = self.forecaster.column("x").tolist()
         vals = [float(c.exposure_fn(x)) for x in xs]
         if self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
@@ -143,6 +148,7 @@ class Engine:
                 raise ComparatorError(
                     f"exposure {bad[0]} outside [-1,1]: the rule does not "
                     "map into the decision set")
+        self._exposures[id(c)] = (c, vals)
         return vals
 
     def comparator_round_losses(self, c: Comparator) -> list[float]:
@@ -195,7 +201,7 @@ class Engine:
             bound = self.regret_bound(c)
             slack = self.root_slack(c)
             res_lhs, res_bound = self.forecaster.resolution_certificate(
-                c.exposure_fn)
+                c.exposure_fn, self._comparator_exposures(c))
             res_slack = c.norm * math.sqrt(cert_slack) if cert_slack > 0 else 0.0
             report["comparators"].append({
                 "norm": c.norm,

@@ -15,20 +15,48 @@ import numpy as np
 
 from defcast.games import GameKind
 
-# p-grids (and log exposures) are expensive at 10^6 points; reuse them
+# p-grids (and log exposures) are expensive at 10^6 points; reuse them,
+# with e^2, 1 - 2p and output buffers for the vectorized S
 _GRID_CACHE: dict = {}
 
 
 def _grid(kind: GameKind, grid_n: int):
+    """(ps, es, es^2, 1 - 2 ps, two output buffers) of the kind's p-grid."""
     key = (kind, grid_n)
     if key not in _GRID_CACHE:
         if kind is GameKind.LOG:
             half = np.geomspace(1e-12, 0.5, grid_n // 2)
             ps = np.concatenate([half, 1.0 - half[::-1][1:]])
-            _GRID_CACHE[key] = (ps, np.log((1.0 - ps) / ps))
+            es = np.log((1.0 - ps) / ps)
         else:
             ps = np.linspace(0.0, 1.0, grid_n)
-            _GRID_CACHE[key] = (ps, 1.0 - 2.0 * ps)
+            es = 1.0 - 2.0 * ps
+        _GRID_CACHE[key] = (ps, es, es * es, 1.0 - 2.0 * ps,
+                            np.empty_like(ps), np.empty_like(ps))
+    return _GRID_CACHE[key]
+
+
+def _s_on_grid(grid, a_sum, k_sum, kxx):
+    """S over a cached grid, in s_of's operation order; reuses a buffer."""
+    _, es, e2, one_m2p, out, tmp = grid
+    np.multiply(es, a_sum, out=out)
+    np.add(out, k_sum, out=out)
+    np.add(e2, kxx, out=tmp)
+    np.multiply(tmp, 0.5, out=tmp)
+    np.multiply(tmp, one_m2p, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _absolute_grid(grid_n: int, q_grid: int):
+    """(left ps, right ps, their 1 - 2p, qs, buffer for the whole path)."""
+    key = (GameKind.ABSOLUTE, grid_n, q_grid)
+    if key not in _GRID_CACHE:
+        ps = np.linspace(0.0, 1.0, grid_n)
+        left, right = ps[ps < 0.5], ps[ps > 0.5]
+        qs = np.linspace(0.0, 1.0, q_grid + 1)
+        _GRID_CACHE[key] = (left, right, 1.0 - 2.0 * left,
+                            1.0 - 2.0 * right, qs,
+                            np.empty(len(left) + len(qs) + len(right)))
     return _GRID_CACHE[key]
 
 
@@ -94,8 +122,9 @@ def oracle_forecast(game, kernel, history, x, grid_n=1_000_000, q_grid=1_000):
         return a_sum * e + k_sum + 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
 
     if game.kind is GameKind.LOG:
-        ps, es = _grid(game.kind, grid_n)
-        s = s_of(ps, es)
+        grid = _grid(game.kind, grid_n)
+        ps = grid[0]
+        s = _s_on_grid(grid, a_sum, k_sum, kxx)
         i = _first_flip(s)
         if i is None:
             raise AssertionError("no root on a stripped domain")
@@ -104,8 +133,9 @@ def oracle_forecast(game, kernel, history, x, grid_n=1_000_000, q_grid=1_000):
         return p, 0.5
 
     if game.kind is GameKind.SQUARE:
-        ps, es = _grid(game.kind, grid_n)
-        s = s_of(ps, es)
+        grid = _grid(game.kind, grid_n)
+        ps = grid[0]
+        s = _s_on_grid(grid, a_sum, k_sum, kxx)
         i = _first_flip(s)
         if i is None:
             return (1.0 if s[0] > 0 else 0.0), 0.5
@@ -115,18 +145,19 @@ def oracle_forecast(game, kernel, history, x, grid_n=1_000_000, q_grid=1_000):
 
     # absolute loss: path is p < 1/2 at e=1, the q-segment at p = 1/2
     # (S linear in e there), then p > 1/2 at e=-1
-    ps, _ = _grid(GameKind.SQUARE, grid_n)
-    left = ps[ps < 0.5]
-    right = ps[ps > 0.5]
-    qs = np.linspace(0.0, 1.0, q_grid + 1)
-    s_left = s_of(left, 1.0)
-    s_seg = a_sum * (1.0 - 2.0 * qs) + k_sum
-    s_right = s_of(right, -1.0)
-    s_all = np.concatenate([s_left, s_seg, s_right])
+    # s_of(p, +-1) = (a_sum * e + k_sum) + (0.5 * (1 + kxx)) * (1 - 2p),
+    # written into one buffer laid out as [left | q-segment | right]
+    left, right, m_left, m_right, qs, s_all = _absolute_grid(grid_n, q_grid)
+    n_l, n_s = len(left), len(qs)
+    half = 0.5 * (1.0 * 1.0 + kxx)
+    for part, m, e in ((s_all[:n_l], m_left, 1.0),
+                       (s_all[n_l + n_s:], m_right, -1.0)):
+        np.multiply(m, half, out=part)
+        np.add(part, a_sum * e + k_sum, out=part)
+    s_all[n_l:n_l + n_s] = a_sum * (1.0 - 2.0 * qs) + k_sum
     i = _first_flip(s_all)
     if i is None:
         return (1.0 if s_all[0] > 0 else 0.0), 0.5
-    n_l, n_s = len(s_left), len(s_seg)
     if i + 1 < n_l:
         p = _bisect(lambda p: s_of(p, 1.0), float(left[i]), float(left[i + 1]))
         return p, 0.5

@@ -10,7 +10,7 @@ from defcast.experiments import (AdversarialAntiForecast, ConfigError,
                                  Replay, certify_log, generator_from_json,
                                  round_rng, run, run_engine)
 from defcast.games import Game
-from defcast.kernels import Kernel
+from defcast.kernels import Kernel, KernelExpansion
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay_fixture.csv"
 
@@ -158,6 +158,26 @@ def test_report_contents(tmp_path):
     assert len(report["comparators"]) == 1
     curve_ns = [pt["n"] for pt in report["regret_curve"]]
     assert curve_ns == [1, 2, 4, 8, 16, 32]
+
+
+def test_run_evaluates_each_comparator_once_per_round(tmp_path, monkeypatch):
+    # the report's losses, its resolution certificate and the regret curve
+    # share one evaluation of each comparator at each x
+    calls = []
+    evaluate = KernelExpansion.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    doc = config_doc(horizon=30, comparators=[
+        {"centers": [], "weights": []},
+        {"centers": [-0.5, 0.5], "weights": [0.6, -0.6]}])
+    expected = run(ExperimentConfig.from_json(doc), tmp_path / "a")
+    monkeypatch.setattr(KernelExpansion, "__call__", counted)
+    counted_run = run(ExperimentConfig.from_json(doc), tmp_path / "b")
+    assert len(calls) == 2 * 30
+    assert counted_run.report == expected.report
 
 
 def test_certify_matches_run(tmp_path):

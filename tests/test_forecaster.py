@@ -1,12 +1,18 @@
 """The staged root finder and its certificates."""
 
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import defcast
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
                                 Forecaster)
 from defcast.games import DomainError, DomainTag, Forecast, Game, GameKind
@@ -411,6 +417,62 @@ def test_k29_holds_on_random_runs(game_name):
     fc, _ = run_random(Game.from_name(game_name), SOB, 120, seed=23)
     lhs, rhs = fc.k29_certificate()
     assert lhs <= rhs + 2.0 * fc.residual_total
+
+
+def test_k29_equals_the_gram_formulas():
+    # one slab (N = 300 is below the slab width), so the bits agree for any
+    # BLAS thread count; rhs takes the diagonal from Kernel.diags
+    tagged = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a[1] - b[1])))
+    for game, kernel, opaque in ((Game.log(), SOB, False),
+                                 (POLY, Kernel.gaussian(0.5), False),
+                                 (Game.square(), tagged, True)):
+        fc, _ = run_random(game, SOB, 300, seed=47)
+        if kernel is not SOB:  # replay the history under the other kernel
+            rows = zip(*(fc.column(c).tolist() for c in "xpqy"))
+            fc = Forecaster(game, kernel)
+            for i, (x, p, q, y) in enumerate(rows):
+                fc.update((i, x) if opaque else x, Forecast(p, q), y)
+        resid, es, ps = (fc.column(c) for c in ("residual", "e", "p"))
+        gram = kernel.gram(fc.column("x"))
+        lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
+        rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
+        assert fc.k29_certificate() == (lhs, rhs)
+
+
+def test_k29_certificate_memory_is_linear_in_rounds():
+    # 12,000 rounds: the Gram path needs about 16 N^2 bytes (the Gram and
+    # a ufunc temporary), 2.3 GB here; column slabs keep the process small
+    code = textwrap.dedent("""
+        import json, resource
+        import numpy as np
+        from defcast.forecaster import Forecaster
+        from defcast.games import Forecast, Game
+        from defcast.kernels import Kernel
+        rng = np.random.default_rng(5)
+        n = 12_000
+        fc = Forecaster(Game.square(), Kernel.sobolev())
+        for x, p, y in zip(rng.uniform(-1, 1, n).tolist(),
+                           rng.uniform(0.05, 0.95, n).tolist(),
+                           rng.integers(0, 2, n).tolist()):
+            fc.update(x, Forecast(p, 0.5), y)
+        lhs, rhs = fc.k29_certificate()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps([lhs, rhs, peak]))
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(defcast.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    lhs, rhs, peak_mb = json.loads(out.stdout)
+    assert math.isfinite(lhs) and 0.0 < lhs and 0.0 < rhs
+    assert peak_mb < 300.0, peak_mb
+
+
+def test_resolution_with_given_values_equals_recomputed():
+    fc, _ = run_random(Game.log(), SOB, 60, seed=53)
+    f = KernelExpansion.build([-0.5, 0.5], [0.6, -0.6], SOB)
+    fx = [float(f(x)) for x in fc.column("x").tolist()]
+    assert fc.resolution_certificate(f, fx) == fc.resolution_certificate(f)
 
 
 def test_resolution_zero_expansion():

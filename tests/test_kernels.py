@@ -1,11 +1,17 @@
 """Kernels, Gram matrices, and finite-expansion RKHS norms."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import defcast
 from defcast.kernels import Kernel, KernelError, KernelExpansion
 
 SOB = Kernel.sobolev()
@@ -176,6 +182,82 @@ def test_non_psd_custom_kernel_detected():
     e = KernelExpansion.build([0.0, 1.0], [1.0, 1.0], bad)
     with pytest.raises(KernelError):
         e.norm()
+
+
+# -- quadratic form -------------------------------------------------------
+
+# A custom evaluator whose value depends on argument order, so that an
+# entry evaluated as func(x_j, x_i) instead of the Gram's func(x_i, x_j),
+# i <= j, shows.  quad_form only has to reproduce the Gram here, so the
+# evaluator need not be a kernel.
+ORDERED = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a - b)) + 1e-6 * a)
+QUAD_KERNELS = {"sobolev": SOB, "gaussian": Kernel.gaussian(0.5),
+                "linear": Kernel.linear(offset=0.7), "custom": ORDERED}
+# N = 1 and 40 fit one slab; the others cross slab boundaries (slabs are 32
+# to 320 columns wide at these N) and end on a partial slab, except 4128
+QUAD_SIZES = {name: [1, 40, 1000, 1004, 4100, 4128]
+              for name in ("sobolev", "gaussian", "linear")}
+QUAD_SIZES["custom"] = [1, 40, 400, 404]
+UNALIGNED_SIZES = [3, 999, 1001, 1003, 4099]
+
+
+def quad_case(name, n):
+    rng = np.random.default_rng(n)
+    return QUAD_KERNELS[name], rng.uniform(-2, 2, n), rng.normal(size=n)
+
+
+def quad_form_mismatches(cases) -> list:
+    """The (kernel, N) cases where quad_form differs from w @ gram @ w."""
+    bad = []
+    for name, n in cases:
+        kernel, xs, w = quad_case(name, n)
+        if kernel.quad_form(xs, w) != float(w @ kernel.gram(xs) @ w):
+            bad.append([name, n])
+    return bad
+
+
+def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
+    # the bits agree when N is a multiple of 4 per BLAS thread, so check
+    # with one thread, as the benchmark runs, in a process of its own
+    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes]
+    code = ("import json, test_kernels as t; "
+            f"print(json.dumps(t.quad_form_mismatches({cases!r})))")
+    paths = [str(Path(defcast.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert json.loads(out.stdout) == []
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_KERNELS))
+def test_quad_form_matches_gram_to_rounding(name):
+    # any N and BLAS thread count: within 4 ulps of sum |w_i K_ij w_j|, the
+    # size rounding errors of the quadratic form scale with
+    sizes = QUAD_SIZES[name] + (UNALIGNED_SIZES if name != "custom"
+                                else [3, 401, 403])
+    for n in sizes:
+        kernel, xs, w = quad_case(name, n)
+        g = kernel.gram(xs)
+        scale = float(np.abs(w) @ np.abs(g) @ np.abs(w))
+        assert abs(kernel.quad_form(xs, w) - float(w @ g @ w)) \
+            <= 4 * np.spacing(scale), (name, n)
+
+
+def test_quad_form_takes_opaque_points_and_empty_input():
+    k = Kernel.custom(lambda a, b: float(a == b) + 0.5 * (a[0] == b[0]))
+    pts = [("a", 1), ("a", 2), ("b", 1)]
+    w = np.array([1.0, -2.0, 0.5])
+    assert k.quad_form(pts, w) == float(w @ k.gram(pts) @ w)
+    assert SOB.quad_form([], []) == 0.0
+
+
+def test_diags_match_pointwise_diagonal():
+    xs = np.linspace(-2, 2, 9)
+    for kernel in QUAD_KERNELS.values():
+        expect = np.array([float(kernel.diag(float(x))) for x in xs])
+        assert np.array_equal(kernel.diags(xs), expect)
+        assert np.array_equal(kernel.diags(xs), np.diag(kernel.gram(xs)))
 
 
 # -- serialization --------------------------------------------------------

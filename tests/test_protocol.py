@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from defcast.forecaster import _INITIAL_CAPACITY, Branch
-from defcast.games import DomainError, Game
+from defcast.games import DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
 
@@ -170,6 +170,42 @@ def test_out_of_range_comparator_rejected():
     # same expansion is fine for the log game: exposure is unrestricted
     engine_log = run_engine_random(Game.log(), 10, seed=5)
     engine_log.comparator_loss(too_big)
+
+
+def test_comparator_exposures_refresh_after_each_round():
+    engine = run_engine_random(Game.square(), 20, seed=21)
+    c = Comparator.build(KernelExpansion.build([0.3], [0.7], SOB))
+    before = engine.comparator_round_losses(c)
+    assert engine.comparator_round_losses(c) == before  # cached, same values
+    engine.decide(0.25)
+    engine.observe(1)
+    after = engine.comparator_round_losses(c)
+    fresh = Engine(Game.square(), SOB)
+    for r in engine.round_log:
+        fresh.forecaster.update(r.x, Forecast(r.p, r.q), r.y)
+    assert len(after) == 21 and after[:20] == before
+    assert after == fresh.comparator_round_losses(c)
+
+
+def test_canonical_choice_runs_once_per_round(monkeypatch):
+    calls = []
+    choice = Game.canonical_choice
+
+    def counted(self, f):
+        calls.append(f)
+        return choice(self, f)
+
+    monkeypatch.setattr(Game, "canonical_choice", counted)
+    engine = run_engine_random(Game.log(), 25, seed=23)
+    assert len(calls) == 25
+    monkeypatch.undo()
+    # the forecaster stores what it would have computed itself
+    replay = Engine(Game.log(), SOB)
+    for r in engine.round_log:
+        replay.forecaster.update(r.x, Forecast(r.p, r.q), r.y,
+                                 s_residual=r.s_residual, branch=r.branch)
+    assert replay.round_log_rows() == engine.round_log_rows()
+    assert replay.cumulative_loss == 0.0  # update alone adds no loss
 
 
 # -- regret bound ---------------------------------------------------------
