@@ -2,10 +2,14 @@
 """Run the standard battery: three games x four data sources.
 
 Writes per-run artifacts under the output directory and prints a summary
-table of cumulative losses, certificate slack, and worst-case bounds.  The
-SHA-256 of each run's round log and regret report is printed below its row
-and written to summary.json, so two checkouts can be compared for
-byte-identical artifacts with one diff of their summary.json files.
+table of cumulative losses, certificate slack, and worst-case bounds.  Below
+each row go the run's certificate margins and the SHA-256 of its round log
+and regret report; both are written to summary.json, so two checkouts can
+be compared for byte-identical artifacts with one diff of their
+summary.json files, and a verdict that rests on a rounding-sized margin
+shows up.  The large-number margin is rhs + slack - lhs; the resolution
+margin is the smallest bound + slack - lhs over the comparators other than
+the zero rule.
 
 Usage: python3 scripts/run_battery.py [--horizon N] [--seed S] [--out DIR]
 """
@@ -42,6 +46,19 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def margins(report) -> dict:
+    cert = report["large_numbers_certificate"]
+    rows = [r for r in report["comparators"] if r["norm"] > 0.0] \
+        or report["comparators"]
+    return {
+        "large_numbers": cert["rhs"] + cert["slack"] - cert["lhs"],
+        # the zero rule's certificate is 0 <= 0 exactly, whatever the run
+        "resolution_min": min((r["resolution"]["bound"]
+                               + r["resolution"]["slack"]
+                               - r["resolution"]["lhs"]) for r in rows),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizon", type=int, default=1000)
@@ -55,6 +72,7 @@ def main():
     print("-" * len(header))
     all_ok = True
     hashes = {}
+    run_margins = {}
     for game in ("square", "absolute", "log"):
         for gen_name, gen_doc in GENERATORS.items():
             doc = {
@@ -78,6 +96,10 @@ def main():
                   f"{rep['cumulative_loss']:>10.3f} "
                   f"{rep['large_numbers_certificate']['slack']:>11.2e} "
                   f"{worst:>13.3f} {bound:>9.3f} {dt:>6.2f}s")
+            run_margins[name] = margins(rep)
+            print(f"  margins large_numbers "
+                  f"{run_margins[name]['large_numbers']:.3e} resolution_min "
+                  f"{run_margins[name]['resolution_min']:.3e}")
             hashes[name] = {
                 "round_log_sha256": sha256(artifacts.round_log_path),
                 "regret_report_sha256": sha256(artifacts.regret_report_path),
@@ -87,7 +109,7 @@ def main():
     print()
     print("all inequalities pass" if all_ok else "INEQUALITY VIOLATED")
     summary = {"all_pass": all_ok, "horizon": args.horizon,
-               "seed": args.seed, "sha256": hashes}
+               "seed": args.seed, "margins": run_margins, "sha256": hashes}
     (Path(args.out) / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
     return 0 if all_ok else 1

@@ -213,7 +213,7 @@ def _regret_curve(engine: Engine, comparators) -> list[dict]:
     n = engine.rounds
     own = np.cumsum(engine.forecaster.column("loss"))
     res = np.cumsum(np.abs(engine.forecaster.column("s_residual")))
-    cl = engine.game.clambda(engine.kernel.c_f())
+    cl = engine.clambda
     comp_cums = [np.cumsum(engine.comparator_round_losses(c))
                  for c in comparators]
     curve = []

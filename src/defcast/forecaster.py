@@ -6,15 +6,18 @@ the exposure variable e over the optimal face's exposure interval:
     S(p, e) = (1 - 2p)/2 * e^2 + A*e + B + C*p
 
 with A the running sum of exposure-weighted residuals and B, C determined
-by the kernel column at the new datum.  Stage 1 scans a p-grid recording
-the value range of the quadratic over each face; stage 2 bisects to the
-first p, in lexicographic order, whose range brackets zero; stage 3 solves
-the quadratic in e analytically and maps e back to the tie-breaker q.
+by the kernel column at the new datum.  Stage 1 scans a p-grid for the
+first sign change of S in lexicographic order; stage 2 shrinks that
+bracket to adjacent floats; stage 3 solves the quadratic in e analytically
+and maps e back to the tie-breaker q.
 
-Stage 1 runs on numpy arrays; stage 2 runs in plain Python floats and
-must reproduce the scan's arithmetic bit for bit: the same expressions in
-the same order, and np.log rather than math.log for log-loss exposures.
-A last-bit difference moves the bisection and changes the forecasts.
+Stage 1 signs S at every grid point and takes the value range over the
+face only where the face is wider than a point (special ps).  Stage 2 is
+one method for every game: S is continuous in p inside the bracket, so a
+safeguarded Illinois regula falsi steps to the secant point, or bisects
+where an end has no value (a wide face, within the face tolerance of a
+special p).  Its evaluations run in plain Python floats with the scan's
+arithmetic: the same expressions in the same order, and np.log.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -33,8 +36,8 @@ shortest round-trip decimal.
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
 stripped-domain width delta, filled on first use; each round computes only
-the constant term B + C*p and the value ranges.  _ranges_on is the
-uncached reference the scan and _sgn_at must both match.
+the constant term B + C*p, the values and their signs.  _ranges_on is the
+uncached reference whose signs the scan and _s_at must both match.
 """
 
 from __future__ import annotations
@@ -170,20 +173,41 @@ class Forecaster:
         return grid
 
     def _scan_terms(self, delta: float) -> tuple:
-        """(grid, e_hi, e_lo, a) of the scan at delta, cached per delta."""
+        """(grid, e_hi, a*e_hi^2, wide) of the scan, cached per delta.
+
+        wide lists (index, p, a, e_hi, e_lo) as floats for each face wider
+        than a point (e_hi != e_lo, or NaN): the special ps.
+        """
         terms = self._scans.get(delta)
         if terms is None:
             grid = self._p_grid(delta)
             e_hi, e_lo = self.game.exposure_interval_arrays(grid)
-            terms = (grid, e_hi, e_lo, 0.5 * (1.0 - 2.0 * grid))
-            for arr in terms:
+            a = 0.5 * (1.0 - 2.0 * grid)
+            quad = a * e_hi * e_hi
+            for arr in (grid, e_hi, quad):
                 arr.flags.writeable = False
-            self._scans[delta] = terms
+            j = np.nonzero(e_hi != e_lo)[0]
+            wide = tuple(zip(j.tolist(), *(arr[j].tolist()
+                                           for arr in (grid, a, e_hi, e_lo))))
+            terms = self._scans[delta] = (grid, e_hi, quad, wide)
         return terms
 
-    @staticmethod
-    def _range(a, A, c, e_hi, e_lo):
-        """Min and max of a*e^2 + A*e + c over [e_lo, e_hi] (vectorized)."""
+    def _scan(self, delta: float, A: float, B: float, C: float):
+        """(grid, signs, values) of S on the grid at delta: the signs of
+        _sgn(*_ranges_on(grid, A, B, C)), and values NaN on wide faces."""
+        grid, e_hi, quad, wide = self._scan_terms(delta)
+        v = quad + A * e_hi + (B + C * grid)
+        sgn = self._sgn(v, v)
+        for j, p, a, hi, lo in wide:
+            sgn[j] = self._face_sign(a, A, B + C * p, hi, lo)
+            v[j] = np.nan
+        return grid, sgn, v
+
+    def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
+        """Min and max of S over the face at each p (vectorized)."""
+        e_hi, e_lo = self.game.exposure_interval_arrays(ps)
+        a = 0.5 * (1.0 - 2.0 * ps)
+        c = B + C * ps
         v1 = a * e_hi * e_hi + A * e_hi + c
         v2 = a * e_lo * e_lo + A * e_lo + c
         lo = np.minimum(v1, v2)
@@ -198,21 +222,14 @@ class Forecaster:
             hi = np.where(inside, np.maximum(hi, vv), hi)
         return lo, hi
 
-    def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
-        e_hi, e_lo = self.game.exposure_interval_arrays(ps)
-        a = 0.5 * (1.0 - 2.0 * ps)
-        c = B + C * ps
-        return self._range(a, A, c, e_hi, e_lo)
-
     @staticmethod
     def _sgn(lo, hi):
-        return np.where(lo > 0.0, 1, np.where(hi < 0.0, -1, 0))
+        """1 where lo > 0, -1 where hi < 0, else 0 (NaN included); lo <= hi."""
+        return (lo > 0.0).view(np.int8) - (hi < 0.0).view(np.int8)
 
-    def _sgn_at(self, p: float, A: float, B: float, C: float) -> int:
-        """Scalar twin of _sgn(*_ranges_on(np.array([p]), A, B, C))[0]."""
-        e_hi, e_lo = self.game.exposure_interval_arrays(p)
-        a = 0.5 * (1.0 - 2.0 * p)
-        c = B + C * p
+    @staticmethod
+    def _face_sign(a, A, c, e_hi, e_lo) -> int:
+        """Sign of a*e^2 + A*e + c over [e_lo, e_hi] by _ranges_on's rule."""
         vals = [a * e_hi * e_hi + A * e_hi + c, a * e_lo * e_lo + A * e_lo + c]
         if a != 0.0:
             ev = -A / (2.0 * a)
@@ -220,9 +237,18 @@ class Forecaster:
                 vals.append(a * ev * ev + A * ev + c)
         if any(map(math.isnan, vals)):
             return 0  # np.minimum/np.maximum propagate NaN: neither side
-        if min(vals) > 0.0:
-            return 1
-        return -1 if max(vals) < 0.0 else 0
+        return (min(vals) > 0.0) - (max(vals) < 0.0)
+
+    def _s_at(self, p: float, A: float, B: float, C: float):
+        """(sign, value) of S at a scalar p, in the scan's arithmetic; on a
+        wide face, the sign of its value range and the value NaN."""
+        e_hi, e_lo = self.game.exposure_interval_arrays(p)
+        a = 0.5 * (1.0 - 2.0 * p)
+        c = B + C * p
+        if e_hi != e_lo:
+            return self._face_sign(a, A, c, e_hi, e_lo), math.nan
+        v = a * e_hi * e_hi + A * e_hi + c
+        return (v > 0.0) - (v < 0.0), v  # NaN: sign 0
 
     def next_forecast(self, x) -> RootReport:
         """Forecast for datum x: a root of S, or the endpoint rule."""
@@ -230,9 +256,7 @@ class Forecaster:
         tag = self.game.domain_tag
         delta = _DELTA_START
         while True:
-            grid, e_hi, e_lo, a = self._scan_terms(delta)
-            lo, hi = self._range(a, A, B + C * grid, e_hi, e_lo)
-            sgn = self._sgn(lo, hi)
+            grid, sgn, v = self._scan(delta, A, B, C)
             s0 = int(sgn[0])
             if s0 == 0:
                 return self._solve_at(float(grid[0]), A, B, C)
@@ -241,8 +265,8 @@ class Forecaster:
                 i = int(flips[0])
                 if sgn[i] == 0:
                     return self._solve_at(float(grid[i]), A, B, C)
-                return self._bisect(float(grid[i - 1]), float(grid[i]),
-                                    s0, A, B, C)
+                return self._refine(float(grid[i - 1]), float(v[i - 1]),
+                                    float(grid[i]), float(v[i]), s0, A, B, C)
             # no sign change visible on this grid
             if tag is DomainTag.FULL_SQUARE:
                 return self._endpoint(s0)
@@ -261,27 +285,39 @@ class Forecaster:
         branch = Branch.ENDPOINT_POSITIVE if s > 0 else Branch.ENDPOINT_NEGATIVE
         return RootReport(Forecast(p, 0.5), 0.0, branch)
 
-    def _bisect(self, pa: float, pb: float, s0: int,
+    def _refine(self, pa, fa, pb, fb, s0: int,
                 A: float, B: float, C: float) -> RootReport:
-        # pa and pb are adjacent grid points; no non-singleton face sits
-        # strictly between them, so S is continuous in p on (pa, pb)
+        """Shrink the bracket [pa, pb] (signs s0, -s0) to adjacent floats.
+
+        Illinois regula falsi on the values fa, fb: the secant point, or
+        the midpoint when a value is NaN; the retained end's value halves
+        when the same end is replaced twice in a row.  A secant point that
+        rounds onto an end moves to the next float inside, so a root within
+        an ulp of one end is closed in a step or two, not by halving.  No
+        special p sits strictly inside, so S is continuous on (pa, pb).
+        """
+        side = 0  # -1 after pa was replaced, 1 after pb was
         for _ in range(200):
             pm = 0.5 * (pa + pb)
             if pm <= pa or pm >= pb:
                 break
-            s = self._sgn_at(pm, A, B, C)
+            ps = pa - fa * (pb - pa) / (fb - fa)
+            if ps == ps:  # else NaN: an end has no value
+                pm = min(max(ps, math.nextafter(pa, pb)),
+                         math.nextafter(pb, pa))
+            s, f = self._s_at(pm, A, B, C)
             if s == 0:
                 return self._solve_at(pm, A, B, C)
             if s == s0:
-                pa = pm
+                if side < 0:
+                    fb *= 0.5
+                pa, fa, side = pm, f, -1
             else:
-                pb = pm
-        best = None
-        for p in (pa, pb):
-            rep = self._solve_at(p, A, B, C)
-            if best is None or rep.s_residual < best.s_residual:
-                best = rep
-        return best
+                if side > 0:
+                    fa *= 0.5
+                pb, fb, side = pm, f, 1
+        return min((self._solve_at(p, A, B, C) for p in (pa, pb)),
+                   key=lambda rep: rep.s_residual)
 
     def _solve_at(self, p: float, A: float, B: float, C: float) -> RootReport:
         """Solve the quadratic in e at fixed p; map e to the tie-breaker q."""

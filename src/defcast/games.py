@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # Log-loss decisions are clamped at evaluation time so losses stay finite
 # in floating point; the decision set (0, 1) is open.
@@ -255,22 +254,16 @@ class Game:
 
     def exposure_interval(self, p: float) -> tuple[float, float]:
         """Exposure endpoints (at A(p), at B(p)) of the optimal face at p."""
-        if self.kind is GameKind.SQUARE:
+        if not 0.0 < p < 1.0:  # (0, 1) lies inside every choice domain
             self.check_forecast(Forecast(p, 0.0))
+        if self.kind is GameKind.SQUARE:
             e = 1.0 - 2.0 * p
             return e, e
         if self.kind is GameKind.LOG:
-            self.check_forecast(Forecast(p, 0.0))
-            e = math.log((1.0 - p) / p)
+            e = float(np.log((1.0 - p) / p))  # the vectorized path's bits
             return e, e
         if self.kind is GameKind.ABSOLUTE:
-            self.check_forecast(Forecast(p, 0.0))
-            if p < 0.5:
-                return 1.0, 1.0
-            if p > 0.5:
-                return -1.0, -1.0
-            return 1.0, -1.0
-        self.check_forecast(Forecast(p, 0.0))
+            return (-1.0 if p > 0.5 else 1.0), (1.0 if p < 0.5 else -1.0)
         i, j = self._custom_face(p)
         a0, b0 = self.boundary[i]
         a1, b1 = self.boundary[j]
@@ -279,20 +272,11 @@ class Game:
     def exposure_interval_arrays(self, ps):
         """Vectorized exposure_interval over an array of p values.
 
-        A scalar p (inside the choice domain) gives a pair of floats with
-        the same bits as the one-element array [p]; for log loss that means
-        np.log, which can differ from math.log in the last bit.
+        A scalar p goes to exposure_interval, whose floats have the bits
+        of the one-element array [p].
         """
         if not isinstance(ps, np.ndarray):
-            if self.kind is GameKind.SQUARE:
-                e = 1.0 - 2.0 * ps
-            elif self.kind is GameKind.LOG:
-                e = float(np.log((1.0 - ps) / ps))
-            elif self.kind is GameKind.ABSOLUTE:
-                return (-1.0 if ps > 0.5 else 1.0), (1.0 if ps < 0.5 else -1.0)
-            else:
-                return self.exposure_interval(ps)
-            return e, e
+            return self.exposure_interval(ps)
         if self.kind is GameKind.SQUARE:
             e = 1.0 - 2.0 * ps
             return e, e.copy()
@@ -362,9 +346,9 @@ class Game:
     def clambda(self, c_f: float) -> float:
         """Constant pairing the game with a kernel of sup-norm c_f.
 
-        Closed forms for the square and absolute built-ins; numeric sup
-        over the forecast probability for log and custom games.  Returns
-        inf when the sup diverges.
+        Closed forms for the square and absolute built-ins and for custom
+        polylines; a numeric sup over the forecast probability for log
+        loss.  Returns inf when the sup diverges.
         """
         if c_f < 0 or not math.isfinite(c_f):
             raise DomainError("c_f must be finite and nonnegative")
@@ -372,30 +356,39 @@ class Game:
             return c_f / 2.0 if c_f >= 1.0 else (1.0 + c_f * c_f) / 4.0
         if self.kind is GameKind.ABSOLUTE:
             return 0.5 * math.sqrt(1.0 + c_f * c_f)
+        if self.kind is GameKind.CUSTOM:
+            # exposure is constant between special ps, so the sup of
+            # p(1-p)(e^2 + c_f^2) sits at 1/2 or at a special p
+            return math.sqrt(max(self._clambda_h(p, c_f)
+                                 for p in (0.5, *self.special_ps())))
         return self.clambda_numeric(c_f)
+
+    def _clambda_h(self, p: float, c_f: float) -> float:
+        """p(1-p)(e^2 + c_f^2), e the larger-magnitude exposure of the face."""
+        e_hi, e_lo = self.exposure_interval(min(max(p, 1e-300), 1 - 1e-16))
+        return p * (1.0 - p) * (max(e_hi * e_hi, e_lo * e_lo) + c_f * c_f)
 
     def clambda_numeric(self, c_f: float) -> float:
         """Generic numeric path for the constant, via exposure_interval."""
         if c_f < 0 or not math.isfinite(c_f):
             raise DomainError("c_f must be finite and nonnegative")
-
-        def h(p):
-            e_hi, e_lo = self.exposure_interval(min(max(p, 1e-300), 1 - 1e-16))
-            e2 = max(e_hi * e_hi, e_lo * e_lo)
-            return p * (1.0 - p) * (e2 + c_f * c_f)
-
         # log-spaced grid concentrated near both endpoints, where the
         # supremand varies fastest for diverging exposures
         half = np.geomspace(1e-12, 0.5, _CLAMBDA_GRID // 2)
         ps = np.concatenate([half, 1.0 - half[::-1][1:]])
-        vals = np.array([h(p) for p in ps])
+        vals = [self._clambda_h(p, c_f) for p in ps.tolist()]
         best = int(np.argmax(vals))
         if best in (0, len(ps) - 1):
             # still growing at the grid's extreme points: divergent sup
             return math.inf
-        lo, hi = ps[best - 1], ps[best + 1]
-        res = minimize_scalar(lambda p: -h(p), bounds=(lo, hi),
-                              method="bounded",
-                              options={"xatol": 1e-12})
-        sup = max(vals[best], -res.fun)
-        return math.sqrt(sup)
+        # golden-section search between the best point's grid neighbours
+        lo, hi = float(ps[best - 1]), float(ps[best + 1])
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        while hi - lo > 1e-12:
+            u, w = hi - g * (hi - lo), lo + g * (hi - lo)
+            if self._clambda_h(u, c_f) > self._clambda_h(w, c_f):
+                hi = w
+            else:
+                lo = u
+        return math.sqrt(max(vals[best],
+                             self._clambda_h(0.5 * (lo + hi), c_f)))

@@ -7,6 +7,7 @@ benchmark decision rules given as kernel expansions of their exposure.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -98,8 +99,8 @@ class Engine:
         self.cumulative_loss = 0.0
         self.round_log = RoundLog(self.forecaster)
         self._pending: tuple[object, RootReport, Decision] | None = None
-        # id(c) -> (c, exposures) this round; holding c keeps its id unique
-        self._exposures: dict[int, tuple] = {}
+        # id(c) -> (c, exposures, losses); holding c keeps its id unique
+        self._comparator_cache: dict[int, tuple] = {}
 
     @property
     def rounds(self) -> int:
@@ -129,7 +130,7 @@ class Engine:
             raise DomainError(f"observation must be binary, got {y}")
         x, report, decision = self._pending
         self._pending = None
-        self._exposures.clear()
+        self._comparator_cache.clear()
         # the forecaster stores the round, gamma and loss included
         self.cumulative_loss += self.forecaster.update(
             x, report.forecast, y, s_residual=report.s_residual,
@@ -137,43 +138,43 @@ class Engine:
 
     # -- comparators ------------------------------------------------------
 
-    def _comparator_exposures(self, c: Comparator) -> list[float]:
-        if id(c) in self._exposures:
-            return self._exposures[id(c)][1]
-        xs = self.forecaster.column("x").tolist()
-        vals = [float(c.exposure_fn(x)) for x in xs]
-        if self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
-            bad = [v for v in vals if abs(v) > 1.0 + 1e-12]
+    def _comparator_rounds(self, c: Comparator) -> tuple[list, list]:
+        """(exposures, losses) of c per round, kept until the next observe."""
+        if id(c) not in self._comparator_cache:
+            xs = self.forecaster.column("x").tolist()
+            vals = [float(c.exposure_fn(x)) for x in xs]
+            clip = self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE)
+            bad = [v for v in vals if abs(v) > 1.0 + 1e-12] if clip else []
             if bad:
                 raise ComparatorError(
                     f"exposure {bad[0]} outside [-1,1]: the rule does not "
                     "map into the decision set")
-        self._exposures[id(c)] = (c, vals)
-        return vals
+            ys = self.forecaster.column("y").tolist()
+            losses = [self.game.loss(y, self.game.decision_from_exposure(
+                min(max(v, -1.0), 1.0) if clip else v))
+                for y, v in zip(ys, vals)]
+            self._comparator_cache[id(c)] = (c, vals, losses)
+        return self._comparator_cache[id(c)][1:]
 
     def comparator_round_losses(self, c: Comparator) -> list[float]:
         """Per-round losses of the benchmark rule D = inverse exposure."""
-        losses = []
-        ys = self.forecaster.column("y").tolist()
-        for y, v in zip(ys, self._comparator_exposures(c)):
-            gamma = self.game.decision_from_exposure(
-                min(max(v, -1.0), 1.0)
-                if self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE)
-                else v)
-            losses.append(self.game.loss(y, gamma))
-        return losses
+        return list(self._comparator_rounds(c)[1])
 
     def comparator_loss(self, c: Comparator) -> float:
         """Replay the log under the benchmark rule."""
-        return float(sum(self.comparator_round_losses(c)))
+        return float(sum(self._comparator_rounds(c)[1]))
+
+    @functools.cached_property
+    def clambda(self) -> float:
+        """The game/kernel constant of every regret bound, computed once."""
+        return self.game.clambda(self.kernel.c_f())
 
     def regret_bound(self, c: Comparator) -> float:
         """Worst-case regret bound for the benchmark rule after N rounds."""
         n = self.rounds
         if n == 0:
             return 0.0
-        cl = self.game.clambda(self.kernel.c_f())
-        return cl * (c.norm + 1.0) * math.sqrt(n)
+        return self.clambda * (c.norm + 1.0) * math.sqrt(n)
 
     def root_slack(self, c: Comparator) -> float:
         # inexact roots perturb the capital bookkeeping by at most the
@@ -201,7 +202,7 @@ class Engine:
             bound = self.regret_bound(c)
             slack = self.root_slack(c)
             res_lhs, res_bound = self.forecaster.resolution_certificate(
-                c.exposure_fn, self._comparator_exposures(c))
+                c.exposure_fn, self._comparator_rounds(c)[0])
             res_slack = c.norm * math.sqrt(cert_slack) if cert_slack > 0 else 0.0
             report["comparators"].append({
                 "norm": c.norm,

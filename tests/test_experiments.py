@@ -180,6 +180,26 @@ def test_run_evaluates_each_comparator_once_per_round(tmp_path, monkeypatch):
     assert counted_run.report == expected.report
 
 
+def test_run_replays_each_comparator_and_clambda_once(tmp_path, monkeypatch):
+    # the report's comparator losses and the regret curve share one replay
+    # of each comparator, and the report's bounds share one constant
+    counts = {"decision_from_exposure": 0, "clambda": 0}
+    for name in counts:
+        original = getattr(Game, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Game, name, counted)
+    doc = config_doc(game="log", horizon=30, comparators=[
+        {"centers": [], "weights": []},
+        {"centers": [-0.5, 0.5], "weights": [0.6, -0.6]}])
+    artifacts = run(ExperimentConfig.from_json(doc), tmp_path)
+    assert counts == {"decision_from_exposure": 2 * 30, "clambda": 1}
+    assert len(artifacts.report["regret_curve"]) == 5
+
+
 def test_certify_matches_run(tmp_path):
     config = ExperimentConfig.from_json(config_doc())
     artifacts = run(config, tmp_path / "out")

@@ -104,7 +104,7 @@ def test_log_trace_round_one():
     assert rep.forecast.p == pytest.approx(0.5, abs=1e-9)
 
 
-# -- scalar bisection matches the array scan bit for bit ------------------
+# -- stage 2: the scalar evaluation matches the array scan ----------------
 
 POLY = Game.custom([(0.0, 1.0), (0.2, 0.55), (0.55, 0.2), (1.0, 0.0)])
 PARITY_GAMES = [Game.square(), Game.absolute(), Game.log(), POLY]
@@ -124,7 +124,13 @@ def test_scalar_sign_equals_array_sign(p, A, B, C):
             if game.domain_tag is not DomainTag.FULL_SQUARE \
                     and q in (0.0, 1.0):
                 continue
-            assert fc._sgn_at(q, A, B, C) == array_sign(fc, q, A, B, C)
+            s, v = fc._s_at(q, A, B, C)
+            assert s == array_sign(fc, q, A, B, C)
+            e_hi, e_lo = game.exposure_interval(q)
+            if e_hi != e_lo:  # a wide face has a sign but no value
+                assert math.isnan(v)
+            elif s:
+                assert (v > 0.0) - (v < 0.0) == s
 
 
 @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
@@ -138,27 +144,28 @@ def test_scalar_sign_sees_the_interior_vertex(frac):
         ev = e_lo + frac * (e_hi - e_lo)
         d = min(e_hi - ev, ev - e_lo)
         A, B = -2.0 * a * ev, a * ev * ev - 0.5 * a * d * d
-        assert fc._sgn_at(p, A, B, 0.0) == array_sign(fc, p, A, B, 0.0) == 0
+        s, v = fc._s_at(p, A, B, 0.0)
+        assert s == array_sign(fc, p, A, B, 0.0) == 0 and math.isnan(v)
 
 
 def test_scalar_sign_is_zero_on_nan():
     fc = Forecaster(Game.square(), SOB)
-    assert fc._sgn_at(0.3, math.nan, 0.0, 0.0) == 0
+    assert fc._s_at(0.3, math.nan, 0.0, 0.0)[0] == 0
     assert array_sign(fc, 0.3, math.nan, 0.0, 0.0) == 0
     # one NaN endpoint value (inf * 0 at exposure 0), the other +inf
     game = Game.custom([(0.0, 3.0), (1.0, 1.0), (2.0, 0.0)])
     fc = Forecaster(game, SOB)
     p = game.special_ps()[0]
     assert game.exposure_interval(p) == (3.0, 0.0)
-    assert fc._sgn_at(p, math.inf, 0.0, 0.0) == 0
+    assert fc._s_at(p, math.inf, 0.0, 0.0)[0] == 0
     assert array_sign(fc, p, math.inf, 0.0, 0.0) == 0
 
 
 class ArraySignForecaster(Forecaster):
-    """Bisects with the one-element array sign the scan uses."""
+    """Refines with the one-element array sign the scan uses."""
 
-    def _sgn_at(self, p, A, B, C):
-        return array_sign(self, p, A, B, C)
+    def _s_at(self, p, A, B, C):
+        return array_sign(self, p, A, B, C), super()._s_at(p, A, B, C)[1]
 
 
 @pytest.mark.parametrize("game", PARITY_GAMES, ids=lambda g: g.kind.value)
@@ -174,6 +181,156 @@ def test_scalar_bisection_reproduces_array_forecasts(game):
         for fc in (fast, slow):
             fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
                       branch=rep.branch)
+
+
+class BracketRecorder(Forecaster):
+    """Records each stage-2 bracket and the points stage 3 then solves at.
+
+    With coefficients given, every forecast uses those (A, B, C).
+    """
+
+    def __init__(self, game, kernel, coefficients=None):
+        super().__init__(game, kernel)
+        self.fixed = coefficients
+        self.brackets = []  # [s0, (A, B, C), [solved p, ...]] per bracket
+
+    def coefficients(self, x):
+        return self.fixed or super().coefficients(x)
+
+    def _refine(self, pa, fa, pb, fb, s0, A, B, C):
+        self.brackets.append([s0, (A, B, C), []])
+        return super()._refine(pa, fa, pb, fb, s0, A, B, C)
+
+    def _solve_at(self, p, A, B, C):
+        if self.brackets:
+            self.brackets[-1][2].append(p)
+        return super()._solve_at(p, A, B, C)
+
+
+def assert_brackets_closed(fc):
+    """Stage 2 stopped at an exact zero, or on adjacent floats of sign
+    s0 and -s0."""
+    assert fc.brackets
+    for s0, abc, solved in fc.brackets:
+        if len(solved) == 1:
+            assert fc._s_at(solved[0], *abc)[0] == 0
+        else:
+            pa, pb = solved
+            assert math.nextafter(pa, 1.0) == pb
+            assert fc._s_at(pa, *abc)[0] == s0 == -fc._s_at(pb, *abc)[0]
+
+
+def near_double_root():
+    """(A, B, C) of a square-loss S(e) = (e - e0)^2 (e + 2 e0)/2 - 1e-9.
+
+    S has its minimum -1e-9 at e0, which sits on grid point 358/1023; it
+    is positive on the grid points either side and crosses zero 2.4e-5
+    before and after e0 in p, where its slope is about 1e-4.
+    """
+    e0 = 1.0 - 2.0 * 358 / 1023
+    return -1.5 * e0 * e0, e0 ** 3 - 1e-9, 0.0
+
+
+def scalar_evaluations(monkeypatch) -> list:
+    """The p of every scalar exposure evaluation from now on: one per
+    stage-2 step, as the benchmark's tracer counts them."""
+    calls = []
+    arrays = Game.exposure_interval_arrays
+
+    def counted(self, ps):
+        if not isinstance(ps, np.ndarray):
+            calls.append(ps)
+        return arrays(self, ps)
+
+    monkeypatch.setattr(Game, "exposure_interval_arrays", counted)
+    return calls
+
+
+def refine_on_grid(fc, k, abc, values=True):
+    """Stage 2 on the bracket between grid points k and k + 1 of 1023."""
+    pa, pb = k / 1023, (k + 1) / 1023
+    (s0, fa), (sb, fb) = fc._s_at(pa, *abc), fc._s_at(pb, *abc)
+    assert s0 == -sb != 0
+    if not values:
+        fa = fb = math.nan
+    return fc._refine(pa, fa, pb, fb, s0, *abc)
+
+
+@pytest.mark.parametrize("k", [357, 358])
+def test_refine_closes_a_near_double_root(k, monkeypatch):
+    # k = 357: S flattens toward the right end; k = 358: toward the left
+    fc = BracketRecorder(Game.square(), SOB)
+    calls = scalar_evaluations(monkeypatch)
+    rep = refine_on_grid(fc, k, near_double_root())
+    assert_brackets_closed(fc)
+    assert rep.s_residual < 1e-15
+    # 2 end evaluations and 15 or 12 steps here; without the Illinois
+    # halving, regula falsi creeps along the flat side to its 200-step cap
+    assert len(calls) <= 20
+    if k == 357:  # the first sign change, which the scan brackets
+        fixed = BracketRecorder(Game.square(), SOB, near_double_root())
+        assert fixed.next_forecast(0.0) == rep
+
+
+def test_refine_closes_with_nan_values():
+    # no values at either end (wide faces): midpoint steps until both
+    # ends have one
+    fc = BracketRecorder(Game.square(), SOB)
+    refine_on_grid(fc, 357, near_double_root(), values=False)
+    assert_brackets_closed(fc)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-9])
+def test_refine_closes_at_a_polyline_special_p(gap):
+    # S on the vertex-0 piece below the first special p is
+    # (1 - 2p)/2 + A + B, whose root sits gap below p*; at p* the value
+    # range over the face is negative.  Within the face tolerance of p*
+    # the faces are wide, so stage 2 has no value at its right end.
+    p_star = POLY.special_ps()[0]
+    r = p_star - gap
+    A = 1.0
+    fc = BracketRecorder(POLY, SOB, (A, -0.5 * (1.0 - 2.0 * r) - A, 0.0))
+    rep = fc.next_forecast(0.0)
+    # faces within about 2e-12 of p* are wide, and the first of them
+    # whose value range holds zero is a root
+    assert abs(rep.forecast.p - p_star) <= gap + 1e-11
+    if fc.brackets:
+        assert_brackets_closed(fc)
+    else:  # the root rounded onto p*: the scan saw a zero sign there
+        assert rep.forecast.p == p_star
+
+
+def test_refine_closes_log_roots_below_the_first_delta():
+    played = BracketRecorder(Game.log(), SOB)
+    for x, f, y in small_root_history():
+        played.update(x, f, y)
+    for _ in range(10):
+        rep = played.next_forecast(0.0)
+        played.update(0.0, rep.forecast, 0, s_residual=rep.s_residual,
+                      branch=rep.branch)
+    assert any(p < _DELTA_START for p in played.column("p")[-10:])
+    assert_brackets_closed(played)
+
+
+@pytest.mark.parametrize("game, kernel", [
+    (Game.square(), SOB), (Game.log(), SOB),
+    (POLY, Kernel.gaussian(0.5))], ids=["square", "log", "custom"])
+def test_refine_takes_few_steps(game, kernel, monkeypatch):
+    # bisection takes about 43 steps from a grid bracket to adjacent floats,
+    # and a secant that falls back to the midpoint whenever it rounds onto
+    # an end about 9 to 11; this one takes about 5 (1.6 on the polyline)
+    calls = scalar_evaluations(monkeypatch)
+    fc = BracketRecorder(game, kernel)
+    rng = np.random.default_rng(97)
+    for _ in range(500):
+        x = float(rng.uniform(-1, 1))
+        rep = fc.next_forecast(x)
+        y = int(rep.forecast.p <= 0.5) if game is POLY \
+            else int(rng.integers(0, 2))
+        fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
+                  branch=rep.branch)
+    assert len(fc.brackets) >= 20
+    assert len(calls) / len(fc.brackets) <= 8.0
 
 
 # -- history store and scan cache -----------------------------------------
@@ -284,25 +441,37 @@ def test_scan_cache_holds_nothing_history_dependent(game):
 def test_cached_scan_equals_uncached_ranges(game):
     fc = Forecaster(game, SOB)
     rng = np.random.default_rng(79)
+    coeffs = rng.normal(scale=5.0, size=(20, 3)).tolist()
     for delta in (_DELTA_START, _DELTA_START / 2.0, _DELTA_START / 64.0):
-        grid, e_hi, e_lo, a = fc._scan_terms(delta)
+        grid, e_hi, quad, wide = fc._scan_terms(delta)
         assert np.array_equal(grid, fc._p_grid(delta))
-        for A, B, C in rng.normal(scale=5.0, size=(20, 3)).tolist():
-            cached = fc._range(a, A, B + C * grid, e_hi, e_lo)
-            uncached = fc._ranges_on(grid, A, B, C)
-            assert all(np.array_equal(u, v) for u, v in zip(cached, uncached))
+        hi, lo = game.exposure_interval_arrays(grid)
+        j = np.nonzero(hi != lo)[0]
+        assert [w[:2] for w in wide] == list(zip(j.tolist(),
+                                                 grid[j].tolist()))
+        assert sorted(w[1] for w in wide) == game.special_ps()
+        for A, B, C in coeffs + [[math.nan, 1.0, 1.0]]:
+            with np.errstate(invalid="ignore"):
+                sgn = fc._scan(delta, A, B, C)[1]
+                assert np.array_equal(
+                    sgn, fc._sgn(*fc._ranges_on(grid, A, B, C)))
         assert fc._scan_terms(delta)[0] is grid  # filled once per delta
 
 
-def test_scan_cache_across_delta_halvings():
-    # rounds at p = 0.2 with y = 0 drive A to about -10, rounds at p = 1/2
-    # with y = 0 drive B to about -50: S is then negative on the whole
-    # delta = 1e-6 grid and the root lies below 1e-6
-    game = Game.log()
-    history = [(0.0, Forecast(0.2, 0.5), 0)] * 36 \
+def small_root_history():
+    """Rounds after which log-loss S is negative on the delta = 1e-6 grid.
+
+    Rounds at p = 0.2 with y = 0 drive A to about -10, rounds at p = 1/2
+    with y = 0 drive B to about -50, so the root lies below 1e-6.
+    """
+    return [(0.0, Forecast(0.2, 0.5), 0)] * 36 \
         + [(0.0, Forecast(0.5, 0.5), 0)] * 200
+
+
+def test_scan_cache_across_delta_halvings():
+    game = Game.log()
     played = Forecaster(game, SOB)
-    for x, f, y in history:
+    for x, f, y in small_root_history():
         played.next_forecast(x)
         played.update(x, f, y)
     reports = []

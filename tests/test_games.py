@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import defcast
 from defcast.games import Decision, DomainError, DomainTag, Forecast, Game
 
 SQ = Game.square()
@@ -241,6 +246,16 @@ def test_float_exposure_interval_has_the_one_element_bits(p):
             assert_float_matches_one_element(game, q)
 
 
+def test_scalar_exposure_interval_equals_the_vectorized_path():
+    # the scan and stage 2 bracket a root with the vectorized exposures,
+    # and _solve_at solves with the scalar ones: they must be the same
+    ps = np.random.default_rng(5).random(20_000)
+    for game in ALL_GAMES:
+        hi, lo = game.exposure_interval_arrays(ps)
+        pairs = [game.exposure_interval(p) for p in ps.tolist()]
+        assert pairs == list(zip(hi.tolist(), lo.tolist()))
+
+
 def test_float_log_exposure_uses_numpy_log():
     # math.log and a vectorized np.log may differ in the last bit on a
     # few arguments in a thousand; a dense sweep finds them
@@ -335,6 +350,59 @@ def test_clambda_rejects_bad_cf():
         SQ.clambda(-1.0)
     with pytest.raises(DomainError):
         SQ.clambda(math.inf)
+
+
+def polyline_sup(boundary, c_f):
+    """max of p(1-p)(e^2 + c_f^2) over p = 1/2 and every kink of the
+    boundary, with the larger e^2 of the two vertices at a kink."""
+    exps = [b - a for a, b in boundary]
+    cands = []
+    for i, ((a0, b0), (a1, b1)) in enumerate(zip(boundary, boundary[1:])):
+        p = 1.0 / (1.0 - (b1 - b0) / (a1 - a0))
+        e2 = max(exps[i] * exps[i], exps[i + 1] * exps[i + 1])
+        cands.append(p * (1.0 - p) * (e2 + c_f * c_f))
+    half = min(range(len(boundary)), key=lambda i: sum(boundary[i]))
+    cands.append(0.25 * (exps[half] * exps[half] + c_f * c_f))
+    return math.sqrt(max(cands))
+
+
+def grid_sup(game, c_f, ps):
+    """sqrt of the max of p(1-p)(e^2 + c_f^2) over the grid ps."""
+    hi, lo = game.exposure_interval_arrays(ps)
+    e2 = np.maximum(hi * hi, lo * lo)
+    return math.sqrt(float(np.max(ps * (1.0 - ps) * (e2 + c_f * c_f))))
+
+
+@pytest.mark.parametrize("c_f", [CF_SOBOLEV, 1.0, 2.0])
+def test_polyline_clambda_is_the_closed_form_max(c_f):
+    bench = Game.custom([(0.0, 1.0), (0.2, 0.5), (0.5, 0.2), (1.0, 0.0)])
+    ps = np.linspace(0.0, 1.0, 100_001)
+    for game in (POLY, bench, Game.custom([(0.0, 1.0), (1.0, 0.0)]),
+                 Game.custom([(0.2, 0.7)])):
+        v = game.clambda(c_f)
+        assert v == polyline_sup(game.boundary, c_f)
+        assert v >= grid_sup(game, c_f, ps)
+    # the kink at p = 2/7 holds the sup, which a bounded search on a grid
+    # bracket understated as 0.55328333264
+    if c_f == CF_SOBOLEV:
+        assert bench.clambda(c_f) == pytest.approx(
+            math.sqrt(2 / 7 * 5 / 7 * 1.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("c_f", [CF_SOBOLEV, 1.0, 2.0, 0.1])
+def test_log_clambda_bounds_a_dense_grid(c_f):
+    grid = grid_sup(LG, c_f, np.linspace(0.0, 1.0, 1_000_001)[1:-1])
+    v = LG.clambda(c_f)
+    assert grid <= v <= grid * (1.0 + 1e-9)
+
+
+def test_importing_experiments_leaves_scipy_unloaded():
+    code = ("import sys, defcast.experiments, defcast.cli; "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(defcast.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # -- custom boundaries and serialization ----------------------------------
