@@ -157,17 +157,22 @@ class ExperimentConfig:
         if isinstance(doc, (str, Path)):
             with open(doc) as fh:
                 doc = json.load(fh)
-        return ExperimentConfig(
-            game=Game.from_json(doc["game"]),
-            kernel=Kernel.from_json(doc.get("kernel", {"kind": "sobolev"})),
-            generator=generator_from_json(doc["generator"]),
-            horizon=int(doc["horizon"]),
-            seed=int(doc.get("seed", 0)),
-            comparator_specs=tuple(
-                (tuple(c["centers"]), tuple(c["weights"]))
-                for c in doc.get("comparators", [])),
-            epsilon_root=float(doc.get("epsilon_root", DEFAULT_EPSILON_ROOT)),
-        )
+        try:
+            return ExperimentConfig(
+                game=Game.from_json(doc["game"]),
+                kernel=Kernel.from_json(doc.get("kernel", "sobolev")),
+                generator=generator_from_json(doc["generator"]),
+                horizon=int(doc["horizon"]),
+                seed=int(doc.get("seed", 0)),
+                comparator_specs=tuple(
+                    (tuple(c["centers"]), tuple(c["weights"]))
+                    for c in doc.get("comparators", [])),
+                epsilon_root=float(doc.get("epsilon_root",
+                                           DEFAULT_EPSILON_ROOT)),
+            )
+        except (KeyError, TypeError) as exc:  # a missing or mistyped field
+            raise ConfigError(
+                f"malformed config ({type(exc).__name__}: {exc})") from None
 
     def comparators(self) -> list[Comparator]:
         return [Comparator.build(
@@ -213,7 +218,6 @@ def _regret_curve(engine: Engine, comparators) -> list[dict]:
     n = engine.rounds
     own = np.cumsum(engine.forecaster.column("loss"))
     res = np.cumsum(np.abs(engine.forecaster.column("s_residual")))
-    cl = engine.clambda
     comp_cums = [np.cumsum(engine.comparator_round_losses(c))
                  for c in comparators]
     curve = []
@@ -221,8 +225,8 @@ def _regret_curve(engine: Engine, comparators) -> list[dict]:
     while k <= n:
         point = {"n": k, "own_loss": float(own[k - 1]), "comparators": []}
         for c, cum in zip(comparators, comp_cums):
-            bound = cl * (c.norm + 1.0) * math.sqrt(k)
-            slack = 2.0 * float(res[k - 1]) * (1.0 + c.norm)
+            bound = engine.regret_bound(c, k)
+            slack = engine.root_slack(c, float(res[k - 1]))
             point["comparators"].append({
                 "comparator_loss": float(cum[k - 1]),
                 "bound": bound,

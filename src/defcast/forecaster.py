@@ -28,8 +28,8 @@ the same expressions as over arrays built from per-round lists, so the
 bits are unchanged: the residual column holds float(y) - p, which is what
 np.asarray(ys, float) - np.asarray(ps) computes, and the stored loss is
 the canonical decision's loss1 or loss0, which equals Game.loss(y, gamma)
-bit for bit (square and log build the pair with Game.loss, absolute and
-polyline games with the same arithmetic).  Values leave the store through
+bit for bit (square and log build the pair with Game.loss, polylines
+with the same arithmetic).  Values leave the store through
 tolist(), never as numpy scalars, whose repr under numpy 2 is not the
 shortest round-trip decimal.
 
@@ -153,19 +153,11 @@ class Forecaster:
 
     def _p_grid(self, delta: float) -> np.ndarray:
         n = max(self.p_grid_size, 8)
-        tag = self.game.domain_tag
-        if tag is DomainTag.FULL_SQUARE:
+        if self.game.domain_tag is DomainTag.FULL_SQUARE:
             grid = np.linspace(0.0, 1.0, n)
-        elif tag is DomainTag.STRIPPED_BOTH:
+        else:
             half = np.geomspace(delta, 0.5, n // 2)
             grid = np.concatenate([half, 1.0 - half[::-1][1:]])
-        elif tag is DomainTag.STRIPPED_LEFT:
-            grid = np.concatenate([np.geomspace(delta, 0.5, n // 2),
-                                   np.linspace(0.5, 1.0, n // 2)[1:]])
-        else:  # STRIPPED_RIGHT
-            half = np.geomspace(delta, 0.5, n // 2)
-            grid = np.concatenate([np.linspace(0.0, 0.5, n // 2),
-                                   (1.0 - half)[::-1][1:]])
         specials = [p for p in self.game.special_ps()
                     if grid[0] <= p <= grid[-1]]
         if specials:
@@ -253,7 +245,6 @@ class Forecaster:
     def next_forecast(self, x) -> RootReport:
         """Forecast for datum x: a root of S, or the endpoint rule."""
         A, B, C = self.coefficients(x)
-        tag = self.game.domain_tag
         delta = _DELTA_START
         while True:
             grid, sgn, v = self._scan(delta, A, B, C)
@@ -268,12 +259,8 @@ class Forecaster:
                 return self._refine(float(grid[i - 1]), float(v[i - 1]),
                                     float(grid[i]), float(v[i]), s0, A, B, C)
             # no sign change visible on this grid
-            if tag is DomainTag.FULL_SQUARE:
+            if self.game.domain_tag is DomainTag.FULL_SQUARE:
                 return self._endpoint(s0)
-            if tag is DomainTag.STRIPPED_LEFT and s0 > 0:
-                return self._endpoint(1)
-            if tag is DomainTag.STRIPPED_RIGHT and s0 < 0:
-                return self._endpoint(-1)
             delta *= 0.5
             if delta < _DELTA_MIN:
                 raise RootFinderError(

@@ -33,7 +33,6 @@ class DomainError(ValueError):
 
 class GameKind(Enum):
     SQUARE = "square"
-    ABSOLUTE = "absolute"
     LOG = "log"
     CUSTOM = "custom"
 
@@ -43,8 +42,6 @@ class DomainTag(Enum):
 
     FULL_SQUARE = "full"          # p in [0, 1]
     STRIPPED_BOTH = "stripped"    # p in (0, 1)
-    STRIPPED_LEFT = "stripped_left"    # p in (0, 1]
-    STRIPPED_RIGHT = "stripped_right"  # p in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,11 @@ class Game:
     pairs, strictly increasing in loss0 and strictly decreasing in loss1,
     with monotone supporting-line slopes (convexity).  Decisions of a
     custom game are parametrized by t in [0, m-1]: vertex i at t = i,
-    linear interpolation of the loss pair in between.
+    linear interpolation of the loss pair in between.  Absolute loss is
+    the polyline [(0, 1), (1, 0)].
     """
 
     kind: GameKind
-    decision_description: str
-    c0: float
-    c1: float
     domain_tag: DomainTag
     boundary: tuple[tuple[float, float], ...] | None = None
 
@@ -90,18 +85,15 @@ class Game:
 
     @staticmethod
     def square() -> "Game":
-        return Game(GameKind.SQUARE, "gamma in [0,1]", 0.0, 0.0,
-                    DomainTag.FULL_SQUARE)
+        return Game(GameKind.SQUARE, DomainTag.FULL_SQUARE)
 
     @staticmethod
     def absolute() -> "Game":
-        return Game(GameKind.ABSOLUTE, "gamma in [0,1]", 0.0, 0.0,
-                    DomainTag.FULL_SQUARE)
+        return Game.custom(((0.0, 1.0), (1.0, 0.0)))
 
     @staticmethod
     def log() -> "Game":
-        return Game(GameKind.LOG, "gamma in (0,1)", 0.0, 0.0,
-                    DomainTag.STRIPPED_BOTH)
+        return Game(GameKind.LOG, DomainTag.STRIPPED_BOTH)
 
     @staticmethod
     def custom(boundary) -> "Game":
@@ -118,22 +110,16 @@ class Game:
         for s0, s1 in zip(slopes, slopes[1:]):
             if s1 < s0 - 1e-12:
                 raise DomainError("boundary is not convex (slopes decrease)")
-        c0 = pts[0][0]
-        c1 = pts[-1][1]
-        return Game(GameKind.CUSTOM, "polyline parameter t in [0, m-1]",
-                    c0, c1, DomainTag.FULL_SQUARE, boundary=pts)
+        return Game(GameKind.CUSTOM, DomainTag.FULL_SQUARE, boundary=pts)
 
     @staticmethod
     def from_name(name: str) -> "Game":
+        """A built-in game by name; a custom game needs its boundary."""
         try:
-            kind = GameKind(name)
-        except ValueError:
+            return {"square": Game.square, "absolute": Game.absolute,
+                    "log": Game.log}[name]()
+        except (KeyError, TypeError):
             raise DomainError(f"unknown game {name!r}") from None
-        if kind is GameKind.CUSTOM:
-            raise DomainError("custom games need an explicit boundary")
-        return {GameKind.SQUARE: Game.square,
-                GameKind.ABSOLUTE: Game.absolute,
-                GameKind.LOG: Game.log}[kind]()
 
     @staticmethod
     def from_json(doc) -> "Game":
@@ -152,7 +138,7 @@ class Game:
     # -- loss and exposure ------------------------------------------------
 
     def _check_gamma(self, gamma: float) -> None:
-        if self.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
+        if self.kind is GameKind.SQUARE:
             if not 0.0 <= gamma <= 1.0:
                 raise DomainError(f"gamma={gamma} outside [0,1]")
         elif self.kind is GameKind.LOG:
@@ -177,8 +163,6 @@ class Game:
         self._check_gamma(gamma)
         if self.kind is GameKind.SQUARE:
             return (y - gamma) ** 2
-        if self.kind is GameKind.ABSOLUTE:
-            return abs(y - gamma)
         if self.kind is GameKind.LOG:
             g = min(max(gamma, LOG_CLAMP), 1.0 - LOG_CLAMP)
             return -math.log(g) if y else -math.log1p(-g)
@@ -194,7 +178,7 @@ class Game:
     def exposure(self, gamma: float) -> float:
         """Sensitivity of the decision's loss to the outcome: loss1 - loss0."""
         self._check_gamma(gamma)
-        if self.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
+        if self.kind is GameKind.SQUARE:
             return 1.0 - 2.0 * gamma
         if self.kind is GameKind.LOG:
             return math.log((1.0 - gamma) / gamma)
@@ -207,11 +191,8 @@ class Game:
         p, q = f.p, f.q
         if not (0.0 <= q <= 1.0):
             raise DomainError(f"q={q} outside [0,1]")
-        lo_ok = p > 0.0 if self.domain_tag in (
-            DomainTag.STRIPPED_BOTH, DomainTag.STRIPPED_LEFT) else p >= 0.0
-        hi_ok = p < 1.0 if self.domain_tag in (
-            DomainTag.STRIPPED_BOTH, DomainTag.STRIPPED_RIGHT) else p <= 1.0
-        if not (lo_ok and hi_ok):
+        if not (0.0 < p < 1.0 if self.domain_tag is DomainTag.STRIPPED_BOTH
+                else 0.0 <= p <= 1.0):
             raise DomainError(
                 f"p={p} outside the {self.domain_tag.value} domain")
 
@@ -239,14 +220,6 @@ class Game:
         if self.kind in (GameKind.SQUARE, GameKind.LOG):
             # proper scoring rules: the optimal decision is p itself
             return Decision(p, self.loss(0, p), self.loss(1, p))
-        if self.kind is GameKind.ABSOLUTE:
-            if p < 0.5:
-                gamma = 0.0
-            elif p > 0.5:
-                gamma = 1.0
-            else:
-                gamma = q
-            return Decision(gamma, gamma, 1.0 - gamma)
         i, j = self._custom_face(p)
         t = i + q * (j - i)
         a, b = self._boundary_pair(t)
@@ -262,8 +235,6 @@ class Game:
         if self.kind is GameKind.LOG:
             e = float(np.log((1.0 - p) / p))  # the vectorized path's bits
             return e, e
-        if self.kind is GameKind.ABSOLUTE:
-            return (-1.0 if p > 0.5 else 1.0), (1.0 if p < 0.5 else -1.0)
         i, j = self._custom_face(p)
         a0, b0 = self.boundary[i]
         a1, b1 = self.boundary[j]
@@ -283,10 +254,6 @@ class Game:
         if self.kind is GameKind.LOG:
             e = np.log((1.0 - ps) / ps)
             return e, e.copy()
-        if self.kind is GameKind.ABSOLUTE:
-            e_hi = np.where(ps > 0.5, -1.0, 1.0)
-            e_lo = np.where(ps < 0.5, 1.0, -1.0)
-            return e_hi, e_lo
         bad = ~((ps >= 0.0) & (ps <= 1.0))
         if bad.any():  # raise exposure_interval's error for the first one
             self.check_forecast(Forecast(float(ps[bad][0]), 0.0))
@@ -304,8 +271,6 @@ class Game:
 
     def special_ps(self) -> list[float]:
         """Forecast probabilities whose optimal face is not a singleton."""
-        if self.kind is GameKind.ABSOLUTE:
-            return [0.5]
         if self.kind is GameKind.CUSTOM and len(self.boundary) > 1:
             out = []
             for (a0, b0), (a1, b1) in zip(self.boundary, self.boundary[1:]):
@@ -319,43 +284,42 @@ class Game:
     # -- inverse exposure -------------------------------------------------
 
     def decision_from_exposure(self, e: float) -> float:
-        """Decision whose exposure is e (inverse of the exposure map)."""
-        if self.kind in (GameKind.SQUARE, GameKind.ABSOLUTE):
-            if not -1.0 <= e <= 1.0:
-                raise DomainError(f"exposure {e} outside [-1,1]")
-            return (1.0 - e) / 2.0
+        """Decision whose exposure is e (inverse of the exposure map).
+
+        An exposure within 1e-12 of its range's ends is clamped into it.
+        Square loss inverts like the polyline with exposures 1 and -1.
+        """
         if self.kind is GameKind.LOG:
             if e >= 0:
                 g = math.exp(-e) / (1.0 + math.exp(-e))
             else:
                 g = 1.0 / (1.0 + math.exp(e))
             return min(max(g, LOG_CLAMP), 1.0 - LOG_CLAMP)
-        pts = self.boundary
-        exps = [b - a for a, b in pts]  # strictly decreasing
+        exps = [1.0, -1.0] if self.kind is GameKind.SQUARE else [
+            b - a for a, b in self.boundary]  # strictly decreasing
         if not exps[-1] - 1e-12 <= e <= exps[0] + 1e-12:
-            raise DomainError(f"exposure {e} outside the boundary's range")
-        for i in range(len(pts) - 1):
+            raise DomainError(
+                f"exposure {e} outside [{exps[-1]}, {exps[0]}]")
+        e = min(max(e, exps[-1]), exps[0])
+        for i in range(len(exps) - 1):
             if exps[i + 1] <= e <= exps[i]:
                 span = exps[i] - exps[i + 1]
-                frac = 0.0 if span == 0.0 else (exps[i] - e) / span
-                return i + frac
-        return float(len(pts) - 1)
+                return i + (0.0 if span == 0.0 else (exps[i] - e) / span)
+        return 0.0  # a single-point boundary
 
     # -- the game/kernel constant ----------------------------------------
 
     def clambda(self, c_f: float) -> float:
         """Constant pairing the game with a kernel of sup-norm c_f.
 
-        Closed forms for the square and absolute built-ins and for custom
-        polylines; a numeric sup over the forecast probability for log
+        Closed forms for square loss and for polylines, absolute loss
+        included; a numeric sup over the forecast probability for log
         loss.  Returns inf when the sup diverges.
         """
         if c_f < 0 or not math.isfinite(c_f):
             raise DomainError("c_f must be finite and nonnegative")
         if self.kind is GameKind.SQUARE:
             return c_f / 2.0 if c_f >= 1.0 else (1.0 + c_f * c_f) / 4.0
-        if self.kind is GameKind.ABSOLUTE:
-            return 0.5 * math.sqrt(1.0 + c_f * c_f)
         if self.kind is GameKind.CUSTOM:
             # exposure is constant between special ps, so the sup of
             # p(1-p)(e^2 + c_f^2) sits at 1/2 or at a special p

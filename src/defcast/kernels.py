@@ -7,6 +7,7 @@ through kernel sums only; feature maps are never materialized.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,6 +66,12 @@ class Kernel:
 
     @staticmethod
     def from_json(doc) -> "Kernel":
+        """Build a kernel from a JSON document, a parsed object or a name."""
+        if isinstance(doc, str):
+            try:
+                doc = json.loads(doc)
+            except json.JSONDecodeError:
+                doc = {"kind": doc}  # a bare name
         kind = doc["kind"]
         if kind == "sobolev":
             return Kernel.sobolev()

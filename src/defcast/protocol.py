@@ -10,13 +10,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from defcast.forecaster import Branch, Forecaster, RootReport
-from defcast.games import Decision, DomainError, Forecast, Game, GameKind
+from defcast.games import Decision, DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion
 
 
@@ -143,16 +144,13 @@ class Engine:
         if id(c) not in self._comparator_cache:
             xs = self.forecaster.column("x").tolist()
             vals = [float(c.exposure_fn(x)) for x in xs]
-            clip = self.game.kind in (GameKind.SQUARE, GameKind.ABSOLUTE)
-            bad = [v for v in vals if abs(v) > 1.0 + 1e-12] if clip else []
-            if bad:
-                raise ComparatorError(
-                    f"exposure {bad[0]} outside [-1,1]: the rule does not "
-                    "map into the decision set")
             ys = self.forecaster.column("y").tolist()
-            losses = [self.game.loss(y, self.game.decision_from_exposure(
-                min(max(v, -1.0), 1.0) if clip else v))
-                for y, v in zip(ys, vals)]
+            try:
+                losses = [self.game.loss(y, self.game.decision_from_exposure(v))
+                          for y, v in zip(ys, vals)]
+            except DomainError as exc:
+                raise ComparatorError(f"{exc}: the rule does not map into "
+                                      "the decision set") from None
             self._comparator_cache[id(c)] = (c, vals, losses)
         return self._comparator_cache[id(c)][1:]
 
@@ -161,25 +159,30 @@ class Engine:
         return list(self._comparator_rounds(c)[1])
 
     def comparator_loss(self, c: Comparator) -> float:
-        """Replay the log under the benchmark rule."""
-        return float(sum(self._comparator_rounds(c)[1]))
+        """Replay the log under the benchmark rule, adding left to right as
+        the regret curve's np.cumsum does (sum() compensates since 3.12)."""
+        return functools.reduce(operator.add, self._comparator_rounds(c)[1],
+                                0.0)
 
     @functools.cached_property
     def clambda(self) -> float:
         """The game/kernel constant of every regret bound, computed once."""
         return self.game.clambda(self.kernel.c_f())
 
-    def regret_bound(self, c: Comparator) -> float:
-        """Worst-case regret bound for the benchmark rule after N rounds."""
-        n = self.rounds
+    def regret_bound(self, c: Comparator, n: int | None = None) -> float:
+        """Regret bound for the rule after n rounds (default: all so far)."""
+        n = self.rounds if n is None else n
         if n == 0:
             return 0.0
         return self.clambda * (c.norm + 1.0) * math.sqrt(n)
 
-    def root_slack(self, c: Comparator) -> float:
+    def root_slack(self, c: Comparator, residual: float | None = None) -> float:
         # inexact roots perturb the capital bookkeeping by at most the
-        # accumulated residual, scaled by the comparator's norm
-        return 2.0 * self.forecaster.residual_total * (1.0 + c.norm)
+        # accumulated residual (default: the whole run's), scaled by the
+        # comparator's norm
+        if residual is None:
+            residual = self.forecaster.residual_total
+        return 2.0 * residual * (1.0 + c.norm)
 
     def regret_report(self, comparators: list[Comparator]) -> dict:
         """Per-comparator regret rows plus both run certificates."""

@@ -13,18 +13,28 @@ import math
 
 import numpy as np
 
-from defcast.games import GameKind
+# the only polyline the oracle knows: absolute loss, with its own q-segment
+ABSOLUTE_BOUNDARY = ((0.0, 1.0), (1.0, 0.0))
 
 # p-grids (and log exposures) are expensive at 10^6 points; reuse them,
 # with e^2, 1 - 2p and output buffers for the vectorized S
 _GRID_CACHE: dict = {}
 
 
-def _grid(kind: GameKind, grid_n: int):
-    """(ps, es, es^2, 1 - 2 ps, two output buffers) of the kind's p-grid."""
-    key = (kind, grid_n)
+def _path(game) -> str:
+    """"square", "log" or "absolute": which of the oracle's paths to take."""
+    if game.boundary is None:
+        return game.kind.value
+    assert game.boundary == ABSOLUTE_BOUNDARY, \
+        "the oracle covers no polyline but absolute loss"
+    return "absolute"
+
+
+def _grid(path: str, grid_n: int):
+    """(ps, es, es^2, 1 - 2 ps, two output buffers) of the path's p-grid."""
+    key = (path, grid_n)
     if key not in _GRID_CACHE:
-        if kind is GameKind.LOG:
+        if path == "log":
             half = np.geomspace(1e-12, 0.5, grid_n // 2)
             ps = np.concatenate([half, 1.0 - half[::-1][1:]])
             es = np.log((1.0 - ps) / ps)
@@ -49,7 +59,7 @@ def _s_on_grid(grid, a_sum, k_sum, kxx):
 
 def _absolute_grid(grid_n: int, q_grid: int):
     """(left ps, right ps, their 1 - 2p, qs, buffer for the whole path)."""
-    key = (GameKind.ABSOLUTE, grid_n, q_grid)
+    key = ("absolute", grid_n, q_grid)
     if key not in _GRID_CACHE:
         ps = np.linspace(0.0, 1.0, grid_n)
         left, right = ps[ps < 0.5], ps[ps > 0.5]
@@ -70,14 +80,6 @@ def _sums(kernel, history, x):
     xs = np.array([h[0] for h in history], dtype=float)
     krow = np.asarray(kernel(x, xs))
     return float(es @ resid), float(krow @ resid), kxx
-
-
-def _exposure(game, p):
-    if game.kind is GameKind.ABSOLUTE:
-        return 1.0 if p < 0.5 else -1.0
-    if game.kind is GameKind.SQUARE:
-        return 1.0 - 2.0 * p
-    return math.log((1.0 - p) / p)
 
 
 def _first_flip(s):
@@ -117,12 +119,13 @@ def oracle_forecast(game, kernel, history, x, grid_n=1_000_000, q_grid=1_000):
     history rows are (x_i, p_i, q_i, y_i, e_i).
     """
     a_sum, k_sum, kxx = _sums(kernel, history, x)
+    path = _path(game)
 
     def s_of(p, e):
         return a_sum * e + k_sum + 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
 
-    if game.kind is GameKind.LOG:
-        grid = _grid(game.kind, grid_n)
+    if path == "log":
+        grid = _grid(path, grid_n)
         ps = grid[0]
         s = _s_on_grid(grid, a_sum, k_sum, kxx)
         i = _first_flip(s)
@@ -132,8 +135,8 @@ def oracle_forecast(game, kernel, history, x, grid_n=1_000_000, q_grid=1_000):
                     float(ps[i]), float(ps[i + 1]))
         return p, 0.5
 
-    if game.kind is GameKind.SQUARE:
-        grid = _grid(game.kind, grid_n)
+    if path == "square":
+        grid = _grid(path, grid_n)
         ps = grid[0]
         s = _s_on_grid(grid, a_sum, k_sum, kxx)
         i = _first_flip(s)

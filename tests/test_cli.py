@@ -46,6 +46,27 @@ def test_certify_round_trips_a_run(tmp_path, capsys):
     assert cert["large_numbers_certificate"]["pass"]
 
 
+POLYLINE = {"kind": "custom",
+            "boundary": [[0.0, 1.0], [0.2, 0.5], [0.5, 0.2], [1.0, 0.0]]}
+GAUSSIAN = {"kind": "gaussian", "width": 0.5}
+
+
+def test_certify_names_a_polyline_and_a_gaussian_kernel(tmp_path, capsys):
+    config = write_config(tmp_path, game=POLYLINE, kernel=GAUSSIAN,
+                          generator={"kind": "adversarial"}, horizon=60)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--log", str(out / "round_log.csv"),
+                 "--game", json.dumps(POLYLINE),
+                 "--kernel", json.dumps(GAUSSIAN)]) == 0
+    cert = json.loads(capsys.readouterr().out)["large_numbers_certificate"]
+    report = json.loads((out / "regret_report.json").read_text())
+    want = report["large_numbers_certificate"]
+    for key in ("lhs", "rhs", "slack"):
+        assert cert[key] == want[key]
+
+
 def test_constants_output(capsys):
     assert main(["constants", "--game", "square", "--kernel", "sobolev"]) == 0
     out = capsys.readouterr().out
@@ -66,15 +87,49 @@ def test_constants_all_games(capsys):
 
 def test_gaussian_kernel_selector(capsys):
     assert main(["constants", "--game", "square",
-                 "--kernel", "gaussian:0.5"]) == 0
+                 "--kernel", json.dumps(GAUSSIAN)]) == 0
     out = capsys.readouterr().out
     assert float(out.splitlines()[0].split(" = ")[1]) == 1.0
+
+
+def test_constants_takes_a_linear_kernel_with_a_range(capsys):
+    assert main(["constants", "--game", "square", "--kernel",
+                 '{"kind": "linear", "offset": 1.0, "range": 2.0}']) == 0
+    out = capsys.readouterr().out
+    # sup over |x| <= 2 of sqrt(x^2 + 1)
+    c_f = float(out.splitlines()[0].split(" = ")[1])
+    assert c_f == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_bad_kernel_name_exits_two(capsys):
     assert main(["constants", "--game", "square",
                  "--kernel", "triangular"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kernel": {"kind": "sobolev"}, "generator": {"kind": "adversarial"},
+     "horizon": 10},
+    {"game": "square", "generator": {"kind": "adversarial"}},
+    {"game": "square", "generator": {"seed": 1}, "horizon": 10},
+    ["square", 10],
+], ids=["no-game", "no-horizon", "generator-without-kind", "list"])
+def test_malformed_config_exits_two(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_game_document_without_kind_exits_two(tmp_path, capsys):
+    log = tmp_path / "round_log.csv"
+    log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n")
+    assert main(["certify", "--log", str(log),
+                 "--game", '{"boundary": [[0,1],[1,0]]}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bad_config_exits_two(tmp_path, capsys):

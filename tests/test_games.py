@@ -22,6 +22,8 @@ LG = Game.log()
 POLY = Game.custom([(0.0, 1.0), (0.2, 0.55), (0.55, 0.2), (1.0, 0.0)])
 
 ALL_GAMES = [SQ, AB, LG, POLY]
+# absolute loss is a polyline too, so its kind cannot name it
+ALL_IDS = ["square", "absolute", "log", "custom"]
 
 
 def dense_gammas(game, n=400):
@@ -81,7 +83,7 @@ def test_exposure_values():
     assert LG.exposure(0.5) == 0.0
 
 
-@pytest.mark.parametrize("game", ALL_GAMES, ids=lambda g: g.kind.value)
+@pytest.mark.parametrize("game", ALL_GAMES, ids=ALL_IDS)
 def test_exposure_is_loss_difference(game):
     for g in dense_gammas(game):
         want = game.loss(1, g) - game.loss(0, g)
@@ -114,7 +116,7 @@ def test_check_forecast_domains():
     SQ.check_forecast(Forecast(1.0, 1.0))
 
 
-@pytest.mark.parametrize("game", ALL_GAMES, ids=lambda g: g.kind.value)
+@pytest.mark.parametrize("game", ALL_GAMES, ids=ALL_IDS)
 def test_choice_minimizes_expected_loss(game):
     ps = np.linspace(0.01, 0.99, 41)
     gammas = dense_gammas(game)
@@ -135,6 +137,20 @@ def test_absolute_choice_interpolates_across_the_half_jump():
         want1 = (1 - q) * left.loss1 + q * right.loss1
         assert d.loss0 == pytest.approx(want0, abs=1e-8)
         assert d.loss1 == pytest.approx(want1, abs=1e-8)
+
+
+@given(st.one_of(st.floats(0.0, 1.0), st.floats(0.5 - 2e-12, 0.5 + 2e-12)),
+       st.floats(0.0, 1.0))
+def test_absolute_polyline_keeps_the_closed_form_rule(p, q):
+    # the old closed form: gamma = 0 below 1/2, 1 above, q at 1/2; within
+    # the face tolerance of 1/2 (1.5e-12 on a score near 1/2) the whole
+    # segment is optimal, so gamma = q there
+    d = AB.canonical_choice(Forecast(p, q))
+    if abs(p - 0.5) >= 1e-12:
+        gamma = 0.0 if p < 0.5 else 1.0
+        assert (d.gamma, d.loss0, d.loss1) == (gamma, gamma, 1.0 - gamma)
+    elif abs(p - 0.5) < 7e-13:
+        assert (d.gamma, d.loss0, d.loss1) == (q, q, 1.0 - q)
 
 
 def test_custom_choice_loss_pair_matches_face_interpolation():
@@ -285,6 +301,22 @@ def test_decision_from_exposure_values():
         0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("game", [
+    Game.custom([(0.0, 1.0), (0.2, 0.5), (0.5, 0.2), (1.0, 0.0)]), AB, SQ],
+    ids=["polyline", "absolute", "square"])
+def test_decision_from_exposure_clamps_near_the_ends(game):
+    # an exposure up to 1e-12 past an end is that end's decision (not the
+    # far vertex); further out it is rejected
+    t_max = float(len(game.boundary) - 1) if game.boundary else 1.0
+    top, bottom = game.exposure(0.0), game.exposure(t_max)
+    for e, t in ((top + 5e-13, 0.0), (top, 0.0),
+                 (bottom, t_max), (bottom - 5e-13, t_max)):
+        assert game.decision_from_exposure(e) == t
+    for e in (top + 2e-12, bottom - 2e-12):
+        with pytest.raises(DomainError):
+            game.decision_from_exposure(e)
+
+
 def test_decision_from_exposure_rejects_out_of_range():
     with pytest.raises(DomainError):
         SQ.decision_from_exposure(1.5)
@@ -382,6 +414,8 @@ def test_polyline_clambda_is_the_closed_form_max(c_f):
         v = game.clambda(c_f)
         assert v == polyline_sup(game.boundary, c_f)
         assert v >= grid_sup(game, c_f, ps)
+    # absolute loss keeps the bits of its old closed form
+    assert AB.clambda(c_f) == 0.5 * math.sqrt(1.0 + c_f * c_f)
     # the kink at p = 2/7 holds the sup, which a bounded search on a grid
     # bracket understated as 0.55328333264
     if c_f == CF_SOBOLEV:
@@ -431,7 +465,7 @@ def test_single_point_boundary():
 def test_from_name_and_from_json():
     assert Game.from_name("square").kind.value == "square"
     assert Game.from_json("log").kind.value == "log"
-    assert Game.from_json('{"kind": "absolute"}').kind.value == "absolute"
+    assert Game.from_json('{"kind": "absolute"}') == Game.absolute()
     doc = {"kind": "custom", "boundary": [[0.0, 1.0], [1.0, 0.0]]}
     g = Game.from_json(json.dumps(doc))
     assert g.boundary == ((0.0, 1.0), (1.0, 0.0))

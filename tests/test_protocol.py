@@ -167,6 +167,10 @@ def test_out_of_range_comparator_rejected():
         KernelExpansion.build([0.0], [4.0], SOB))  # exposure up to 2
     with pytest.raises(ComparatorError):
         engine.comparator_loss(too_big)
+    # the same rule for polylines, absolute loss included
+    for game in (Game.absolute(), Game.custom([(0.0, 0.8), (0.5, 0.0)])):
+        with pytest.raises(ComparatorError):
+            run_engine_random(game, 10, seed=5).comparator_loss(too_big)
     # same expansion is fine for the log game: exposure is unrestricted
     engine_log = run_engine_random(Game.log(), 10, seed=5)
     engine_log.comparator_loss(too_big)
