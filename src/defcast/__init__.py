@@ -6,14 +6,7 @@ canonical choice function, and every run carries checkable large-number and
 regret certificates.
 """
 
-from defcast.games import (
-    Decision,
-    DomainError,
-    DomainTag,
-    Forecast,
-    Game,
-    GameKind,
-)
+from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelError, KernelExpansion
 from defcast.forecaster import Branch, Forecaster, RootFinderError, RootReport
 from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
@@ -24,7 +17,6 @@ __all__ = [
     "ComparatorError",
     "Decision",
     "DomainError",
-    "DomainTag",
     "Engine",
     "Forecast",
     "Forecaster",

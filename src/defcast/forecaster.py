@@ -48,11 +48,11 @@ from enum import Enum
 
 import numpy as np
 
-from defcast.games import Decision, DomainError, DomainTag, Forecast, Game
+from defcast.games import Decision, DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion, KernelKind
 
-DEFAULT_EPSILON_ROOT = 1e-9
-DEFAULT_P_GRID = 1024
+# points of the stage-1 p-grid, before the special ps are merged in
+_P_GRID = 1024
 
 # stripped-domain bracketing starts here and halves until a sign change
 # is bracketed; exposure diverges at the stripped edges, so this terminates
@@ -87,13 +87,9 @@ class RootReport:
 class Forecaster:
     """State of one online forecasting sequence (single-writer)."""
 
-    def __init__(self, game: Game, kernel: Kernel,
-                 epsilon_root: float = DEFAULT_EPSILON_ROOT,
-                 p_grid_size: int = DEFAULT_P_GRID):
+    def __init__(self, game: Game, kernel: Kernel):
         self.game = game
         self.kernel = kernel
-        self.epsilon_root = float(epsilon_root)
-        self.p_grid_size = int(p_grid_size)
         x_dtype = object if kernel.kind is KernelKind.CUSTOM else float
         self._cols = {name: np.empty(_INITIAL_CAPACITY, dtype or x_dtype)
                       for name, dtype in _COLUMNS.items()}
@@ -152,12 +148,11 @@ class Forecaster:
     # -- root finding -----------------------------------------------------
 
     def _p_grid(self, delta: float) -> np.ndarray:
-        n = max(self.p_grid_size, 8)
-        if self.game.domain_tag is DomainTag.FULL_SQUARE:
-            grid = np.linspace(0.0, 1.0, n)
-        else:
-            half = np.geomspace(delta, 0.5, n // 2)
+        if self.game.stripped:
+            half = np.geomspace(delta, 0.5, _P_GRID // 2)
             grid = np.concatenate([half, 1.0 - half[::-1][1:]])
+        else:
+            grid = np.linspace(0.0, 1.0, _P_GRID)
         specials = [p for p in self.game.special_ps()
                     if grid[0] <= p <= grid[-1]]
         if specials:
@@ -259,7 +254,7 @@ class Forecaster:
                 return self._refine(float(grid[i - 1]), float(v[i - 1]),
                                     float(grid[i]), float(v[i]), s0, A, B, C)
             # no sign change visible on this grid
-            if self.game.domain_tag is DomainTag.FULL_SQUARE:
+            if not self.game.stripped:
                 return self._endpoint(s0)
             delta *= 0.5
             if delta < _DELTA_MIN:
@@ -411,6 +406,13 @@ class Forecaster:
         lhs = float(es @ resid) ** 2 + self.kernel.quad_form(
             self._cols["x"][:self._n], resid)
         return lhs, self._variance()
+
+    def large_numbers_certificate(self) -> dict:
+        """k29_certificate's verdict, with slack 2*sum|s_residual|."""
+        lhs, rhs = self.k29_certificate()
+        slack = 2.0 * self._residual_total
+        return {"lhs": lhs, "rhs": rhs, "slack": slack,
+                "pass": lhs <= rhs + slack}
 
     def resolution_certificate(self, f: KernelExpansion,
                                fx=None) -> tuple[float, float]:

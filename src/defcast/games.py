@@ -37,13 +37,6 @@ class GameKind(Enum):
     CUSTOM = "custom"
 
 
-class DomainTag(Enum):
-    """Domain of the canonical choice function in the p coordinate."""
-
-    FULL_SQUARE = "full"          # p in [0, 1]
-    STRIPPED_BOTH = "stripped"    # p in (0, 1)
-
-
 @dataclass(frozen=True)
 class Decision:
     """A decision together with its loss pair (loss on y=0, loss on y=1)."""
@@ -78,14 +71,13 @@ class Game:
     """
 
     kind: GameKind
-    domain_tag: DomainTag
     boundary: tuple[tuple[float, float], ...] | None = None
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def square() -> "Game":
-        return Game(GameKind.SQUARE, DomainTag.FULL_SQUARE)
+        return Game(GameKind.SQUARE)
 
     @staticmethod
     def absolute() -> "Game":
@@ -93,7 +85,7 @@ class Game:
 
     @staticmethod
     def log() -> "Game":
-        return Game(GameKind.LOG, DomainTag.STRIPPED_BOTH)
+        return Game(GameKind.LOG)
 
     @staticmethod
     def custom(boundary) -> "Game":
@@ -110,30 +102,31 @@ class Game:
         for s0, s1 in zip(slopes, slopes[1:]):
             if s1 < s0 - 1e-12:
                 raise DomainError("boundary is not convex (slopes decrease)")
-        return Game(GameKind.CUSTOM, DomainTag.FULL_SQUARE, boundary=pts)
-
-    @staticmethod
-    def from_name(name: str) -> "Game":
-        """A built-in game by name; a custom game needs its boundary."""
-        try:
-            return {"square": Game.square, "absolute": Game.absolute,
-                    "log": Game.log}[name]()
-        except (KeyError, TypeError):
-            raise DomainError(f"unknown game {name!r}") from None
+        return Game(GameKind.CUSTOM, boundary=pts)
 
     @staticmethod
     def from_json(doc) -> "Game":
-        """Build a game from a JSON document or an already-parsed object."""
+        """Build a game from a JSON document, a parsed object or a name;
+        a custom game needs its boundary."""
         if isinstance(doc, str):
             try:
                 doc = json.loads(doc)
             except json.JSONDecodeError:
-                return Game.from_name(doc)
+                pass  # a bare name
         if isinstance(doc, dict):
             if doc.get("kind") == "custom":
                 return Game.custom(doc["boundary"])
-            return Game.from_name(doc["kind"])
-        return Game.from_name(doc)
+            doc = doc["kind"]
+        try:
+            return {"square": Game.square, "absolute": Game.absolute,
+                    "log": Game.log}[doc]()
+        except (KeyError, TypeError):
+            raise DomainError(f"unknown game {doc!r}") from None
+
+    @property
+    def stripped(self) -> bool:
+        """Whether the choice domain is p in (0, 1), not [0, 1]: log loss."""
+        return self.kind is GameKind.LOG
 
     # -- loss and exposure ------------------------------------------------
 
@@ -191,10 +184,9 @@ class Game:
         p, q = f.p, f.q
         if not (0.0 <= q <= 1.0):
             raise DomainError(f"q={q} outside [0,1]")
-        if not (0.0 < p < 1.0 if self.domain_tag is DomainTag.STRIPPED_BOTH
-                else 0.0 <= p <= 1.0):
+        if not (0.0 < p < 1.0 if self.stripped else 0.0 <= p <= 1.0):
             raise DomainError(
-                f"p={p} outside the {self.domain_tag.value} domain")
+                f"p={p} outside {'(0, 1)' if self.stripped else '[0, 1]'}")
 
     def _custom_face(self, p: float) -> tuple[int, int]:
         """Indices of the first and last boundary vertices supporting p."""

@@ -93,10 +93,10 @@ class RoundLog(Sequence):
 class Engine:
     """One online decision sequence; single-writer."""
 
-    def __init__(self, game: Game, kernel: Kernel, **forecaster_kwargs):
+    def __init__(self, game: Game, kernel: Kernel):
         self.game = game
         self.kernel = kernel
-        self.forecaster = Forecaster(game, kernel, **forecaster_kwargs)
+        self.forecaster = Forecaster(game, kernel)
         self.cumulative_loss = 0.0
         self.round_log = RoundLog(self.forecaster)
         self._pending: tuple[object, RootReport, Decision] | None = None
@@ -184,20 +184,15 @@ class Engine:
             residual = self.forecaster.residual_total
         return 2.0 * residual * (1.0 + c.norm)
 
-    def regret_report(self, comparators: list[Comparator]) -> dict:
+    def regret_report(self, comparators: Sequence[Comparator]) -> dict:
         """Per-comparator regret rows plus both run certificates."""
-        lhs, rhs = self.forecaster.k29_certificate()
-        cert_slack = 2.0 * self.forecaster.residual_total
+        cert = self.forecaster.large_numbers_certificate()
+        cert_slack = cert["slack"]
         report = {
             "rounds": self.rounds,
             "cumulative_loss": self.cumulative_loss,
             "residual_total": self.forecaster.residual_total,
-            "large_numbers_certificate": {
-                "lhs": lhs,
-                "rhs": rhs,
-                "slack": cert_slack,
-                "pass": lhs <= rhs + cert_slack,
-            },
+            "large_numbers_certificate": cert,
             "comparators": [],
         }
         for c in comparators:
@@ -226,7 +221,7 @@ class Engine:
 
     # -- export -----------------------------------------------------------
 
-    CSV_HEADER = "n,x,p,q,gamma,y,loss,s_residual,branch"
+    CSV_HEADER = ",".join(("n",) + _RECORD_COLUMNS)
 
     def round_log_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]

@@ -80,7 +80,7 @@ def battery():
     for game_name in ("square", "absolute", "log"):
         for gen_name, gen in generators():
             start = time.perf_counter()
-            engine = Engine(Game.from_name(game_name), SOB)
+            engine = Engine(Game.from_json(game_name), SOB)
             for n in range(1, HORIZON + 1):
                 x = gen.datum(77, n)
                 engine.decide(x)
@@ -158,7 +158,7 @@ def test_criterion_5_root_finder_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for game_name in ("square", "absolute", "log"):
-        game = Game.from_name(game_name)
+        game = Game.from_json(game_name)
         for _ in range(50):
             fc = Forecaster(game, SOB)
             history = []

@@ -113,7 +113,12 @@ def test_bad_kernel_name_exits_two(capsys):
     {"game": "square", "generator": {"kind": "adversarial"}},
     {"game": "square", "generator": {"seed": 1}, "horizon": 10},
     ["square", 10],
-], ids=["no-game", "no-horizon", "generator-without-kind", "list"])
+    {"game": "square", "generator": {"kind": "adversarial"}, "horizon": 10,
+     "epsilon_root": 1e-9},
+    {"game": "square", "generator": {"kind": "adversarial"}, "horizon": 10,
+     "seeds": 7},
+], ids=["no-game", "no-horizon", "generator-without-kind", "list",
+        "stale-epsilon-root", "typo-seeds"])
 def test_malformed_config_exits_two(tmp_path, capsys, doc):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -146,6 +151,25 @@ def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
     log.write_text(content)
     assert main(["certify", "--log", str(log)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "1,nan,0.5,0.5,0.5,1,0.25,0.0,root",
+    "1,inf,0.5,0.5,0.5,1,0.25,0.0,root",
+    "1,0.5,0.5,0.5,0.5,1,0.25,inf,root",
+    "1,0.5,0.5,0.5,0.5,1,0.25,nan,root",
+    "1,0.5,0.5,0.5,0.5,1,0.25,-5.0,root",
+    "1,0.5,nan,0.5,0.5,1,0.25,0.0,root",
+], ids=["x-nan", "x-inf", "s_residual-inf", "s_residual-nan",
+        "s_residual-negative", "p-nan"])
+def test_certify_bad_row_exits_two(tmp_path, capsys, row):
+    log = tmp_path / "round_log.csv"
+    log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
+                   "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n" + row + "\n")
+    assert main(["certify", "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "round_log.csv:3: bad row" in err
 
 
 def test_certify_missing_log_exits_two(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import defcast
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
                                 Forecaster)
-from defcast.games import DomainError, DomainTag, Forecast, Game, GameKind
+from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 
 SOB = Kernel.sobolev()
@@ -123,8 +123,7 @@ def test_scalar_sign_equals_array_sign(p, A, B, C):
     for game in PARITY_GAMES:
         fc = Forecaster(game, SOB)
         for q in (p, 0.5, *game.special_ps()):
-            if game.domain_tag is not DomainTag.FULL_SQUARE \
-                    and q in (0.0, 1.0):
+            if game.stripped and q in (0.0, 1.0):
                 continue
             s, v = fc._s_at(q, A, B, C)
             assert s == array_sign(fc, q, A, B, C)
@@ -491,7 +490,7 @@ def test_scan_cache_across_delta_halvings():
 
 @pytest.mark.parametrize("game_name", ["square", "absolute", "log"])
 def test_root_residual_within_epsilon(game_name):
-    game = Game.from_name(game_name)
+    game = Game.from_json(game_name)
     rng = np.random.default_rng(11)
     fc = Forecaster(game, SOB)
     for _ in range(40):
@@ -499,8 +498,8 @@ def test_root_residual_within_epsilon(game_name):
         rep = fc.next_forecast(x)
         if rep.branch is Branch.ROOT:
             s = fc.s_value(rep.forecast.p, rep.forecast.q, x)
-            assert abs(s) <= fc.epsilon_root
-            assert rep.s_residual <= fc.epsilon_root
+            assert abs(s) <= 1e-9
+            assert rep.s_residual <= 1e-9
         y = int(rng.integers(0, 2))
         fc.update(x, rep.forecast, y, s_residual=rep.s_residual,
                   branch=rep.branch)
@@ -585,7 +584,7 @@ def test_k29_single_round():
 
 @pytest.mark.parametrize("game_name", ["square", "absolute", "log"])
 def test_k29_holds_on_random_runs(game_name):
-    fc, _ = run_random(Game.from_name(game_name), SOB, 120, seed=23)
+    fc, _ = run_random(Game.from_json(game_name), SOB, 120, seed=23)
     lhs, rhs = fc.k29_certificate()
     assert lhs <= rhs + 2.0 * fc.residual_total
 
@@ -674,7 +673,7 @@ def test_resolution_kernel_mismatch_rejected():
 def test_resolution_holds_for_random_expansions():
     rng = np.random.default_rng(31)
     for game_name in ("square", "absolute", "log"):
-        fc, _ = run_random(Game.from_name(game_name), SOB, 80, seed=37)
+        fc, _ = run_random(Game.from_json(game_name), SOB, 80, seed=37)
         for _ in range(5):
             m = int(rng.integers(1, 6))
             f = KernelExpansion.build(rng.uniform(-1, 1, m),
@@ -688,8 +687,8 @@ def test_resolution_holds_for_random_expansions():
 
 def test_next_forecast_is_deterministic():
     for game_name in ("square", "absolute", "log"):
-        a, ra = run_random(Game.from_name(game_name), SOB, 40, seed=41)
-        b, rb = run_random(Game.from_name(game_name), SOB, 40, seed=41)
+        a, ra = run_random(Game.from_json(game_name), SOB, 40, seed=41)
+        b, rb = run_random(Game.from_json(game_name), SOB, 40, seed=41)
         assert np.array_equal(a.column("p"), b.column("p"))
         assert np.array_equal(a.column("q"), b.column("q"))
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import defcast
-from defcast.games import Decision, DomainError, DomainTag, Forecast, Game
+from defcast.games import Decision, DomainError, Forecast, Game
 
 SQ = Game.square()
 AB = Game.absolute()
@@ -463,19 +463,23 @@ def test_single_point_boundary():
 
 
 def test_from_name_and_from_json():
-    assert Game.from_name("square").kind.value == "square"
+    assert Game.from_json("square").kind.value == "square"
     assert Game.from_json("log").kind.value == "log"
     assert Game.from_json('{"kind": "absolute"}') == Game.absolute()
     doc = {"kind": "custom", "boundary": [[0.0, 1.0], [1.0, 0.0]]}
     g = Game.from_json(json.dumps(doc))
     assert g.boundary == ((0.0, 1.0), (1.0, 0.0))
     with pytest.raises(DomainError):
-        Game.from_name("huber")
+        Game.from_json("huber")
     with pytest.raises(DomainError):
-        Game.from_name("custom")  # needs an explicit boundary
+        Game.from_json("custom")  # needs an explicit boundary
 
 
 def test_domain_tags():
-    assert SQ.domain_tag is DomainTag.FULL_SQUARE
-    assert AB.domain_tag is DomainTag.FULL_SQUARE
-    assert LG.domain_tag is DomainTag.STRIPPED_BOTH
+    assert not SQ.stripped
+    assert not AB.stripped
+    assert LG.stripped
+    with pytest.raises(DomainError, match=r"outside \(0, 1\)"):
+        LG.check_forecast(Forecast(0.0, 0.5))
+    with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+        SQ.check_forecast(Forecast(1.5, 0.5))

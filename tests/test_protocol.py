@@ -29,7 +29,7 @@ def run_engine_random(game, n_rounds, seed, kernel=SOB):
 
 @pytest.mark.parametrize("game_name", ["square", "absolute", "log"])
 def test_first_decision_is_one_half(game_name):
-    engine = Engine(Game.from_name(game_name), SOB)
+    engine = Engine(Game.from_json(game_name), SOB)
     assert engine.decide(0.0) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -38,7 +38,7 @@ def test_observe_accumulates_loss():
                               ("absolute", 0, 0.5),
                               ("log", 1, math.log(2)),
                               ("log", 0, math.log(2))):
-        engine = Engine(Game.from_name(game_name), SOB)
+        engine = Engine(Game.from_json(game_name), SOB)
         engine.decide(0.0)
         engine.observe(y)
         assert engine.cumulative_loss == pytest.approx(inc, abs=1e-9)
@@ -74,7 +74,7 @@ def test_rejected_observation_leaves_engine_unchanged():
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
                                np.float64("nan")])
 def test_non_finite_datum_rejected_before_any_state_change(game_name, x):
-    engine = Engine(Game.from_name(game_name), SOB)
+    engine = Engine(Game.from_json(game_name), SOB)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
@@ -238,7 +238,7 @@ def test_report_without_comparators():
 
 def test_report_zero_comparator_passes():
     for game_name in ("square", "absolute", "log"):
-        engine = run_engine_random(Game.from_name(game_name), 60, seed=11)
+        engine = run_engine_random(Game.from_json(game_name), 60, seed=11)
         report = engine.regret_report([ZERO])
         row = report["comparators"][0]
         assert row["pass"]
@@ -256,7 +256,7 @@ def test_duplicate_comparators_identical_rows():
 def test_regret_inequality_random_comparators():
     rng = np.random.default_rng(15)
     for game_name in ("square", "absolute", "log"):
-        engine = run_engine_random(Game.from_name(game_name), 100, seed=17)
+        engine = run_engine_random(Game.from_json(game_name), 100, seed=17)
         for _ in range(4):
             m = int(rng.integers(1, 6))
             f = KernelExpansion.build(rng.uniform(-1, 1, m),
@@ -275,7 +275,7 @@ def test_regret_inequality_random_comparators():
 def test_exposure_identity_per_round():
     # loss(y, gamma) - expected_loss(p, gamma) = (y - p) * exposure(gamma)
     for game_name in ("square", "absolute", "log"):
-        game = Game.from_name(game_name)
+        game = Game.from_json(game_name)
         engine = run_engine_random(game, 50, seed=19)
         for r in engine.round_log:
             lhs = game.loss(r.y, r.gamma) - game.expected_loss(r.p, r.gamma)
