@@ -14,18 +14,16 @@ import argparse
 import json
 import sys
 
-from defcast.experiments import ConfigError, ExperimentConfig, certify_log, run
+from defcast.experiments import (ConfigError, ExperimentConfig, certify_log,
+                                 document_errors, run)
 from defcast.games import Game
 from defcast.kernels import Kernel
 
 
 def _game_and_kernel(args) -> tuple[Game, Kernel]:
     """--game and --kernel, each a name or a JSON document as in configs."""
-    try:
+    with document_errors("--game or --kernel"):
         return Game.from_json(args.game), Kernel.from_json(args.kernel)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed --game or --kernel "
-                          f"({type(exc).__name__}: {exc})") from None
 
 
 def cmd_run(args) -> int:

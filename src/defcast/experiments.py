@@ -8,16 +8,18 @@ regret curve sampled at powers of two.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from defcast.forecaster import Branch, Forecaster
-from defcast.games import Forecast, Game
-from defcast.kernels import Kernel, KernelExpansion
+from defcast.games import DomainError, Forecast, Game
+from defcast.kernels import Kernel, KernelExpansion, check_keys
 from defcast.protocol import Comparator, Engine
 
 
@@ -43,7 +45,7 @@ class UniformData:
 class IidLogistic(UniformData):
     """y Bernoulli with a polynomial-logit mean."""
 
-    def __init__(self, weights):
+    def __init__(self, weights=(0.0, 2.0)):
         self.weights = tuple(float(w) for w in weights)
 
     def outcome(self, seed, n, x, p):
@@ -77,67 +79,44 @@ class AdversarialAntiForecast(UniformData):
 
 
 class Replay:
-    """Replays (x, y) pairs from a CSV file (plain or round-log format)."""
+    """Replays (x, y) pairs from headerless x,y rows or a round log."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.pairs = self._load()
-
-    def _load(self):
-        pairs = []
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise ConfigError(f"{self.path}: empty replay file")
-        header = lines[0].split(",")
-        if "x" in header and "y" in header:
-            xi, yi = header.index("x"), header.index("y")
-            body = lines[1:]
-            offset = 2
-        else:
-            xi, yi = 0, 1
-            body = lines
-            offset = 1
-        for lineno, line in enumerate(body, start=offset):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            try:
-                pairs.append((float(parts[xi]), int(float(parts[yi]))))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(
-                    f"{self.path}:{lineno}: bad replay row: {exc}") from None
-        return pairs
+        self.pairs = [v for _, v in read_round_log(self.path, ("x", "y"),
+                                                   headerless=True)]
 
     def datum(self, seed, n):
-        try:
-            return self.pairs[n - 1][0]
-        except IndexError:
-            raise ConfigError(
-                f"{self.path}: replay exhausted at round {n}") from None
+        if n > len(self.pairs):
+            raise ConfigError(f"{self.path}: replay exhausted at round {n}")
+        return self.pairs[n - 1][0]
 
     def outcome(self, seed, n, x, p):
         return self.pairs[n - 1][1]
 
 
 def generator_from_json(doc):
+    """A data generator from its document: "kind" names the class, and the
+    class's constructor arguments are the other keys the document takes."""
+    classes = {"iid_logistic": IidLogistic, "deterministic": Deterministic,
+               "adversarial": AdversarialAntiForecast, "replay": Replay}
     kind = doc["kind"]
-    if kind == "iid_logistic":
-        return IidLogistic(doc.get("weights", [0.0, 2.0]))
-    if kind == "deterministic":
-        return Deterministic(doc.get("threshold", 0.0),
-                             doc.get("noise_rate", 0.0))
-    if kind == "adversarial":
-        return AdversarialAntiForecast()
-    if kind == "replay":
-        return Replay(doc["path"])
-    raise ConfigError(f"unknown generator {kind!r}")
+    if kind not in classes:
+        raise ConfigError(f"unknown generator {kind!r}")
+    check_keys(doc, "kind", *inspect.signature(classes[kind]).parameters)
+    return classes[kind](**{k: v for k, v in doc.items() if k != "kind"})
 
 
 # -- config ---------------------------------------------------------------
 
-_CONFIG_KEYS = {"game", "kernel", "generator", "horizon", "seed",
-                "comparators"}
+@contextmanager
+def document_errors(what: str):
+    """Turn a missing or mistyped document field into a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"malformed {what} ({type(exc).__name__}: {exc})") from None
 
 
 @dataclass(frozen=True)
@@ -150,35 +129,31 @@ class ExperimentConfig:
     comparators: tuple[Comparator, ...] = ()
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
+        for key, least in (("horizon", 1), ("seed", 0)):
+            value = getattr(self, key)  # an int, not a bool: 2.9 is no horizon
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, "
+                                  f"got {value!r}")
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":
         if isinstance(doc, (str, Path)):
             with open(doc) as fh:
                 doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"malformed config (a JSON object expected, "
-                              f"got {type(doc).__name__})")
-        unknown = sorted(set(doc) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
-        try:
+        with document_errors("config"):
+            check_keys(doc, "game", "kernel", "generator", "horizon", "seed",
+                       "comparators")
             kernel = Kernel.from_json(doc.get("kernel", "sobolev"))
             return ExperimentConfig(
                 game=Game.from_json(doc["game"]),
                 kernel=kernel,
                 generator=generator_from_json(doc["generator"]),
-                horizon=int(doc["horizon"]),
-                seed=int(doc.get("seed", 0)),
+                horizon=doc["horizon"],
+                seed=doc.get("seed", 0),
                 comparators=tuple(
                     Comparator.build(KernelExpansion.from_json(c, kernel))
                     for c in doc.get("comparators", [])),
             )
-        except (KeyError, TypeError) as exc:  # a missing or mistyped field
-            raise ConfigError(
-                f"malformed config ({type(exc).__name__}: {exc})") from None
 
 
 @dataclass
@@ -254,37 +229,63 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
     return RunArtifacts(log_path, report_path, report)
 
 
-# -- recomputing certificates from a round log ----------------------------
+# -- reading a round log -------------------------------------------------
 
-def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
-    """Rebuild the forecaster state from a round log and re-check it."""
-    fc = Forecaster(game, kernel)
-    with open(log_path) as fh:
+def _checked(name: str, admits, meaning: str):
+    """A column reader: float(), then the column's rule on the value."""
+    def read(s: str) -> float:
+        v = float(s)
+        if not admits(v):
+            raise ValueError(f"{name}={s} is not {meaning}")
+        return v
+    return read
+
+
+_READ = {"x": _checked("x", math.isfinite, "finite"), "p": float, "q": float,
+         "y": _checked("y", (0.0, 1.0).__contains__, "0 or 1"),
+         # the engine writes |S| at the forecast
+         "s_residual": _checked("s_residual", lambda v: 0.0 <= v < math.inf,
+                                "finite and >= 0"),
+         "branch": Branch}
+
+
+def read_round_log(path, names, headerless=False) -> list:
+    """(line number, values) of each row of a CSV log: the named columns,
+    each read by its rule in _READ (y through float, so 1.0 reads as 1).
+    The header names the columns; with `headerless`, a file whose first
+    line does not name them all holds just those columns, in order."""
+    with open(path) as fh:
         lines = fh.read().splitlines()
     header = lines[0].split(",") if lines else []
-    missing = [c for c in ("x", "p", "q", "y", "s_residual", "branch")
-               if c not in header]
-    if missing:
-        raise ConfigError(f"{log_path}: not a round log (header lacks "
+    missing = [c for c in names if c not in header]
+    if not missing:
+        cols, start = [header.index(c) for c in names], 2
+    elif headerless and lines:
+        cols, start = range(len(names)), 1
+    else:
+        raise ConfigError(f"{path}: not a round log (header lacks "
                           f"{', '.join(missing)})")
-    idx = {name: header.index(name) for name in header}
-    for lineno, line in enumerate(lines[1:], start=2):
+    rules = [(_READ[name], i) for name, i in zip(names, cols)]
+    rows = []
+    for lineno, line in enumerate(lines[start - 1:], start=start):
         if not line.strip():
             continue
         parts = line.split(",")
         try:
-            x = float(parts[idx["x"]])
-            p = float(parts[idx["p"]])
-            q = float(parts[idx["q"]])
-            y = int(parts[idx["y"]])
-            s_res = float(parts[idx["s_residual"]])
-            branch = Branch(parts[idx["branch"]])
-            if not math.isfinite(x):
-                raise ValueError(f"x={x} is not finite")
-            if not 0.0 <= s_res < math.inf:  # the engine writes |S|
-                raise ValueError(f"s_residual={s_res} is not finite and >= 0")
+            rows.append((lineno, [read(parts[i]) for read, i in rules]))
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad row: {exc}") from None
+    return rows
+
+
+def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
+    """Rebuild the forecaster state from a round log and re-check it."""
+    fc = Forecaster(game, kernel)
+    for lineno, (x, p, q, y, s_res, branch) in read_round_log(
+            log_path, ("x", "p", "q", "y", "s_residual", "branch")):
+        try:
             fc.update(x, Forecast(p, q), y, s_residual=s_res, branch=branch)
-        except (ValueError, KeyError, IndexError) as exc:
+        except DomainError as exc:  # a forecast the game does not take
             raise ConfigError(f"{log_path}:{lineno}: bad row: {exc}") from None
     return {"rounds": fc.round,
             "large_numbers_certificate": fc.large_numbers_certificate()}

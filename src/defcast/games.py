@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from defcast.kernels import check_keys
+
 # Log-loss decisions are clamped at evaluation time so losses stay finite
 # in floating point; the decision set (0, 1) is open.
 LOG_CLAMP = 1e-12
@@ -115,7 +117,9 @@ class Game:
                 pass  # a bare name
         if isinstance(doc, dict):
             if doc.get("kind") == "custom":
+                check_keys(doc, "kind", "boundary")
                 return Game.custom(doc["boundary"])
+            check_keys(doc, "kind")
             doc = doc["kind"]
         try:
             return {"square": Game.square, "absolute": Game.absolute,

@@ -23,6 +23,18 @@ class KernelError(ValueError):
     """Broken kernel: negative quadratic form or missing data range."""
 
 
+def check_keys(doc, *keys: str) -> None:
+    """Reject a JSON document that is not an object or has keys other than
+    `keys`, as a call rejects an unexpected keyword argument: a misspelt key
+    is not silently ignored."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a JSON object expected, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        what = f"kind {doc['kind']!r}" if "kind" in doc else "this document"
+        raise TypeError(f"{what} takes no key(s) {', '.join(unknown)}")
+
+
 class KernelKind(Enum):
     SOBOLEV = "sobolev"
     GAUSSIAN = "gaussian"
@@ -74,10 +86,13 @@ class Kernel:
                 doc = {"kind": doc}  # a bare name
         kind = doc["kind"]
         if kind == "sobolev":
+            check_keys(doc, "kind")
             return Kernel.sobolev()
         if kind == "gaussian":
+            check_keys(doc, "kind", "width")
             return Kernel.gaussian(float(doc.get("width", 1.0)))
         if kind == "linear":
+            check_keys(doc, "kind", "offset", "range")
             rng = doc.get("range")
             return Kernel.linear(float(doc.get("offset", 0.0)),
                                  None if rng is None else float(rng))
@@ -183,6 +198,7 @@ class KernelExpansion:
 
     @staticmethod
     def from_json(doc, kernel: Kernel) -> "KernelExpansion":
+        check_keys(doc, "centers", "weights")
         return KernelExpansion.build(doc["centers"], doc["weights"], kernel)
 
     def __call__(self, x):

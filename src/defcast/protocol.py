@@ -11,12 +11,11 @@ import functools
 import math
 import numbers
 import operator
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from defcast.forecaster import Branch, Forecaster, RootReport
+from defcast.forecaster import Forecaster, RootReport
 from defcast.games import Decision, DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion
 
@@ -41,29 +40,22 @@ class Comparator:
         return Comparator(exposure_fn, exposure_fn.norm())
 
 
-@dataclass
-class RoundRecord:
-    n: int
-    x: float
-    p: float
-    q: float
-    gamma: float
-    y: int
-    loss: float
-    s_residual: float
-    branch: Branch
+# one round of the log; its fields are the round-log CSV header
+RoundRecord = namedtuple(
+    "RoundRecord", "n x p q gamma y loss s_residual branch")
 
 
-# RoundRecord fields after n, as forecaster history columns
-_RECORD_COLUMNS = ("x", "p", "q", "gamma", "y", "loss", "s_residual",
-                   "branch")
+def _rows(forecaster: Forecaster, start: int, stop: int):
+    """Rounds start+1..stop as plain tuples in RoundRecord field order."""
+    # tolist() gives Python floats: repr of a numpy scalar is not the
+    # shortest round-trip decimal under numpy 2
+    return zip(range(start + 1, stop + 1), *(
+        forecaster.column(name)[start:stop].tolist()
+        for name in RoundRecord._fields[1:]))
 
 
 class RoundLog(Sequence):
-    """Read-only view of a forecaster's history as RoundRecords.
-
-    Records are built on access, with plain Python values.
-    """
+    """Read-only view of the history as RoundRecords, built on access."""
 
     def __init__(self, forecaster: Forecaster):
         self._forecaster = forecaster
@@ -73,21 +65,12 @@ class RoundLog(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
-        j = i + n if i < 0 else i
-        if not 0 <= j < n:
-            raise IndexError(f"round log index {i} out of range")
-        return next(self._records(j, j + 1))
+            return [self[j] for j in range(len(self))[i]]
+        j = range(len(self))[i]
+        return RoundRecord._make(next(_rows(self._forecaster, j, j + 1)))
 
     def __iter__(self):
-        return self._records(0, len(self))
-
-    def _records(self, start: int, stop: int):
-        cols = [self._forecaster.column(name)[start:stop].tolist()
-                for name in _RECORD_COLUMNS]
-        for n, values in enumerate(zip(*cols), start=start + 1):
-            yield RoundRecord(n, *values)
+        return map(RoundRecord._make, _rows(self._forecaster, 0, len(self)))
 
 
 class Engine:
@@ -221,16 +204,12 @@ class Engine:
 
     # -- export -----------------------------------------------------------
 
-    CSV_HEADER = ",".join(("n",) + _RECORD_COLUMNS)
+    CSV_HEADER = ",".join(RoundRecord._fields)
 
     def round_log_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]
-        # tolist() gives Python floats: repr of a numpy scalar is not the
-        # shortest round-trip decimal under numpy 2
-        cols = [self.forecaster.column(name).tolist()
-                for name in _RECORD_COLUMNS]
-        for n, (x, p, q, gamma, y, loss, s_res, branch) in enumerate(
-                zip(*cols), start=1):
+        for n, x, p, q, gamma, y, loss, s_res, branch in _rows(
+                self.forecaster, 0, self.rounds):
             rows.append(",".join([
                 str(n), repr(float(x)), repr(p), repr(q), repr(gamma),
                 str(y), repr(loss), repr(s_res), branch.value]))

@@ -107,25 +107,42 @@ def test_bad_kernel_name_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    {"kernel": {"kind": "sobolev"}, "generator": {"kind": "adversarial"},
-     "horizon": 10},
-    {"game": "square", "generator": {"kind": "adversarial"}},
-    {"game": "square", "generator": {"seed": 1}, "horizon": 10},
-    ["square", 10],
-    {"game": "square", "generator": {"kind": "adversarial"}, "horizon": 10,
-     "epsilon_root": 1e-9},
-    {"game": "square", "generator": {"kind": "adversarial"}, "horizon": 10,
-     "seeds": 7},
+ADVERSARIAL = {"game": "square", "generator": {"kind": "adversarial"},
+               "horizon": 10}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kernel": {"kind": "sobolev"}, "generator": {"kind": "adversarial"},
+      "horizon": 10}, "game"),
+    ({"game": "square", "generator": {"kind": "adversarial"}}, "horizon"),
+    ({"game": "square", "generator": {"seed": 1}, "horizon": 10}, "kind"),
+    (["square", 10], "list"),
+    (dict(ADVERSARIAL, epsilon_root=1e-9), "epsilon_root"),
+    (dict(ADVERSARIAL, seeds=7), "seeds"),
+    (dict(ADVERSARIAL, kernel={"kind": "gaussian", "widht": 0.1}), "widht"),
+    (dict(ADVERSARIAL, generator={"kind": "iid_logistic", "weight": [5.0]}),
+     "weight"),
+    (dict(ADVERSARIAL, game={"kind": "square", "boundary": [[0, 1], [1, 0]]}),
+     "boundary"),
+    (dict(ADVERSARIAL, comparators=[{"centers": [0.0], "weights": [0.5],
+                                     "norm": 1.0}]), "norm"),
+    (dict(ADVERSARIAL, horizon=2.9), "horizon"),
+    (dict(ADVERSARIAL, seed="7"), "seed"),
+    (dict(ADVERSARIAL, seed=True), "seed"),
+    (dict(ADVERSARIAL, seed=-1), "seed"),
 ], ids=["no-game", "no-horizon", "generator-without-kind", "list",
-        "stale-epsilon-root", "typo-seeds"])
-def test_malformed_config_exits_two(tmp_path, capsys, doc):
+        "stale-epsilon-root", "typo-seeds", "kernel-typo-widht",
+        "generator-typo-weight", "square-with-boundary",
+        "comparator-extra-norm", "float-horizon", "string-seed", "bool-seed",
+        "negative-seed"])
+def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
 
 
 def test_game_document_without_kind_exits_two(tmp_path, capsys):
@@ -135,6 +152,14 @@ def test_game_document_without_kind_exits_two(tmp_path, capsys):
                  "--game", '{"boundary": [[0,1],[1,0]]}']) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_kernel_document_with_unknown_key_exits_two(capsys):
+    assert main(["constants", "--game", "square", "--kernel",
+                 '{"kind": "gaussian", "widht": 0.1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "widht" in err
 
 
 def test_bad_config_exits_two(tmp_path, capsys):
@@ -153,20 +178,43 @@ def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", [
-    "1,nan,0.5,0.5,0.5,1,0.25,0.0,root",
-    "1,inf,0.5,0.5,0.5,1,0.25,0.0,root",
-    "1,0.5,0.5,0.5,0.5,1,0.25,inf,root",
-    "1,0.5,0.5,0.5,0.5,1,0.25,nan,root",
-    "1,0.5,0.5,0.5,0.5,1,0.25,-5.0,root",
-    "1,0.5,nan,0.5,0.5,1,0.25,0.0,root",
-], ids=["x-nan", "x-inf", "s_residual-inf", "s_residual-nan",
-        "s_residual-negative", "p-nan"])
-def test_certify_bad_row_exits_two(tmp_path, capsys, row):
+BAD_ROWS = {
+    "x-nan": "1,nan,0.5,0.5,0.5,1,0.25,0.0,root",
+    "x-inf": "1,inf,0.5,0.5,0.5,1,0.25,0.0,root",
+    "s_residual-inf": "1,0.5,0.5,0.5,0.5,1,0.25,inf,root",
+    "s_residual-nan": "1,0.5,0.5,0.5,0.5,1,0.25,nan,root",
+    "s_residual-negative": "1,0.5,0.5,0.5,0.5,1,0.25,-5.0,root",
+    "p-nan": "1,0.5,nan,0.5,0.5,1,0.25,0.0,root",
+    "y-0.7": "1,0.5,0.5,0.5,0.5,0.7,0.25,0.0,root",
+    "y-2": "1,0.5,0.5,0.5,0.5,2,0.25,0.0,root",
+}
+
+
+def write_log_with_bad_row(tmp_path, name):
     log = tmp_path / "round_log.csv"
     log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
-                   "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n" + row + "\n")
+                   "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n"
+                   + BAD_ROWS[name] + "\n")
+    return log
+
+
+@pytest.mark.parametrize("name", list(BAD_ROWS))
+def test_certify_bad_row_exits_two(tmp_path, capsys, name):
+    log = write_log_with_bad_row(tmp_path, name)
     assert main(["certify", "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "round_log.csv:3: bad row" in err
+
+
+@pytest.mark.parametrize("name", ["x-nan", "x-inf", "y-0.7", "y-2"])
+def test_replay_bad_row_exits_two(tmp_path, capsys, name):
+    # replay reads the x and y columns of a round log by certify's rules
+    log = write_log_with_bad_row(tmp_path, name)
+    config = write_config(tmp_path, horizon=2, generator={
+        "kind": "replay", "path": str(log)})
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "round_log.csv:3: bad row" in err

@@ -8,7 +8,7 @@ import pytest
 from defcast.experiments import (AdversarialAntiForecast, ConfigError,
                                  Deterministic, ExperimentConfig, IidLogistic,
                                  Replay, certify_log, generator_from_json,
-                                 round_rng, run, run_engine)
+                                 read_round_log, round_rng, run, run_engine)
 from defcast.games import Game
 from defcast.kernels import Kernel, KernelExpansion
 
@@ -208,6 +208,32 @@ def test_certify_matches_run(tmp_path):
     got = cert["large_numbers_certificate"]
     assert got["pass"]
     assert got == want
+
+
+@pytest.mark.parametrize("game, kernel, generator", [
+    ("square", {"kind": "sobolev"},
+     {"kind": "iid_logistic", "weights": [0.0, 2.0]}),
+    ("log", {"kind": "sobolev"},
+     {"kind": "deterministic", "threshold": 0.0, "noise_rate": 0.1}),
+    ({"kind": "custom", "boundary": [[0.0, 1.0], [0.2, 0.5], [0.5, 0.2],
+                                     [1.0, 0.0]]},
+     {"kind": "gaussian", "width": 0.5}, {"kind": "adversarial"}),
+], ids=["square-sobolev", "log-sobolev", "polyline-gaussian"])
+def test_round_log_reads_back_bit_for_bit(tmp_path, game, kernel, generator):
+    # certify's == with the run rests on every logged value reading back
+    config = ExperimentConfig.from_json(config_doc(
+        game=game, kernel=kernel, generator=generator, horizon=200))
+    artifacts = run(config, tmp_path)
+    store = run_engine(config).forecaster
+    names = ("x", "p", "q", "y", "s_residual", "branch")
+    rows = read_round_log(artifacts.round_log_path, names)
+    assert [lineno for lineno, _ in rows] == list(range(2, 202))
+    for j, name in enumerate(names):
+        assert [values[j] for _, values in rows] == \
+            store.column(name).tolist(), name
+    cert = certify_log(artifacts.round_log_path, config.game, config.kernel)
+    assert cert["large_numbers_certificate"] == \
+        artifacts.report["large_numbers_certificate"]
 
 
 def test_certify_rejects_malformed_log(tmp_path):
