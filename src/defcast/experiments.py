@@ -19,7 +19,7 @@ import numpy as np
 
 from defcast.forecaster import Branch, Forecaster
 from defcast.games import DomainError, Forecast, Game
-from defcast.kernels import Kernel, KernelExpansion, check_keys
+from defcast.kernels import Kernel, KernelExpansion, check_keys, json_float
 from defcast.protocol import Comparator, Engine
 
 
@@ -46,7 +46,7 @@ class IidLogistic(UniformData):
     """y Bernoulli with a polynomial-logit mean."""
 
     def __init__(self, weights=(0.0, 2.0)):
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = tuple(json_float("weights", w) for w in weights)
 
     def outcome(self, seed, n, x, p):
         z = sum(w * x ** k for k, w in enumerate(self.weights))

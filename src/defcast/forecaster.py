@@ -67,6 +67,13 @@ _COLUMNS = {"x": None, "p": float, "q": float, "y": int, "e": float,
             "s_residual": float, "branch": object}
 
 
+def check_datum(x) -> None:
+    """Real data must be finite (of the reals, only floats can fail this);
+    custom kernels' points are opaque."""
+    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+        raise DomainError(f"datum must be finite, got {x}")
+
+
 class RootFinderError(RuntimeError):
     """The bracket cascade failed; unreachable for the built-in games."""
 
@@ -357,6 +364,7 @@ class Forecaster:
         """Append a completed round to the history; return its loss."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
+        check_datum(x)
         # decision, when the caller has it, is the canonical choice at forecast
         d = decision or self.game.canonical_choice(forecast)
         y = int(y)

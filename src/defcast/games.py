@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from defcast.kernels import check_keys
+from defcast.kernels import check_keys, json_float
 
 # Log-loss decisions are clamped at evaluation time so losses stay finite
 # in floating point; the decision set (0, 1) is open.
@@ -91,9 +91,10 @@ class Game:
 
     @staticmethod
     def custom(boundary) -> "Game":
-        pts = tuple((float(a), float(b)) for a, b in boundary)
-        if len(pts) < 1:
-            raise DomainError("custom boundary needs at least one point")
+        pts = tuple(tuple(json_float("boundary", v) for v in pt)
+                    for pt in boundary)
+        if {len(pt) for pt in pts} != {2}:
+            raise DomainError("custom boundary needs (loss0, loss1) pairs")
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
             if not (a1 > a0 and b1 < b0):
                 raise DomainError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +34,13 @@ def check_keys(doc, *keys: str) -> None:
     if unknown:
         what = f"kind {doc['kind']!r}" if "kind" in doc else "this document"
         raise TypeError(f"{what} takes no key(s) {', '.join(unknown)}")
+
+
+def json_float(key: str, value) -> float:
+    """A number in field `key`; float() would also take a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{key}: a number expected, got {value!r}")
+    return float(value)
 
 
 class KernelKind(Enum):
@@ -90,28 +98,37 @@ class Kernel:
             return Kernel.sobolev()
         if kind == "gaussian":
             check_keys(doc, "kind", "width")
-            return Kernel.gaussian(float(doc.get("width", 1.0)))
+            return Kernel.gaussian(json_float("width", doc.get("width", 1.0)))
         if kind == "linear":
             check_keys(doc, "kind", "offset", "range")
             rng = doc.get("range")
-            return Kernel.linear(float(doc.get("offset", 0.0)),
-                                 None if rng is None else float(rng))
+            return Kernel.linear(
+                json_float("offset", doc.get("offset", 0.0)),
+                None if rng is None else json_float("range", rng))
         raise KernelError(f"unknown kernel {kind!r}")
 
     # -- evaluation -------------------------------------------------------
 
-    def __call__(self, x, x2):
-        """K(x, x'); broadcasts over numpy arrays for built-ins."""
+    def __call__(self, x, x2, out=None):
+        """K(x, x'); broadcasts over numpy arrays for built-ins, which write
+        into `out` when one is given: each ufunc of the chain passes it on."""
         if self.kind is KernelKind.SOBOLEV:
-            return 0.5 * np.exp(-np.abs(np.subtract(x, x2)))
+            k = np.abs(np.subtract(x, x2, out=out), out=out)
+            k = np.exp(np.negative(k, out=out), out=out)
+            return np.multiply(k, 0.5, out=out)
         if self.kind is KernelKind.GAUSSIAN:
-            d = np.subtract(x, x2)
-            return np.exp(-d * d / (2.0 * self.width ** 2))
+            d = np.subtract(x, x2, out=out)
+            k = np.negative(np.multiply(d, d, out=out), out=out)  # = (-d)*d
+            return np.exp(np.divide(k, 2 * self.width ** 2, out=out), out=out)
         if self.kind is KernelKind.LINEAR:
-            return np.multiply(x, x2) + self.offset
+            return np.add(np.multiply(x, x2, out=out), self.offset, out=out)
         return self.func(x, x2)
 
     def diag(self, x):
+        """K(x, x); the stationary kernels' is their value at 0, exactly."""
+        if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
+            k0 = 0.5 if self.kind is KernelKind.SOBOLEV else 1.0
+            return k0 if isinstance(x, float) else np.full(np.shape(x), k0)
         return self(x, x)
 
     def diags(self, points) -> np.ndarray:
@@ -156,20 +173,23 @@ class Kernel:
     def quad_form(self, points, w) -> float:
         """w @ gram(points) @ w in O(N) memory, one Gram column slab at a time.
 
-        Custom slab entries are gram's: func(pts[min(i,j)], pts[max(i,j)]).
-        OpenBLAS sums the last (width mod 4) entries of each thread's share
-        of w @ slab another way, so the bits are gram's when N is a multiple
-        of 4 per BLAS thread; otherwise the last bits can differ.
+        A built-in kernel writes each slab in place, as a C-contiguous (n, m)
+        view of one reused buffer: a fresh slab's layout.  Custom slab entries
+        are gram's: func(pts[min(i,j)], pts[max(i,j)]).  OpenBLAS sums the last
+        (width mod 4) entries of each thread's share of w @ slab another way,
+        so the bits are gram's when N is a multiple of 4 per BLAS thread;
+        otherwise the last bits can differ.
         """
         pts = list(points)
         w, n = np.asarray(w, dtype=float), len(pts)
         xs = None if self.kind is KernelKind.CUSTOM else np.asarray(pts, float)
         # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
         width = 32 * max(1, 4096 // max(n, 1))
-        v = np.empty(n)
+        buf, v = np.empty(n * min(width, n)), np.empty(n)
         for j in range(0, n, width):
             k = min(j + width, n)
-            slab = self(xs[:, None], xs[None, j:k]) if xs is not None else [
+            slab = self(xs[:, None], xs[None, j:k], out=buf[:n * (k - j)]
+                        .reshape(n, k - j)) if xs is not None else [
                 [float(self.func(pts[min(i, c)], pts[max(i, c)]))
                  for c in range(j, k)] for i in range(n)]
             v[j:k] = w @ np.asarray(slab)
@@ -186,8 +206,9 @@ class KernelExpansion:
 
     @staticmethod
     def build(centers, weights, kernel: Kernel) -> "KernelExpansion":
-        centers = tuple(centers)
-        weights = tuple(float(w) for w in weights)
+        centers = tuple(centers) if kernel.kind is KernelKind.CUSTOM else \
+            tuple(json_float("centers", z) for z in centers)
+        weights = tuple(json_float("weights", w) for w in weights)
         if len(centers) != len(weights):
             raise KernelError("centers and weights must have equal length")
         return KernelExpansion(centers, weights, kernel)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from defcast.forecaster import Forecaster, RootReport
+from defcast.forecaster import Forecaster, RootReport, check_datum
 from defcast.games import Decision, DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion
 
@@ -98,9 +97,7 @@ class Engine:
         """Produce the decision for datum x; awaits the observation next."""
         if self._pending is not None:
             raise UsageError("previous round still awaiting an observation")
-        # real data must be finite; custom kernels may take opaque points
-        if isinstance(x, numbers.Real) and not math.isfinite(x):
-            raise DomainError(f"datum must be finite, got {x}")
+        check_datum(x)
         report = self.forecaster.next_forecast(x)
         decision = self.game.canonical_choice(report.forecast)
         self._pending = (x, report, decision)
@@ -110,15 +107,13 @@ class Engine:
         """Log the outcome of the pending decision."""
         if self._pending is None:
             raise UsageError("observe called without a pending decision")
-        if y not in (0, 1):
-            raise DomainError(f"observation must be binary, got {y}")
         x, report, decision = self._pending
-        self._pending = None
-        self._comparator_cache.clear()
-        # the forecaster stores the round, gamma and loss included
+        # update checks y, then stores the round: a bad y leaves it pending
         self.cumulative_loss += self.forecaster.update(
             x, report.forecast, y, s_residual=report.s_residual,
             branch=report.branch, decision=decision)
+        self._pending = None
+        self._comparator_cache.clear()
 
     # -- comparators ------------------------------------------------------
 

@@ -145,6 +145,47 @@ def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     assert key in err
 
 
+CUSTOM = {"kind": "custom", "boundary": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(ADVERSARIAL, comparators=[{"centers": "05", "weights": [1, 2]}]),
+     "centers"),
+    (dict(ADVERSARIAL, comparators=[{"centers": [0, 5], "weights": "12"}]),
+     "weights"),
+    (dict(ADVERSARIAL, game=dict(CUSTOM, boundary=["01", "10"])), "boundary"),
+    (dict(ADVERSARIAL, game=dict(CUSTOM, boundary="0110")), "boundary"),
+    (dict(ADVERSARIAL, generator={"kind": "iid_logistic", "weights": "12"}),
+     "weights"),
+    (dict(ADVERSARIAL, kernel={"kind": "gaussian", "width": "0.5"}), "width"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear", "offset": "1"}), "offset"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear", "range": "2"}), "range"),
+], ids=["centers", "weights", "boundary-points", "boundary",
+        "generator-weights", "width", "offset", "range"])
+def test_string_for_a_list_or_number_exits_two(tmp_path, capsys, doc, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, doc, key", [
+    ("--kernel", '{"kind": "gaussian", "width": "0.5"}', "width"),
+    ("--game", '{"kind": "custom", "boundary": ["01", "10"]}', "boundary"),
+])
+def test_string_for_a_list_or_number_in_a_flag_exits_two(capsys, flag, doc,
+                                                          key):
+    argv = {"--game": "square", "--kernel": "sobolev", flag: doc}
+    assert main(["constants", *(a for kv in argv.items() for a in kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+
+
 def test_game_document_without_kind_exits_two(tmp_path, capsys):
     log = tmp_path / "round_log.csv"
     log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n")

@@ -77,6 +77,13 @@ def test_generator_from_json():
         generator_from_json({"kind": "markov"})
 
 
+@pytest.mark.parametrize("weights", ["12", ["1", "2"], [1.0, None]])
+def test_generator_weights_are_numbers(weights):
+    # "12" would iterate, and float() convert, into weights (1.0, 2.0)
+    with pytest.raises(TypeError, match="weights"):
+        generator_from_json({"kind": "iid_logistic", "weights": weights})
+
+
 # -- replay ---------------------------------------------------------------
 
 def test_replay_plain_pairs(tmp_path):

@@ -567,6 +567,26 @@ def test_update_rejects_nonbinary_outcome():
         fc.update(0.0, Forecast(0.5, 0.5), 2)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               np.float64("nan")])
+def test_update_rejects_non_finite_datum_before_any_write(x):
+    # a full store, so that an accepted round would first double the columns;
+    # the diagonal no longer turns a NaN x into a NaN variance, so the
+    # rejection is what keeps it out of the certificates
+    fc, _ = run_random(Game.square(), SOB, _INITIAL_CAPACITY, seed=5)
+    cols = {name: col.copy() for name, col in fc._cols.items()}
+    state = (fc.round, fc.agg_a, fc.residual_total,
+             fc.large_numbers_certificate())
+    with pytest.raises(DomainError, match="finite"):
+        fc.update(x, Forecast(0.5, 0.5), 1, s_residual=1.0)
+    assert fc._cols.keys() == cols.keys()
+    for name, col in cols.items():
+        assert len(fc._cols[name]) == len(col)
+        assert np.array_equal(fc._cols[name], col, equal_nan=name != "branch")
+    assert (fc.round, fc.agg_a, fc.residual_total,
+            fc.large_numbers_certificate()) == state
+
+
 # -- certificates ---------------------------------------------------------
 
 def test_k29_empty():

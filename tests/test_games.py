@@ -453,6 +453,21 @@ def test_custom_boundary_validation():
         Game.custom([(0.0, 1.0), (0.1, 0.7), (0.7, 0.5), (0.8, 0.2)])
 
 
+@pytest.mark.parametrize("boundary", [
+    "0110", ["01", "10"], [["0", "1"], [1, 0]], [[0, True], [1, 0]]],
+    ids=["string", "string-points", "string-losses", "bool-loss"])
+def test_custom_boundary_takes_no_strings(boundary):
+    # each would iterate or float() into the absolute-loss polyline
+    with pytest.raises(TypeError, match="boundary"):
+        Game.custom(boundary)
+
+
+@pytest.mark.parametrize("boundary", [[[0, 1, 2]], [[0, 1], [1]]])
+def test_custom_boundary_points_are_pairs(boundary):
+    with pytest.raises(DomainError, match="pairs"):
+        Game.custom(boundary)
+
+
 def test_single_point_boundary():
     g = Game.custom([(0.2, 0.7)])
     assert g.loss(0, 0.0) == 0.2

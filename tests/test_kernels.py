@@ -216,18 +216,65 @@ def quad_form_mismatches(cases) -> list:
     return bad
 
 
-def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
-    # the bits agree when N is a multiple of 4 per BLAS thread, so check
-    # with one thread, as the benchmark runs, in a process of its own
-    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes]
-    code = ("import json, test_kernels as t; "
-            f"print(json.dumps(t.quad_form_mismatches({cases!r})))")
+def slab_reference(kernel, xs, w) -> float:
+    """quad_form's slab loop with an allocating kernel call per slab."""
+    n = len(xs)
+    width = 32 * max(1, 4096 // n)
+    v = np.empty(n)
+    for j in range(0, n, width):
+        k = min(j + width, n)
+        v[j:k] = w @ kernel(xs[:, None], xs[None, j:k])
+    return float(v @ w)
+
+
+def quad_form_at_benchmark_sizes(sizes) -> dict:
+    """Per (kernel, N): whether quad_form has the reference's bits, and the
+    peak of the memory numpy allocated during the quad_form call."""
+    import tracemalloc
+    out = {}
+    for name in ("sobolev", "gaussian", "linear"):
+        for n in sizes:
+            kernel, xs, w = quad_case(name, n)
+            ref = slab_reference(kernel, xs, w)
+            tracemalloc.start()
+            got = kernel.quad_form(xs, w)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            out[f"{name}-{n}"] = [got == ref, peak]
+    return out
+
+
+def run_single_threaded(expr: str):
+    """json of `expr` over this module as `t`, in a one-BLAS-thread process."""
+    code = f"import json, test_kernels as t; print(json.dumps({expr}))"
     paths = [str(Path(defcast.__file__).parents[1]), str(Path(__file__).parent)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def test_quad_form_has_the_slab_loop_bits_at_benchmark_sizes():
+    # N = 4000 and 6000 are benchmark horizons; 6001 ends on a 17-wide slab.
+    # The in-place slabs must not move a bit, and the pass stays O(N): one
+    # 32-column slab buffer (1.5 MB at N = 6001, where the Gram is 288 MB)
+    # plus O(1) per point, not a fresh slab for each step of the formula
+    sizes = [4000, 6001]
+    result = run_single_threaded(f"t.quad_form_at_benchmark_sizes({sizes})")
+    assert {case: same for case, (same, _) in result.items()} == {
+        f"{name}-{n}": True for name in ("sobolev", "gaussian", "linear")
+        for n in sizes}
+    for case, (_, peak) in result.items():
+        n = int(case.split("-")[1])
+        assert peak < 8 * 32 * n + 128 * n, case
+
+
+def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
+    # the bits agree when N is a multiple of 4 per BLAS thread, so check
+    # with one thread, as the benchmark runs, in a process of its own
+    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes]
+    assert run_single_threaded(f"t.quad_form_mismatches({cases!r})") == []
 
 
 @pytest.mark.parametrize("name", sorted(QUAD_KERNELS))
@@ -252,6 +299,36 @@ def test_quad_form_takes_opaque_points_and_empty_input():
     assert SOB.quad_form([], []) == 0.0
 
 
+BUILT_INS = {name: QUAD_KERNELS[name] for name in ("sobolev", "gaussian",
+                                                   "linear")}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_kernel_writes_into_out_with_the_allocating_bits(name):
+    # one buffer, reused as quad_form reuses it: a full 128-column slab of
+    # N = 1001, then a partial 9-column one over the full slab's leftovers
+    kernel, n = BUILT_INS[name], 1001
+    xs = np.random.default_rng(3).uniform(-2, 2, n)
+    buf = np.empty(n * 128)
+    for j, k in ((0, 128), (n - 9, n)):
+        view = buf[:n * (k - j)].reshape(n, k - j)
+        assert view.flags.c_contiguous
+        expect = kernel(xs[:, None], xs[None, j:k])
+        assert kernel(xs[:, None], xs[None, j:k], out=view) is view
+        assert np.array_equal(view, expect)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_diag_is_the_kernel_at_x_x(name):
+    kernel = BUILT_INS[name]
+    with np.errstate(over="ignore"):  # the linear kernel's (1e300)^2
+        for x in (0.0, -0.0, 1.0, -2.5, 1e300, -1e300):
+            d = kernel.diag(x)
+            assert d == float(kernel(x, x)) and isinstance(d, float), x
+            assert np.array_equal(kernel.diag(np.array([x, x])),
+                                  np.full(2, float(kernel(x, x))))
+
+
 def test_diags_match_pointwise_diagonal():
     xs = np.linspace(-2, 2, 9)
     for kernel in QUAD_KERNELS.values():
@@ -261,6 +338,27 @@ def test_diags_match_pointwise_diagonal():
 
 
 # -- serialization --------------------------------------------------------
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "gaussian", "width": "0.5"}, "width"),
+    ({"kind": "gaussian", "width": True}, "width"),
+    ({"kind": "linear", "offset": "1"}, "offset"),
+    ({"kind": "linear", "range": "2"}, "range"),
+])
+def test_kernel_document_takes_no_strings_for_numbers(doc, key):
+    with pytest.raises(TypeError, match=key):
+        Kernel.from_json(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"centers": "05", "weights": [1.0, 2.0]}, "centers"),
+    ({"centers": [0.0, 5.0], "weights": "12"}, "weights"),
+    ({"centers": ["0", "5"], "weights": [1.0, 2.0]}, "centers"),
+])
+def test_expansion_document_takes_no_strings_for_lists(doc, key):
+    with pytest.raises(TypeError, match=key):
+        KernelExpansion.from_json(doc, SOB)
+
 
 def test_from_json():
     assert Kernel.from_json({"kind": "sobolev"}).kind.value == "sobolev"
