@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify",
                             help="recompute certificates from a round log")
     p_cert.add_argument("--log", required=True, help="round log CSV path")
-    p_cert.add_argument("--game", default="square")
+    p_cert.add_argument("--game", required=True)
     p_cert.add_argument("--kernel", default="sobolev")
     p_cert.set_defaults(func=cmd_certify)
 

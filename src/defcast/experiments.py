@@ -50,7 +50,10 @@ class IidLogistic(UniformData):
 
     def outcome(self, seed, n, x, p):
         z = sum(w * x ** k for k, w in enumerate(self.weights))
-        prob = 1.0 / (1.0 + math.exp(-z))
+        try:
+            prob = 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:  # z < -709.78: the probability is below 6e-309
+            prob = 0.0
         return int(round_rng(seed, n, 1).random() < prob)
 
 
@@ -58,10 +61,10 @@ class Deterministic(UniformData):
     """y = 1{x > threshold}, flipped with probability noise_rate."""
 
     def __init__(self, threshold=0.0, noise_rate=0.0):
-        if not 0.0 <= noise_rate <= 0.5:
+        self.threshold = json_float("threshold", threshold)
+        self.noise_rate = json_float("noise_rate", noise_rate)
+        if not 0.0 <= self.noise_rate <= 0.5:
             raise ConfigError("noise_rate must be in [0, 1/2]")
-        self.threshold = float(threshold)
-        self.noise_rate = float(noise_rate)
 
     def outcome(self, seed, n, x, p):
         y = int(x > self.threshold)
@@ -189,30 +192,6 @@ def run_engine(config: ExperimentConfig) -> Engine:
     return engine
 
 
-def _regret_curve(engine: Engine, comparators) -> list[dict]:
-    n = engine.rounds
-    own = np.cumsum(engine.forecaster.column("loss"))
-    res = np.cumsum(np.abs(engine.forecaster.column("s_residual")))
-    comp_cums = [np.cumsum(engine.comparator_round_losses(c))
-                 for c in comparators]
-    curve = []
-    k = 1
-    while k <= n:
-        point = {"n": k, "own_loss": float(own[k - 1]), "comparators": []}
-        for c, cum in zip(comparators, comp_cums):
-            bound = engine.regret_bound(c, k)
-            slack = engine.root_slack(c, float(res[k - 1]))
-            point["comparators"].append({
-                "comparator_loss": float(cum[k - 1]),
-                "bound": bound,
-                "slack": slack,
-                "pass": float(own[k - 1]) <= float(cum[k - 1]) + bound + slack,
-            })
-        curve.append(point)
-        k *= 2
-    return curve
-
-
 def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
     """Run the experiment and write the CSV/JSON artifacts."""
     out = Path(out_dir)
@@ -220,7 +199,7 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
     engine = run_engine(config)
     report = engine.regret_report(config.comparators)
     report["seed"] = config.seed
-    report["regret_curve"] = _regret_curve(engine, config.comparators)
+    report["regret_curve"] = engine.regret_curve(config.comparators)
 
     log_path = out / "round_log.csv"
     log_path.write_text("\n".join(engine.round_log_rows()) + "\n")

@@ -67,6 +67,12 @@ _COLUMNS = {"x": None, "p": float, "q": float, "y": int, "e": float,
             "s_residual": float, "branch": object}
 
 
+def running_totals(values) -> np.ndarray:
+    """Totals after 0, 1, ..., len(values) rounds, added left to right in
+    round order as a running sum (sum() compensates since Python 3.12)."""
+    return np.concatenate(([0.0], values)).cumsum()
+
+
 def check_datum(x) -> None:
     """Real data must be finite (of the reals, only floats can fail this);
     custom kernels' points are opaque."""
@@ -102,9 +108,6 @@ class Forecaster:
                       for name, dtype in _COLUMNS.items()}
         self._n = 0
         self.agg_a = 0.0  # running sum of e_i * (y_i - p_i)
-        # sum of |s_residual_i| added in round order, which is what sum()
-        # did before Python 3.12 started compensating its float sums
-        self._residual_total = 0.0
         # delta -> (grid, e_hi, e_lo, a) of the stage-1 scan
         self._scans: dict[float, tuple] = {}
 
@@ -114,7 +117,8 @@ class Forecaster:
 
     @property
     def residual_total(self) -> float:
-        return self._residual_total
+        """sum_i |s_residual_i|, added in round order."""
+        return float(running_totals(np.abs(self.column("s_residual")))[-1])
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one history column over the rounds so far."""
@@ -125,8 +129,6 @@ class Forecaster:
     # -- kernel sums ------------------------------------------------------
 
     def _kernel_row(self, x) -> np.ndarray:
-        if not self._n:
-            return np.zeros(0)
         xs = self._cols["x"][:self._n]
         if self.kernel.kind is KernelKind.CUSTOM:
             return np.array([float(self.kernel(x, xi)) for xi in xs])
@@ -145,12 +147,9 @@ class Forecaster:
         e = d.exposure
         kxx = float(self.kernel.diag(x))
         total = 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
-        if self._n:
-            resid = self._cols["residual"][:self._n]
-            es = self._cols["e"][:self._n]
-            terms = (e * es + self._kernel_row(x)) * resid
-            total += float(terms.sum())
-        return total
+        resid = self._cols["residual"][:self._n]
+        terms = (e * self._cols["e"][:self._n] + self._kernel_row(x)) * resid
+        return total + float(terms.sum())
 
     # -- root finding -----------------------------------------------------
 
@@ -360,8 +359,8 @@ class Forecaster:
 
     def update(self, x, forecast: Forecast, y: int,
                s_residual: float = 0.0, branch: Branch = Branch.ROOT,
-               decision: Decision | None = None) -> float:
-        """Append a completed round to the history; return its loss."""
+               decision: Decision | None = None) -> None:
+        """Append a completed round to the history."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
         check_datum(x)
@@ -370,7 +369,6 @@ class Forecaster:
         y = int(y)
         e = d.exposure
         resid = float(y) - forecast.p
-        loss = d.loss1 if y else d.loss0
         n = self._n
         if n == len(self._cols["p"]):  # full: double every column
             self._cols = {name: np.concatenate([col, np.empty_like(col)])
@@ -383,13 +381,11 @@ class Forecaster:
         cols["e"][n] = e
         cols["residual"][n] = resid
         cols["gamma"][n] = d.gamma
-        cols["loss"][n] = loss
+        cols["loss"][n] = d.loss1 if y else d.loss0
         cols["s_residual"][n] = s_residual
         cols["branch"][n] = branch
         self._n = n + 1
         self.agg_a += e * resid
-        self._residual_total += abs(float(s_residual))
-        return loss
 
     # -- certificates -----------------------------------------------------
 
@@ -407,8 +403,6 @@ class Forecaster:
         Its kernel part is one Kernel.quad_form pass: O(N) memory, the
         Gram's bits (README: why not a running sum in update).
         """
-        if not self._n:
-            return 0.0, 0.0
         resid = self._cols["residual"][:self._n]
         es = self._cols["e"][:self._n]
         lhs = float(es @ resid) ** 2 + self.kernel.quad_form(
@@ -418,7 +412,7 @@ class Forecaster:
     def large_numbers_certificate(self) -> dict:
         """k29_certificate's verdict, with slack 2*sum|s_residual|."""
         lhs, rhs = self.k29_certificate()
-        slack = 2.0 * self._residual_total
+        slack = 2.0 * self.residual_total
         return {"lhs": lhs, "rhs": rhs, "slack": slack,
                 "pass": lhs <= rhs + slack}
 
@@ -427,8 +421,6 @@ class Forecaster:
         """Resolution certificate for f; fx, if given, lists f(x_i)."""
         if f.kernel != self.kernel:
             raise DomainError("expansion uses a different kernel")
-        if not self._n:
-            return 0.0, 0.0
         if fx is None:
             fx = [float(f(xi)) for xi in self._cols["x"][:self._n].tolist()]
         lhs = abs(float(self._cols["residual"][:self._n] @ np.array(fx)))

@@ -8,14 +8,13 @@ selecting a point within the optimal face when it is not a singleton.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from defcast.kernels import check_keys, json_float
+from defcast.kernels import check_keys, json_doc, json_float
 
 # Log-loss decisions are clamped at evaluation time so losses stay finite
 # in floating point; the decision set (0, 1) is open.
@@ -111,11 +110,7 @@ class Game:
     def from_json(doc) -> "Game":
         """Build a game from a JSON document, a parsed object or a name;
         a custom game needs its boundary."""
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError:
-                pass  # a bare name
+        doc = json_doc(doc)
         if isinstance(doc, dict):
             if doc.get("kind") == "custom":
                 check_keys(doc, "kind", "boundary")

@@ -36,10 +36,20 @@ def check_keys(doc, *keys: str) -> None:
         raise TypeError(f"{what} takes no key(s) {', '.join(unknown)}")
 
 
+def json_doc(doc):
+    """A document given parsed or as JSON text; other text is a bare name."""
+    try:
+        return json.loads(doc) if isinstance(doc, str) else doc
+    except json.JSONDecodeError:
+        return doc
+
+
 def json_float(key: str, value) -> float:
-    """A number in field `key`; float() would also take a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{key}: a number expected, got {value!r}")
+    """A finite number in field `key`; float() would also take a string or
+    a bool, and json.load reads NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise TypeError(f"{key}: a finite number expected, got {value!r}")
     return float(value)
 
 
@@ -87,11 +97,9 @@ class Kernel:
     @staticmethod
     def from_json(doc) -> "Kernel":
         """Build a kernel from a JSON document, a parsed object or a name."""
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError:
-                doc = {"kind": doc}  # a bare name
+        doc = json_doc(doc)
+        if isinstance(doc, str):  # a name, bare or a JSON string
+            doc = {"kind": doc}
         kind = doc["kind"]
         if kind == "sobolev":
             check_keys(doc, "kind")

@@ -1,20 +1,20 @@
 """The online decision loop: datum -> decision -> observation.
 
 The engine wraps a forecaster, converts forecasts to decisions through the
-game's canonical choice function, tracks cumulative loss, and evaluates
-benchmark decision rules given as kernel expansions of their exposure.
+game's canonical choice function, and evaluates benchmark decision rules
+given as kernel expansions of their exposure; it keeps no totals of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from defcast.forecaster import Forecaster, RootReport, check_datum
+from defcast.forecaster import (Forecaster, RootReport, check_datum,
+                                running_totals)
 from defcast.games import Decision, DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion
 
@@ -79,7 +79,6 @@ class Engine:
         self.game = game
         self.kernel = kernel
         self.forecaster = Forecaster(game, kernel)
-        self.cumulative_loss = 0.0
         self.round_log = RoundLog(self.forecaster)
         self._pending: tuple[object, RootReport, Decision] | None = None
         # id(c) -> (c, exposures, losses); holding c keeps its id unique
@@ -88,6 +87,10 @@ class Engine:
     @property
     def rounds(self) -> int:
         return self.forecaster.round
+
+    @property
+    def cumulative_loss(self) -> float:
+        return float(running_totals(self.forecaster.column("loss"))[-1])
 
     @property
     def pending_forecast(self) -> Forecast | None:
@@ -109,7 +112,7 @@ class Engine:
             raise UsageError("observe called without a pending decision")
         x, report, decision = self._pending
         # update checks y, then stores the round: a bad y leaves it pending
-        self.cumulative_loss += self.forecaster.update(
+        self.forecaster.update(
             x, report.forecast, y, s_residual=report.s_residual,
             branch=report.branch, decision=decision)
         self._pending = None
@@ -137,10 +140,8 @@ class Engine:
         return list(self._comparator_rounds(c)[1])
 
     def comparator_loss(self, c: Comparator) -> float:
-        """Replay the log under the benchmark rule, adding left to right as
-        the regret curve's np.cumsum does (sum() compensates since 3.12)."""
-        return functools.reduce(operator.add, self._comparator_rounds(c)[1],
-                                0.0)
+        """Total loss of the log replayed under the benchmark rule."""
+        return float(running_totals(self._comparator_rounds(c)[1])[-1])
 
     @functools.cached_property
     def clambda(self) -> float:
@@ -154,40 +155,50 @@ class Engine:
             return 0.0
         return self.clambda * (c.norm + 1.0) * math.sqrt(n)
 
-    def root_slack(self, c: Comparator, residual: float | None = None) -> float:
-        # inexact roots perturb the capital bookkeeping by at most the
-        # accumulated residual (default: the whole run's), scaled by the
-        # comparator's norm
-        if residual is None:
-            residual = self.forecaster.residual_total
-        return 2.0 * residual * (1.0 + c.norm)
+    def _regret_at(self, comparators: Sequence[Comparator], ks):
+        """For each k in ks, (own loss, rows) after k rounds, with one row
+        (comparator loss, bound, slack, pass) per comparator: the regret
+        inequality, over running totals of the history."""
+        own = running_totals(self.forecaster.column("loss")).tolist()
+        residual = running_totals(
+            abs(self.forecaster.column("s_residual"))).tolist()
+        closses = [running_totals(self._comparator_rounds(c)[1]).tolist()
+                   for c in comparators]
+        for k in ks:
+            rows = []
+            for c, closs in zip(comparators, closses):
+                bound = self.regret_bound(c, k)
+                # inexact roots perturb the capital bookkeeping by at most
+                # the accumulated residual, scaled by the comparator's norm
+                slack = 2.0 * residual[k] * (1.0 + c.norm)
+                rows.append((closs[k], bound, slack,
+                             own[k] <= closs[k] + bound + slack))
+            yield own[k], rows
 
     def regret_report(self, comparators: Sequence[Comparator]) -> dict:
         """Per-comparator regret rows plus both run certificates."""
         cert = self.forecaster.large_numbers_certificate()
         cert_slack = cert["slack"]
+        own, rows = next(self._regret_at(comparators, [self.rounds]))
         report = {
             "rounds": self.rounds,
-            "cumulative_loss": self.cumulative_loss,
+            "cumulative_loss": own,
             "residual_total": self.forecaster.residual_total,
             "large_numbers_certificate": cert,
             "comparators": [],
         }
-        for c in comparators:
-            closs = self.comparator_loss(c)
-            bound = self.regret_bound(c)
-            slack = self.root_slack(c)
+        for c, (closs, bound, slack, ok) in zip(comparators, rows):
             res_lhs, res_bound = self.forecaster.resolution_certificate(
                 c.exposure_fn, self._comparator_rounds(c)[0])
             res_slack = c.norm * math.sqrt(cert_slack) if cert_slack > 0 else 0.0
             report["comparators"].append({
                 "norm": c.norm,
-                "own_loss": self.cumulative_loss,
+                "own_loss": own,
                 "comparator_loss": closs,
-                "realized_regret": self.cumulative_loss - closs,
+                "realized_regret": own - closs,
                 "bound": bound,
                 "slack": slack,
-                "pass": self.cumulative_loss <= closs + bound + slack,
+                "pass": ok,
                 "resolution": {
                     "lhs": res_lhs,
                     "bound": res_bound,
@@ -196,6 +207,14 @@ class Engine:
                 },
             })
         return report
+
+    def regret_curve(self, comparators: Sequence[Comparator]) -> list[dict]:
+        """The regret rows after 1, 2, 4, ... rounds, up to the run's."""
+        ks = [2 ** i for i in range(self.rounds.bit_length())]
+        return [{"n": k, "own_loss": own, "comparators": [
+            {"comparator_loss": closs, "bound": bound, "slack": slack,
+             "pass": ok} for closs, bound, slack, ok in rows]}
+            for k, (own, rows) in zip(ks, self._regret_at(comparators, ks))]
 
     # -- export -----------------------------------------------------------
 

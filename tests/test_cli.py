@@ -101,6 +101,15 @@ def test_constants_takes_a_linear_kernel_with_a_range(capsys):
     assert c_f == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
+def test_kernel_named_by_a_json_string(capsys):
+    assert main(["constants", "--game", "square",
+                 "--kernel", '"sobolev"']) == 0
+    assert main(["constants", "--game", "square",
+                 "--kernel", '"triangular"']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "triangular" in err
+
+
 def test_bad_kernel_name_exits_two(capsys):
     assert main(["constants", "--game", "square",
                  "--kernel", "triangular"]) == 2
@@ -160,8 +169,22 @@ CUSTOM = {"kind": "custom", "boundary": [[0, 1], [1, 0]]}
     (dict(ADVERSARIAL, kernel={"kind": "gaussian", "width": "0.5"}), "width"),
     (dict(ADVERSARIAL, kernel={"kind": "linear", "offset": "1"}), "offset"),
     (dict(ADVERSARIAL, kernel={"kind": "linear", "range": "2"}), "range"),
+    (dict(ADVERSARIAL, kernel={"kind": "gaussian", "width": math.nan}),
+     "width"),
+    (dict(ADVERSARIAL, game=dict(CUSTOM, boundary=[[0, math.inf], [1, 0]])),
+     "boundary"),
+    (dict(ADVERSARIAL, comparators=[{"centers": [0], "weights": [math.nan]}]),
+     "weights"),
+    (dict(ADVERSARIAL, generator={"kind": "deterministic",
+                                  "threshold": "0.3"}), "threshold"),
+    (dict(ADVERSARIAL, generator={"kind": "deterministic",
+                                  "threshold": True}), "threshold"),
+    (dict(ADVERSARIAL, generator={"kind": "deterministic",
+                                  "noise_rate": "0.1"}), "noise_rate"),
 ], ids=["centers", "weights", "boundary-points", "boundary",
-        "generator-weights", "width", "offset", "range"])
+        "generator-weights", "width", "offset", "range", "nan-width",
+        "infinite-boundary", "nan-weights", "string-threshold",
+        "bool-threshold", "string-noise-rate"])
 def test_string_for_a_list_or_number_exits_two(tmp_path, capsys, doc, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -176,6 +199,9 @@ def test_string_for_a_list_or_number_exits_two(tmp_path, capsys, doc, key):
 @pytest.mark.parametrize("flag, doc, key", [
     ("--kernel", '{"kind": "gaussian", "width": "0.5"}', "width"),
     ("--game", '{"kind": "custom", "boundary": ["01", "10"]}', "boundary"),
+    ("--kernel", '{"kind": "gaussian", "width": NaN}', "width"),
+    ("--game", '{"kind": "custom", "boundary": [[0, Infinity], [1, 0]]}',
+     "boundary"),
 ])
 def test_string_for_a_list_or_number_in_a_flag_exits_two(capsys, flag, doc,
                                                           key):
@@ -215,7 +241,7 @@ def test_bad_config_exits_two(tmp_path, capsys):
 def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
     log = tmp_path / "round_log.csv"
     log.write_text(content)
-    assert main(["certify", "--log", str(log)]) == 2
+    assert main(["certify", "--log", str(log), "--game", "square"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -242,7 +268,7 @@ def write_log_with_bad_row(tmp_path, name):
 @pytest.mark.parametrize("name", list(BAD_ROWS))
 def test_certify_bad_row_exits_two(tmp_path, capsys, name):
     log = write_log_with_bad_row(tmp_path, name)
-    assert main(["certify", "--log", str(log)]) == 2
+    assert main(["certify", "--log", str(log), "--game", "square"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "round_log.csv:3: bad row" in err
@@ -261,6 +287,15 @@ def test_replay_bad_row_exits_two(tmp_path, capsys, name):
     assert "round_log.csv:3: bad row" in err
 
 
+def test_certify_requires_the_game(tmp_path):
+    # a log-loss run's log read as square loss would fail its certificate
+    log = write_log_with_bad_row(tmp_path, "y-2")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--log", str(log)])
+    assert exc.value.code == 2
+
+
 def test_certify_missing_log_exits_two(tmp_path, capsys):
-    assert main(["certify", "--log", str(tmp_path / "absent.csv")]) == 2
+    assert main(["certify", "--log", str(tmp_path / "absent.csv"),
+                 "--game", "square"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -51,6 +51,13 @@ def test_deterministic_generator():
         Deterministic(noise_rate=0.6)
 
 
+def test_iid_logistic_probability_underflows_to_zero():
+    # z = -800: exp(800) overflows a float, and the probability is below
+    # 6e-309, so every outcome is 0
+    gen = IidLogistic([-800.0])
+    assert [gen.outcome(7, n, 0.5, 0.5) for n in range(1, 20)] == [0] * 19
+
+
 def test_adversarial_generator():
     gen = AdversarialAntiForecast()
     assert gen.outcome(0, 1, 0.0, 0.3) == 1

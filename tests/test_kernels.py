@@ -344,6 +344,9 @@ def test_diags_match_pointwise_diagonal():
     ({"kind": "gaussian", "width": True}, "width"),
     ({"kind": "linear", "offset": "1"}, "offset"),
     ({"kind": "linear", "range": "2"}, "range"),
+    ({"kind": "gaussian", "width": math.nan}, "width"),
+    ({"kind": "linear", "offset": -math.inf}, "offset"),
+    ({"kind": "linear", "range": math.inf}, "range"),
 ])
 def test_kernel_document_takes_no_strings_for_numbers(doc, key):
     with pytest.raises(TypeError, match=key):
@@ -358,6 +361,12 @@ def test_kernel_document_takes_no_strings_for_numbers(doc, key):
 def test_expansion_document_takes_no_strings_for_lists(doc, key):
     with pytest.raises(TypeError, match=key):
         KernelExpansion.from_json(doc, SOB)
+
+
+@pytest.mark.parametrize("doc", ["sobolev", '"sobolev"', '{"kind": "sobolev"}',
+                                 {"kind": "sobolev"}])
+def test_a_name_bare_or_a_json_string_names_a_kernel(doc):
+    assert Kernel.from_json(doc) == Kernel.sobolev()
 
 
 def test_from_json():

@@ -209,7 +209,7 @@ def test_canonical_choice_runs_once_per_round(monkeypatch):
         replay.forecaster.update(r.x, Forecast(r.p, r.q), r.y,
                                  s_residual=r.s_residual, branch=r.branch)
     assert replay.round_log_rows() == engine.round_log_rows()
-    assert replay.cumulative_loss == 0.0  # update alone adds no loss
+    assert replay.cumulative_loss == engine.cumulative_loss
 
 
 # -- regret bound ---------------------------------------------------------
@@ -268,6 +268,35 @@ def test_regret_inequality_random_comparators():
             c = Comparator.build(f)
             row = engine.regret_report([c])["comparators"][0]
             assert row["pass"], row
+
+
+def in_round_order(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_curve_and_report_rows_read_one_record():
+    engine = run_engine_random(Game.square(), 64, seed=31)
+    comparators = [ZERO, Comparator.build(
+        KernelExpansion.build([-0.5, 0.5], [0.6, -0.6], SOB))]
+    report = engine.regret_report(comparators)
+    curve = engine.regret_curve(comparators)
+    assert [pt["n"] for pt in curve] == [1, 2, 4, 8, 16, 32, 64]
+    last = curve[-1]
+    for row, point_row in zip(report["comparators"], last["comparators"]):
+        assert row["own_loss"] == last["own_loss"]
+        for key in ("comparator_loss", "bound", "slack", "pass"):
+            assert row[key] == point_row[key], key
+    fc = engine.forecaster
+    assert engine.cumulative_loss == in_round_order(
+        fc.column("loss").tolist())
+    assert fc.residual_total == in_round_order(
+        abs(r) for r in fc.column("s_residual").tolist())
+    for c in comparators:
+        assert engine.comparator_loss(c) == in_round_order(
+            engine.comparator_round_losses(c))
 
 
 # -- per-round identities -------------------------------------------------
