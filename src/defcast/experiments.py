@@ -8,7 +8,6 @@ regret curve sampled at powers of two.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from contextlib import contextmanager
@@ -19,7 +18,8 @@ import numpy as np
 
 from defcast.forecaster import Branch, Forecaster
 from defcast.games import DomainError, Forecast, Game
-from defcast.kernels import Kernel, KernelExpansion, check_keys, json_float
+from defcast.kernels import (Kernel, KernelExpansion, check_keys, from_doc,
+                             json_float)
 from defcast.protocol import Comparator, Engine
 
 
@@ -99,15 +99,10 @@ class Replay:
 
 
 def generator_from_json(doc):
-    """A data generator from its document: "kind" names the class, and the
-    class's constructor arguments are the other keys the document takes."""
-    classes = {"iid_logistic": IidLogistic, "deterministic": Deterministic,
-               "adversarial": AdversarialAntiForecast, "replay": Replay}
-    kind = doc["kind"]
-    if kind not in classes:
-        raise ConfigError(f"unknown generator {kind!r}")
-    check_keys(doc, "kind", *inspect.signature(classes[kind]).parameters)
-    return classes[kind](**{k: v for k, v in doc.items() if k != "kind"})
+    """A data generator from a JSON document, a parsed object or a name."""
+    return from_doc(doc, "generator", ConfigError, {
+        "iid_logistic": IidLogistic, "deterministic": Deterministic,
+        "adversarial": AdversarialAntiForecast, "replay": Replay})
 
 
 # -- config ---------------------------------------------------------------
@@ -137,6 +132,8 @@ class ExperimentConfig:
             if type(value) is not int or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, "
                                   f"got {value!r}")
+        if self.comparators and math.isinf(self.kernel.c_f()):
+            raise ConfigError("comparators need a kernel range (C_F is inf)")
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":

@@ -73,11 +73,15 @@ def running_totals(values) -> np.ndarray:
     return np.concatenate(([0.0], values)).cumsum()
 
 
-def check_datum(x) -> None:
-    """Real data must be finite (of the reals, only floats can fail this);
-    custom kernels' points are opaque."""
-    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
-        raise DomainError(f"datum must be finite, got {x}")
+def check_datum(x, data_range) -> None:
+    """Real data must be finite and inside the kernel's declared range, if
+    any (only floats can fail this); custom kernels' points are opaque."""
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise DomainError(f"datum must be finite, got {x}")
+        if data_range is not None and abs(x) > data_range:
+            raise DomainError(f"datum {x} outside the kernel's range "
+                              f"|x| <= {data_range}")
 
 
 class RootFinderError(RuntimeError):
@@ -363,7 +367,7 @@ class Forecaster:
         """Append a completed round to the history."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
-        check_datum(x)
+        check_datum(x, self.kernel.data_range)
         # decision, when the caller has it, is the canonical choice at forecast
         d = decision or self.game.canonical_choice(forecast)
         y = int(y)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from defcast.kernels import check_keys, json_doc, json_float
+from defcast.kernels import from_doc, json_float
 
 # Log-loss decisions are clamped at evaluation time so losses stay finite
 # in floating point; the decision set (0, 1) is open.
@@ -108,20 +108,10 @@ class Game:
 
     @staticmethod
     def from_json(doc) -> "Game":
-        """Build a game from a JSON document, a parsed object or a name;
-        a custom game needs its boundary."""
-        doc = json_doc(doc)
-        if isinstance(doc, dict):
-            if doc.get("kind") == "custom":
-                check_keys(doc, "kind", "boundary")
-                return Game.custom(doc["boundary"])
-            check_keys(doc, "kind")
-            doc = doc["kind"]
-        try:
-            return {"square": Game.square, "absolute": Game.absolute,
-                    "log": Game.log}[doc]()
-        except (KeyError, TypeError):
-            raise DomainError(f"unknown game {doc!r}") from None
+        """Build a game from a JSON document, a parsed object or a name."""
+        return from_doc(doc, "game", DomainError, {
+            "square": Game.square, "absolute": Game.absolute, "log": Game.log,
+            "custom": Game.custom})
 
     @property
     def stripped(self) -> bool:

@@ -7,6 +7,7 @@ through kernel sums only; feature maps are never materialized.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -32,16 +33,7 @@ def check_keys(doc, *keys: str) -> None:
         raise TypeError(f"a JSON object expected, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        what = f"kind {doc['kind']!r}" if "kind" in doc else "this document"
-        raise TypeError(f"{what} takes no key(s) {', '.join(unknown)}")
-
-
-def json_doc(doc):
-    """A document given parsed or as JSON text; other text is a bare name."""
-    try:
-        return json.loads(doc) if isinstance(doc, str) else doc
-    except json.JSONDecodeError:
-        return doc
+        raise TypeError(f"this document takes no key(s) {', '.join(unknown)}")
 
 
 def json_float(key: str, value) -> float:
@@ -51,6 +43,30 @@ def json_float(key: str, value) -> float:
             or not math.isfinite(value):
         raise TypeError(f"{key}: a finite number expected, got {value!r}")
     return float(value)
+
+
+def from_doc(doc, what: str, error: type, kinds: dict):
+    """Build the `what` a document names: JSON text, a parsed object or a
+    bare name.  Its "kind" picks a constructor from `kinds`, and its other
+    keys are that constructor's arguments, bound to its signature as a call
+    binds keywords: an unknown or missing key is an `error` naming it."""
+    try:  # JSON text; other text is a bare name
+        doc = json.loads(doc) if isinstance(doc, str) else doc
+    except json.JSONDecodeError:
+        pass
+    if isinstance(doc, str):  # a name, bare or a JSON string
+        doc = {"kind": doc}
+    if not isinstance(doc, dict):
+        raise error(f"{what}: a JSON object expected, got {type(doc).__name__}")
+    args = dict(doc)
+    kind = args.pop("kind", None)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise error(f"unknown {what} kind {kind!r}")
+    try:
+        inspect.signature(kinds[kind]).bind(**args)
+    except TypeError as exc:
+        raise error(f"{what} {kind!r}: {exc}") from None
+    return kinds[kind](**args)
 
 
 class KernelKind(Enum):
@@ -64,13 +80,13 @@ class KernelKind(Enum):
 class Kernel:
     """Symmetric positive-definite function on the data space.
 
-    `data_range` declares a compact |x| <= r on which the diagonal sup is
-    taken for kernels whose diagonal is unbounded on the whole line.
+    `data_range`, a document's `range`, declares that data lie in |x| <= r,
+    where a kernel with a diagonal unbounded on the line takes its sup.
     """
 
     kind: KernelKind
-    width: float = 1.0
-    offset: float = 0.0
+    width: float | None = None
+    offset: float | None = None
     func: Callable | None = None
     data_range: float | None = None
 
@@ -79,16 +95,23 @@ class Kernel:
         return Kernel(KernelKind.SOBOLEV)
 
     @staticmethod
-    def gaussian(width: float) -> "Kernel":
+    def gaussian(width: float = 1.0) -> "Kernel":
+        width = json_float("width", width)
         if width <= 0:
             raise KernelError("gaussian width must be positive")
         return Kernel(KernelKind.GAUSSIAN, width=width)
 
     @staticmethod
-    def linear(offset: float = 0.0, data_range: float | None = None) -> "Kernel":
+    def linear(offset: float = 0.0, range: float | None = None) -> "Kernel":
+        offset = json_float("offset", offset)
         if offset < 0:
             raise KernelError("linear offset must be nonnegative")
-        return Kernel(KernelKind.LINEAR, offset=offset, data_range=data_range)
+        if range is not None:
+            range = json_float("range", range)
+            if not (range > 0 and math.isfinite(range * range)):
+                raise KernelError(f"range must be > 0 with a finite square, "
+                                  f"got {range!r}")
+        return Kernel(KernelKind.LINEAR, offset=offset, data_range=range)
 
     @staticmethod
     def custom(func: Callable, data_range: float | None = None) -> "Kernel":
@@ -97,23 +120,9 @@ class Kernel:
     @staticmethod
     def from_json(doc) -> "Kernel":
         """Build a kernel from a JSON document, a parsed object or a name."""
-        doc = json_doc(doc)
-        if isinstance(doc, str):  # a name, bare or a JSON string
-            doc = {"kind": doc}
-        kind = doc["kind"]
-        if kind == "sobolev":
-            check_keys(doc, "kind")
-            return Kernel.sobolev()
-        if kind == "gaussian":
-            check_keys(doc, "kind", "width")
-            return Kernel.gaussian(json_float("width", doc.get("width", 1.0)))
-        if kind == "linear":
-            check_keys(doc, "kind", "offset", "range")
-            rng = doc.get("range")
-            return Kernel.linear(
-                json_float("offset", doc.get("offset", 0.0)),
-                None if rng is None else json_float("range", rng))
-        raise KernelError(f"unknown kernel {kind!r}")
+        return from_doc(doc, "kernel", KernelError, {
+            "sobolev": Kernel.sobolev, "gaussian": Kernel.gaussian,
+            "linear": Kernel.linear})
 
     # -- evaluation -------------------------------------------------------
 
@@ -154,14 +163,14 @@ class Kernel:
         if self.data_range is None:
             return math.inf  # unbounded diagonal, no declared compact range
         r = float(self.data_range)
-        grid = np.linspace(-r, r, 10_000)
+        if self.kind is KernelKind.LINEAR:  # the diagonal x^2 + offset
+            return math.sqrt(r * r + self.offset)
+        grid = np.linspace(-r, r, 10_000)  # custom: a grid search, refined
         diag = self.diags(grid)
         best = int(np.argmax(diag))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        fine = np.linspace(lo, hi, 1_000)
-        vals = self.diags(fine)
-        return math.sqrt(max(float(diag[best]), float(vals.max())))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        fine = self.diags(np.linspace(lo, hi, 1_000))
+        return math.sqrt(max(float(diag[best]), float(fine.max())))
 
     def gram(self, points) -> np.ndarray:
         """Gram matrix of a nonempty point list."""

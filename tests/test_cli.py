@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import defcast
 from defcast.cli import main
 
 
@@ -139,11 +145,17 @@ ADVERSARIAL = {"game": "square", "generator": {"kind": "adversarial"},
     (dict(ADVERSARIAL, seed="7"), "seed"),
     (dict(ADVERSARIAL, seed=True), "seed"),
     (dict(ADVERSARIAL, seed=-1), "seed"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear", "range": 1e308}), "range"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear", "range": -1}), "range"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear"},
+          comparators=[{"centers": [0.0], "weights": [0.5]}]), "range"),
+    (dict(ADVERSARIAL, kernel={"kind": "linear", "range": 0.5}), "range"),
 ], ids=["no-game", "no-horizon", "generator-without-kind", "list",
         "stale-epsilon-root", "typo-seeds", "kernel-typo-widht",
         "generator-typo-weight", "square-with-boundary",
         "comparator-extra-norm", "float-horizon", "string-seed", "bool-seed",
-        "negative-seed"])
+        "negative-seed", "range-square-overflows", "negative-range",
+        "comparators-without-range", "data-outside-range"])
 def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -210,6 +222,77 @@ def test_string_for_a_list_or_number_in_a_flag_exits_two(capsys, flag, doc,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert key in err
+
+
+@pytest.mark.parametrize("field, doc, key", [
+    ("game", [1], "game: a JSON object expected, got list"),
+    ("kernel", [1], "kernel: a JSON object expected, got list"),
+    ("generator", [1], "generator: a JSON object expected, got list"),
+    ("game", 7, "game: a JSON object expected, got int"),
+    ("kernel", 0.5, "kernel: a JSON object expected, got float"),
+    ("generator", 3, "generator: a JSON object expected, got int"),
+    ("game", "huber", "unknown game kind 'huber'"),
+    ("kernel", {"kind": "polynomial"}, "unknown kernel kind 'polynomial'"),
+    ("generator", {"kind": "markov"}, "unknown generator kind 'markov'"),
+    ("game", {"kind": "log", "base": 2}, "'base'"),
+    ("kernel", {"kind": "sobolev", "width": 1.0}, "'width'"),
+    ("generator", {"kind": "adversarial", "noise_rate": 0.1}, "'noise_rate'"),
+    ("game", {"kind": "custom"}, "missing a required argument: 'boundary'"),
+    ("generator", {"kind": "replay"}, "missing a required argument: 'path'"),
+], ids=["game-list", "kernel-list", "generator-list", "game-number",
+        "kernel-number", "generator-number", "unknown-game",
+        "unknown-kernel", "unknown-generator", "game-unknown-key",
+        "kernel-unknown-key", "generator-unknown-key", "custom-no-boundary",
+        "replay-no-path"])
+def test_document_errors_exit_two(tmp_path, capsys, field, doc, key):
+    # games, kernels and generators are built by one reader of documents
+    config = write_config(tmp_path, **{field: doc})
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, doc, key", [
+    ("--game", "[1]", "game: a JSON object expected, got list"),
+    ("--kernel", "[1]", "kernel: a JSON object expected, got list"),
+    ("--game", "7", "got int"),
+    ("--game", '{"kind": "custom"}', "'boundary'"),
+    ("--kernel", '{"kind": "linear", "range": 1e308}', "range"),
+    ("--kernel", '{"kind": "linear", "range": -1}', "range"),
+    ("--kernel", '{"kind": "linear", "range": 0}', "range"),
+], ids=["game-list", "kernel-list", "game-number", "custom-no-boundary",
+        "range-square-overflows", "negative-range", "zero-range"])
+def test_document_errors_in_a_flag_exit_two(capsys, flag, doc, key):
+    argv = {"--game": "square", "--kernel": "sobolev", flag: doc}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        assert main(["constants", *(a for kv in argv.items() for a in kv)]) \
+            == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+
+
+def run_module(*args):
+    """`python -m defcast` with `args`, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(defcast.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "defcast", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point():
+    out = run_module("constants", "--game", "square")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"C_F = {1 / math.sqrt(2)!r}",
+                                       "C_lambda_F = 0.375"]
+    out = run_module("constants", "--game", "square", "--kernel",
+                     '{"kind": "linear", "range": 1e308}')
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "range" in out.stderr
+    assert out.stderr.count("\n") == 1
 
 
 def test_game_document_without_kind_exits_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment configs, data generators, artifacts, and log certification."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,11 @@ def test_generator_from_json():
     assert gen.weights == (1.0,)
     with pytest.raises(ConfigError):
         generator_from_json({"kind": "markov"})
+    # a name, bare or a JSON string, as for games and kernels
+    assert isinstance(generator_from_json('"adversarial"'),
+                      AdversarialAntiForecast)
+    with pytest.raises(ConfigError, match="path"):
+        generator_from_json("replay")
 
 
 @pytest.mark.parametrize("weights", ["12", ["1", "2"], [1.0, None]])
@@ -140,6 +146,18 @@ def test_config_from_json(tmp_path):
 def test_config_rejects_zero_horizon():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(config_doc(horizon=0))
+
+
+def test_comparators_need_a_kernel_with_a_range():
+    # a linear kernel without a range has C_F = inf: no regret bound
+    doc = config_doc(kernel={"kind": "linear"})
+    with pytest.raises(ConfigError, match="range"):
+        ExperimentConfig.from_json(doc)
+    assert ExperimentConfig.from_json(dict(doc, comparators=[])).kernel.c_f() \
+        == math.inf
+    config = ExperimentConfig.from_json(
+        dict(doc, kernel={"kind": "linear", "range": 1.0}))
+    assert config.kernel.c_f() == 1.0
 
 
 # -- running --------------------------------------------------------------

@@ -475,6 +475,11 @@ def test_single_point_boundary():
     assert g.exposure(0.0) == pytest.approx(0.5, abs=1e-12)
     d = g.canonical_choice(Forecast(0.3, 0.5))
     assert (d.loss0, d.loss1) == (0.2, 0.7)
+    # its one exposure inverts to its one decision, t = 0
+    assert g.decision_from_exposure(g.exposure(0.0)) == 0.0
+    assert g.decision_from_exposure(g.exposure(0.0) + 1e-13) == 0.0
+    with pytest.raises(DomainError):
+        g.decision_from_exposure(0.0)
 
 
 def test_from_name_and_from_json():
@@ -486,7 +491,7 @@ def test_from_name_and_from_json():
     assert g.boundary == ((0.0, 1.0), (1.0, 0.0))
     with pytest.raises(DomainError):
         Game.from_json("huber")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="boundary"):
         Game.from_json("custom")  # needs an explicit boundary
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,12 @@ def test_custom_kernel_eval():
 def test_c_f_values():
     assert SOB.c_f() == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
     assert Kernel.gaussian(0.1).c_f() == 1.0
-    assert Kernel.linear(data_range=2.0).c_f() == pytest.approx(2.0, abs=1e-6)
+    assert Kernel.linear(range=2.0).c_f() == pytest.approx(2.0, abs=1e-6)
+    # the linear diagonal x^2 + offset peaks at |x| = range: a closed form
+    assert Kernel.linear(1.0, 2.0).c_f() == math.sqrt(5.0)
+    # a custom kernel's sup is searched for on a grid over its range
+    custom = Kernel.custom(lambda a, b: a * b + 1.0, data_range=2.0)
+    assert custom.c_f() == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_c_f_unbounded_without_range():
@@ -74,6 +80,17 @@ def test_constructor_validation():
         Kernel.gaussian(0.0)
     with pytest.raises(KernelError):
         Kernel.linear(offset=-1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 1e155, 1e308])
+def test_linear_range_is_positive_with_a_finite_square(value):
+    # 1e308 squares to inf: the error comes before any numpy overflow warning
+    for make in (lambda: Kernel.linear(range=value),
+                 lambda: Kernel.from_json({"kind": "linear", "range": value})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError, match="range"):
+                make()
 
 
 # -- Gram matrices --------------------------------------------------------
@@ -146,6 +163,14 @@ def test_eval_expansion_broadcasts():
     assert vals.shape == (2,)
     assert vals[0] == pytest.approx(e(0.0), abs=1e-15)
     assert vals[1] == pytest.approx(e(1.0), abs=1e-15)
+
+
+def test_custom_kernel_expansion_is_its_weighted_sum():
+    # opaque points: K(a, b) = 1 + len(a) len(b)
+    k = Kernel.custom(lambda a, b: 1.0 + len(a) * len(b))
+    e = KernelExpansion.build(["ab", "c"], [0.5, -2.0], k)
+    assert e("xyz") == 0.5 * (1.0 + 2 * 3) - 2.0 * (1.0 + 1 * 3)
+    assert KernelExpansion.zero(k)("xyz") == 0.0
 
 
 def test_build_length_mismatch():

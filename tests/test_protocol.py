@@ -84,6 +84,20 @@ def test_non_finite_datum_rejected_before_any_state_change(game_name, x):
     assert engine.decide(0.0) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [0.75, -0.5000000001, np.float64(2.0)])
+def test_datum_outside_the_kernel_range_rejected_before_any_state_change(x):
+    # c_f, and so every regret bound, holds only for |x| <= range
+    engine = Engine(Game.square(), Kernel.linear(range=0.5))
+    with pytest.raises(DomainError, match="range"):
+        engine.decide(x)
+    assert engine.pending_forecast is None and engine.rounds == 0
+    engine.decide(-0.5)  # the range's ends lie inside it
+    engine.observe(1)
+    with pytest.raises(DomainError, match="range"):
+        engine.forecaster.update(x, Forecast(0.5, 0.5), 1)
+    assert engine.rounds == 1
+
+
 def test_opaque_points_still_accepted_by_custom_kernels():
     kernel = Kernel.custom(lambda a, b: 1.0 if a == b else 0.0,
                            data_range=1.0)
