@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from defcast.experiments import (ConfigError, ExperimentConfig, certify_log,
@@ -46,6 +47,8 @@ def cmd_certify(args) -> int:
 def cmd_constants(args) -> int:
     game, kernel = _game_and_kernel(args)
     c_f = kernel.c_f()
+    if math.isinf(c_f):
+        raise ConfigError("C_lambda_F needs a kernel range (C_F is inf)")
     cl = game.clambda(c_f)
     print(f"C_F = {c_f!r}")
     print(f"C_lambda_F = {cl!r}")

@@ -190,18 +190,26 @@ def run_engine(config: ExperimentConfig) -> Engine:
 
 
 def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
-    """Run the experiment and write the CSV/JSON artifacts."""
+    """Run the experiment and write the CSV/JSON artifacts.  The output
+    directory is made before round 1, so that a bad path fails at once; a
+    run that then fails removes it again if it made it and it is empty."""
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    engine = run_engine(config)
-    report = engine.regret_report(config.comparators)
-    report["seed"] = config.seed
-    report["regret_curve"] = engine.regret_curve(config.comparators)
+    try:
+        engine = run_engine(config)
+        report = engine.regret_report(config.comparators)
+        report["seed"] = config.seed
+        report["regret_curve"] = engine.regret_curve(config.comparators)
 
-    log_path = out / "round_log.csv"
-    log_path.write_text("\n".join(engine.round_log_rows()) + "\n")
-    report_path = out / "regret_report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+        log_path = out / "round_log.csv"
+        log_path.write_text("\n".join(engine.round_log_rows()) + "\n")
+        report_path = out / "regret_report.json"
+        report_path.write_text(json.dumps(report, indent=2) + "\n")
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     return RunArtifacts(log_path, report_path, report)
 
 

@@ -11,6 +11,7 @@ import inspect
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -129,17 +130,22 @@ class Kernel:
     def __call__(self, x, x2, out=None):
         """K(x, x'); broadcasts over numpy arrays for built-ins, which write
         into `out` when one is given: each ufunc of the chain passes it on."""
-        if self.kind is KernelKind.SOBOLEV:
-            k = np.abs(np.subtract(x, x2, out=out), out=out)
-            k = np.exp(np.negative(k, out=out), out=out)
-            return np.multiply(k, 0.5, out=out)
-        if self.kind is KernelKind.GAUSSIAN:
-            d = np.subtract(x, x2, out=out)
-            k = np.negative(np.multiply(d, d, out=out), out=out)  # = (-d)*d
-            return np.exp(np.divide(k, 2 * self.width ** 2, out=out), out=out)
+        if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
+            return self.of_difference(np.subtract(x, x2, out=out), out=out)
         if self.kind is KernelKind.LINEAR:
             return np.add(np.multiply(x, x2, out=out), self.offset, out=out)
         return self.func(x, x2)
+
+    def of_difference(self, d, out=None):
+        """A stationary kernel as a function of d = x - x'.  Gaussian's
+        (d*d)/-(2w^2) is -(d*d)/(2w^2) bit for bit, as IEEE division is exact
+        in the sign.  Sobolev keeps abs and negative: numpy's copysign, one
+        pass for both, took twice their time (1.07 against 0.52 ns/entry)."""
+        if self.kind is KernelKind.SOBOLEV:
+            k = np.negative(np.abs(d, out=out), out=out)
+            return np.multiply(np.exp(k, out=out), 0.5, out=out)
+        k = np.multiply(d, d, out=out)
+        return np.exp(np.divide(k, -(2 * self.width ** 2), out=out), out=out)
 
     def diag(self, x):
         """K(x, x); the stationary kernels' is their value at 0, exactly."""
@@ -187,29 +193,75 @@ class Kernel:
         xs = np.asarray(pts, dtype=float)
         return np.asarray(self(xs[:, None], xs[None, :]))
 
+    def _slab(self, pts, j, k, out):
+        """Gram columns j:k, written into `out`.  A custom entry is gram's,
+        func(pts[min(i, c)], pts[max(i, c)]).  Built-in points come as rows
+        [x_i, 1], and one k = 2 GEMM fills the slab: [x_i, 1] @ [1, -x_c] is
+        x_i - x_c rounded once, as subtract rounds it, and [x_i, 1] @ [x_c, 0]
+        is x_i * x_c, as multiply rounds it.  Only the sign of a zero can
+        differ, and |d|, d*d and +offset drop it."""
+        if self.kind is KernelKind.CUSTOM:
+            out[:] = [[float(self.func(pts[min(i, c)], pts[max(i, c)]))
+                       for c in range(j, k)] for i in range(len(pts))]
+            return out
+        xc = pts[j:k, 0]
+        if self.kind is KernelKind.LINEAR:
+            prod = np.matmul(pts, np.stack((xc, np.zeros(k - j))), out=out)
+            return np.add(prod, self.offset, out=out)
+        d = np.matmul(pts, np.stack((np.ones(k - j), np.negative(xc))), out=out)
+        return self.of_difference(d, out=out)
+
     def quad_form(self, points, w) -> float:
         """w @ gram(points) @ w in O(N) memory, one Gram column slab at a time.
 
-        A built-in kernel writes each slab in place, as a C-contiguous (n, m)
-        view of one reused buffer: a fresh slab's layout.  Custom slab entries
-        are gram's: func(pts[min(i,j)], pts[max(i,j)]).  OpenBLAS sums the last
-        (width mod 4) entries of each thread's share of w @ slab another way,
-        so the bits are gram's when N is a multiple of 4 per BLAS thread;
-        otherwise the last bits can differ.
+        Each slab is written in place, as a C-contiguous (n, m) view of one
+        buffer allocated here: a fresh slab's layout.  A built-in kernel's
+        full slabs run on two workers, this thread and one other; each takes
+        every other half-width slab into its own half of the buffer, so the
+        memory is one slab's.  Custom kernels, which hold the GIL and need
+        not be thread-safe, run here alone, as does a final partial slab, in
+        the whole buffer.  OpenBLAS sums the last (width mod 4) entries of
+        each thread's share of w @ slab another way, so the bits are gram's
+        when N is a multiple of 4 per BLAS thread; otherwise the last bits
+        can differ.  Half and full widths are multiples of 4, so the two
+        workers give the bits of one.
         """
         pts = list(points)
         w, n = np.asarray(w, dtype=float), len(pts)
-        xs = None if self.kind is KernelKind.CUSTOM else np.asarray(pts, float)
         # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
         width = 32 * max(1, 4096 // max(n, 1))
         buf, v = np.empty(n * min(width, n)), np.empty(n)
-        for j in range(0, n, width):
+        full = 0  # columns in full slabs, which two workers share
+        if self.kind is not KernelKind.CUSTOM:
+            pts = np.stack((np.asarray(pts, dtype=float), np.ones(n)), axis=1)
+            full = n - n % width
+        if full:
+            half, halves = width // 2, buf.reshape(2, n, width // 2)
+            errors, err, call = [], np.geterr(), np.geterrcall()
+
+            def fill(first, out):
+                for j in range(first, full, width):
+                    v[j:j + half] = w @ self._slab(pts, j, j + half, out)
+
+            def worker():
+                try:  # numpy's error state is per thread: take the caller's
+                    with np.errstate(call=call, **err):
+                        fill(half, halves[1])
+                except BaseException as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=worker)
+            thread.start()
+            try:
+                fill(0, halves[0])
+            finally:
+                thread.join()
+            if errors:
+                raise errors[0]
+        for j in range(full, n, width):
             k = min(j + width, n)
-            slab = self(xs[:, None], xs[None, j:k], out=buf[:n * (k - j)]
-                        .reshape(n, k - j)) if xs is not None else [
-                [float(self.func(pts[min(i, c)], pts[max(i, c)]))
-                 for c in range(j, k)] for i in range(n)]
-            v[j:k] = w @ np.asarray(slab)
+            v[j:k] = w @ self._slab(pts, j, k, buf[:n * (k - j)]
+                                    .reshape(n, k - j))
         return float(v @ w)
 
 

@@ -263,8 +263,9 @@ def test_document_errors_exit_two(tmp_path, capsys, field, doc, key):
     ("--kernel", '{"kind": "linear", "range": 1e308}', "range"),
     ("--kernel", '{"kind": "linear", "range": -1}', "range"),
     ("--kernel", '{"kind": "linear", "range": 0}', "range"),
+    ("--kernel", '{"kind": "linear"}', "needs a kernel range"),
 ], ids=["game-list", "kernel-list", "game-number", "custom-no-boundary",
-        "range-square-overflows", "negative-range", "zero-range"])
+        "range-square-overflows", "negative-range", "zero-range", "no-range"])
 def test_document_errors_in_a_flag_exit_two(capsys, flag, doc, key):
     argv = {"--game": "square", "--kernel": "sobolev", flag: doc}
     with warnings.catch_warnings():
@@ -274,6 +275,22 @@ def test_document_errors_in_a_flag_exit_two(capsys, flag, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert key in err
+
+
+def test_failed_run_leaves_no_empty_out(tmp_path, capsys):
+    # the datum leaves the kernel's range mid-run, after --out was made
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        dict(ADVERSARIAL, kernel={"kind": "linear", "range": 0.5})))
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "range" in capsys.readouterr().err
+    assert not out.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(["run", "--config", str(config), "--out", str(existing)]) \
+        == 2
+    assert existing.is_dir() and not any(existing.iterdir())
 
 
 def run_module(*args):

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,6 +316,130 @@ def test_quad_form_matches_gram_to_rounding(name):
         scale = float(np.abs(w) @ np.abs(g) @ np.abs(w))
         assert abs(kernel.quad_form(xs, w) - float(w @ g @ w)) \
             <= 4 * np.spacing(scale), (name, n)
+
+
+# N = 1 and 40: one slab, run serially; 352: one full slab, i.e. exactly
+# two half slabs, one per worker; 1056: 11 full slabs, 22 half slabs;
+# 1001: 7 full slabs and a partial one, 15 slabs in all
+WORKER_SIZES = [1, 40, 352, 1056] + UNALIGNED_SIZES
+
+
+class InlineThread:
+    """A stand-in for threading.Thread that runs its target at start():
+    quad_form's two workers' slabs, one after the other, on one thread."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def start(self):
+        self.target()
+
+    def join(self):
+        pass
+
+
+def two_worker_mismatches(sizes) -> list:
+    """The (kernel, N) cases where quad_form on two workers differs from a
+    serial run of its slabs or from the slab loop with allocating calls."""
+    bad = []
+    for name in ("sobolev", "gaussian", "linear"):
+        for n in sizes:
+            kernel, xs, w = quad_case(name, n)
+            got = kernel.quad_form(xs, w)
+            with mock.patch.object(threading, "Thread", InlineThread):
+                serial = kernel.quad_form(xs, w)
+            if not got == serial == slab_reference(kernel, xs, w):
+                bad.append([name, n])
+    return bad
+
+
+def test_two_workers_have_the_serial_bits_with_one_blas_thread():
+    assert run_single_threaded(
+        f"t.two_worker_mismatches({WORKER_SIZES})") == []
+
+
+def test_two_workers_have_the_serial_bits():
+    assert two_worker_mismatches(WORKER_SIZES) == []
+
+
+@pytest.mark.parametrize("name, n, threads", [
+    ("sobolev", 1, 0), ("sobolev", 40, 0), ("gaussian", 352, 1),
+    ("linear", 1001, 1), ("custom", 404, 0)])
+def test_quad_form_starts_one_thread_at_most(monkeypatch, name, n, threads):
+    # custom kernels and inputs of less than one full slab run serially
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    before = threading.active_count()
+    QUAD_KERNELS[name].quad_form(*quad_case(name, n)[1:])
+    assert len(started) == threads
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_slab_that_raises_makes_quad_form_raise(monkeypatch, failing):
+    caller, slab = threading.current_thread(), Kernel._slab
+
+    def broken(self, *args):
+        in_worker = threading.current_thread() is not caller
+        if in_worker == (failing == "worker"):
+            raise RuntimeError(f"slab failed in the {failing}")
+        return slab(self, *args)
+
+    monkeypatch.setattr(Kernel, "_slab", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=failing):
+        SOB.quad_form(*quad_case("sobolev", 1001)[1:])
+    assert threading.active_count() == before
+
+
+# N = 1001 has 128-column slabs: the caller fills columns 0-63 of each full
+# slab, the worker columns 64-127, and the caller the partial one, 896-1000
+@pytest.mark.parametrize("a, b", [(0, 1), (64, 65), (900, 1000), (0, 127)],
+                         ids=["caller", "worker", "partial", "both"])
+def test_overflow_raises_whichever_worker_owns_its_slab(a, b):
+    xs, w = np.zeros(1001), np.ones(1001)
+    xs[a], xs[b] = 1e308, -1e308  # only columns a and b overflow
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        SOB.quad_form(xs, w)
+    assert threading.active_count() == before
+    with np.errstate(over="ignore"):  # K is 0 where d overflows to +-inf
+        assert SOB.quad_form(xs, w) == slab_reference(SOB, xs, w)
+
+
+def test_concurrent_quad_forms_keep_their_bits():
+    # more callers than cores, with a short switch interval: each call's two
+    # workers share only that call's v and buffer.  These N end on a full
+    # slab, so the bits do not depend on the BLAS thread count either
+    cases = [quad_case(name, n) for name, n in (
+        ("sobolev", 352), ("gaussian", 1056), ("linear", 2048),
+        ("sobolev", 2048))]
+    expect = [kernel.quad_form(xs, w) for kernel, xs, w in cases]
+    got = [None] * len(cases)
+
+    def call(i):
+        kernel, xs, w = cases[i]
+        got[i] = kernel.quad_form(xs, w)
+
+    threads = [threading.Thread(target=call, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expect
 
 
 def test_quad_form_takes_opaque_points_and_empty_input():
