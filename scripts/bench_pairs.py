@@ -7,10 +7,11 @@ Each commit is exported clean with `git archive` into a temporary
 directory. For every pair (seeds --seed, --seed + 1, ...) and every workload
 in BENCHMARK.json, both exports run
 
-    python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-one after the other; the side that runs first alternates from pair to pair,
-so a drift of the machine's speed falls on both sides alike. The summary
+one after the other, T being BENCHMARK.json's run_seconds. The side that
+runs first alternates from pair to pair, so a drift of the machine's speed
+falls on both sides alike. The summary
 holds, per workload and end-to-end metric, each side's runs, median and
 quartiles, how many pairs the change won, and whether the two sides wrote
 byte-identical artifacts. It is rewritten after every pair. The script
@@ -67,11 +68,10 @@ def stats(values: list) -> dict:
 
 
 def summarise(runs: dict, seeds: list, gates: list) -> dict:
-    """The per-workload summary of runs[workload][side] lists of runs."""
+    """The per-workload summary of runs[workload][side], lists of runs of
+    equal length, one per pair."""
     out = {}
-    for workload, sides in runs.items():
-        n = min(len(sides["parent"]), len(sides["change"]))
-        pair = {side: sides[side][:n] for side in SIDES}
+    for workload, pair in runs.items():
         hashes = {side: [r["record"]["hashes"] for r in pair[side]]
                   for side in SIDES}
         metrics = {}
@@ -89,7 +89,8 @@ def summarise(runs: dict, seeds: list, gates: list) -> dict:
                 "change_wins": wins,
                 "median_change_rel": change["median"] / parent["median"] - 1}
         out[workload] = {
-            "pairs": n, "seeds": seeds[:n],
+            "pairs": len(pair["parent"]),
+            "seeds": seeds[:len(pair["parent"])],
             "failed": {side: sum(r["result"]["failed"] for r in pair[side])
                        for side in SIDES},
             "correct": {side: all(r["result"]["correct"] for r in pair[side])
@@ -115,15 +116,13 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", required=True, help="summary JSON path")
     ap.add_argument("--seed", type=int, default=911, help="first pair's seed")
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (default: all in BENCHMARK.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", args.change)}
     seeds = [args.seed + i for i in range(args.pairs)]
@@ -131,7 +130,7 @@ def main(argv=None) -> int:
         "change": git("log", "-1", "--format=%s", revs["change"]),
         "parent_commit": revs["parent"], "change_commit": revs["change"],
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "machine": None,
         "method": "parent and change are each run from a clean git archive "
                   "export; pairs at consecutive seeds, with the side that "
@@ -148,7 +147,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 for side in order:
-                    run = perfbench(trees[side], workload, seed, args.seconds)
+                    run = perfbench(trees[side], workload, seed, seconds)
                     runs[workload][side].append(run)
                     summary["machine"] = machine_line(run["record"])
                     print(f"pair {i + 1}/{args.pairs} seed {seed} {workload} "
