@@ -13,9 +13,20 @@ one after the other, T being BENCHMARK.json's run_seconds. The side that
 runs first alternates from pair to pair, so a drift of the machine's speed
 falls on both sides alike. The summary
 holds, per workload and end-to-end metric, each side's runs, median and
-quartiles, how many pairs the change won, and whether the two sides wrote
-byte-identical artifacts. It is rewritten after every pair. The script
-only runs perfbench; it changes nothing in the checkout.
+quartiles, how many pairs the change won, a verdict, and whether the two
+sides wrote byte-identical artifacts. It is rewritten after every pair.
+The script only runs perfbench; it changes nothing in the checkout.
+
+A metric's verdict, with its bound from BENCHMARK.json taken relative to
+the parent's median:
+
+- regressed: the change's median is worse than the parent's by more than
+  the bound;
+- gain: the change won at least 9 of 10 pairs, and its median is better
+  than the parent's by more than the parent's interquartile range;
+- unresolved: the parent's interquartile range is wider than the bound,
+  and not every run of the change reads better than every parent run;
+- ok: none of these.
 """
 
 from __future__ import annotations
@@ -67,6 +78,22 @@ def stats(values: list) -> dict:
             "iqr": float(q3 - q1), "runs": list(values)}
 
 
+def verdict(gate: dict, parent: dict, change: dict, wins: int) -> str:
+    """regressed, gain, unresolved or ok: see the module docstring."""
+    sign = 1 if gate["better"] == "lower" else -1  # sign * value: lower wins
+    base = parent["median"]
+    if sign * (change["median"] - base) > gate["bound"] * base:
+        return "regressed"
+    if wins >= 0.9 * len(parent["runs"]) \
+            and sign * (base - change["median"]) > parent["iqr"]:
+        return "gain"
+    if parent["iqr"] > gate["bound"] * base and \
+            max(sign * c for c in change["runs"]) \
+            >= min(sign * p for p in parent["runs"]):
+        return "unresolved"
+    return "ok"
+
+
 def summarise(runs: dict, seeds: list, gates: list) -> dict:
     """The per-workload summary of runs[workload][side], lists of runs of
     equal length, one per pair."""
@@ -87,7 +114,8 @@ def summarise(runs: dict, seeds: list, gates: list) -> dict:
                 "unit": gate["unit"], "better": gate["better"],
                 "bound": gate["bound"], "parent": parent, "change": change,
                 "change_wins": wins,
-                "median_change_rel": change["median"] / parent["median"] - 1}
+                "median_change_rel": change["median"] / parent["median"] - 1,
+                "verdict": verdict(gate, parent, change, wins)}
         out[workload] = {
             "pairs": len(pair["parent"]),
             "seeds": seeds[:len(pair["parent"])],
@@ -159,6 +187,9 @@ def main(argv=None) -> int:
             Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    for workload, result in summary["workloads"].items():
+        print(f"{workload}: " + " ".join(
+            f"{name}={m['verdict']}" for name, m in result["metrics"].items()))
     return 0
 
 

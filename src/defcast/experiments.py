@@ -271,5 +271,7 @@ def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
             fc.update(x, Forecast(p, q), y, s_residual=s_res, branch=branch)
         except DomainError as exc:  # a forecast the game does not take
             raise ConfigError(f"{log_path}:{lineno}: bad row: {exc}") from None
+    if not fc.round:  # nothing to certify: no verdict, not a pass
+        raise ConfigError(f"{log_path}: the round log has no rounds")
     return {"rounds": fc.round,
             "large_numbers_certificate": fc.large_numbers_certificate()}

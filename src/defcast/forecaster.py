@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from defcast.games import Decision, DomainError, Forecast, Game
-from defcast.kernels import Kernel, KernelExpansion, KernelKind
+from defcast.kernels import Kernel, KernelExpansion, KernelKind, ordered_dot
 
 # points of the stage-1 p-grid, before the special ps are merged in
 _P_GRID = 1024
@@ -142,7 +142,7 @@ class Forecaster:
         """(A, B, C) of the quadratic-in-e form of S at datum x."""
         kxx = float(self.kernel.diag(x))
         resid = self._cols["residual"][:self._n]
-        b = float(self._kernel_row(x) @ resid) + 0.5 * kxx
+        b = ordered_dot(self._kernel_row(x), resid) + 0.5 * kxx
         return self.agg_a, b, -kxx
 
     def s_value(self, p: float, q: float, x) -> float:
@@ -409,7 +409,7 @@ class Forecaster:
         """
         resid = self._cols["residual"][:self._n]
         es = self._cols["e"][:self._n]
-        lhs = float(es @ resid) ** 2 + self.kernel.quad_form(
+        lhs = ordered_dot(es, resid) ** 2 + self.kernel.quad_form(
             self._cols["x"][:self._n], resid)
         return lhs, self._variance()
 
@@ -427,5 +427,5 @@ class Forecaster:
             raise DomainError("expansion uses a different kernel")
         if fx is None:
             fx = [float(f(xi)) for xi in self._cols["x"][:self._n].tolist()]
-        lhs = abs(float(self._cols["residual"][:self._n] @ np.array(fx)))
+        lhs = abs(ordered_dot(self._cols["residual"][:self._n], np.array(fx)))
         return lhs, f.norm() * math.sqrt(self._variance())

@@ -21,6 +21,8 @@ import numpy as np
 # Quadratic forms below this are treated as broken kernels, not noise.
 PSD_TOL = -1e-8
 
+_DOT_SLICE = 8192  # OpenBLAS threads a ddot of more than 10,000 entries
+
 
 class KernelError(ValueError):
     """Broken kernel: negative quadratic form or missing data range."""
@@ -68,6 +70,16 @@ def from_doc(doc, what: str, error: type, kinds: dict):
     except TypeError as exc:
         raise error(f"{what} {kind!r}: {exc}") from None
     return kinds[kind](**args)
+
+
+def ordered_dot(a, b) -> float:
+    """a @ b summed in order over slices that OpenBLAS runs on one thread."""
+    if len(a) <= _DOT_SLICE:
+        return float(a @ b)
+    total = float(a[:_DOT_SLICE] @ b[:_DOT_SLICE])
+    for i in range(_DOT_SLICE, len(a), _DOT_SLICE):
+        total += float(a[i:i + _DOT_SLICE] @ b[i:i + _DOT_SLICE])
+    return total
 
 
 class KernelKind(Enum):
@@ -222,18 +234,18 @@ class Kernel:
         not be thread-safe, run here alone, as does a final partial slab, in
         the whole buffer.  OpenBLAS sums the last (width mod 4) entries of
         each thread's share of w @ slab another way, so the bits are gram's
-        when N is a multiple of 4 per BLAS thread; otherwise the last bits
-        can differ.  Half and full widths are multiples of 4, so the two
-        workers give the bits of one.
+        when N <= 8192 is a multiple of 4 per BLAS thread (v @ w is summed
+        by ordered_dot); otherwise the last bits can differ.  Half and full
+        widths are multiples of 4, so the two workers give the bits of one.
         """
-        pts = list(points)
-        w, n = np.asarray(w, dtype=float), len(pts)
+        w, n = np.asarray(w, dtype=float), len(points)
         # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
         width = 32 * max(1, 4096 // max(n, 1))
         buf, v = np.empty(n * min(width, n)), np.empty(n)
-        full = 0  # columns in full slabs, which two workers share
-        if self.kind is not KernelKind.CUSTOM:
-            pts = np.stack((np.asarray(pts, dtype=float), np.ones(n)), axis=1)
+        if self.kind is KernelKind.CUSTOM:
+            pts, full = list(points), 0
+        else:  # full: the columns in full slabs, which two workers share
+            pts = np.column_stack((np.asarray(points, float), np.ones(n)))
             full = n - n % width
         if full:
             half, halves = width // 2, buf.reshape(2, n, width // 2)
@@ -262,7 +274,7 @@ class Kernel:
             k = min(j + width, n)
             v[j:k] = w @ self._slab(pts, j, k, buf[:n * (k - j)]
                                     .reshape(n, k - j))
-        return float(v @ w)
+        return ordered_dot(v, w)
 
 
 @dataclass(frozen=True)

@@ -336,8 +336,10 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["", "1,0.5,0.5,0.5,1,0.25,0.0,root\n"],
-                         ids=["empty", "headerless"])
+@pytest.mark.parametrize(
+    "content", ["", "1,0.5,0.5,0.5,1,0.25,0.0,root\n",
+                "n,x,p,q,gamma,y,loss,s_residual,branch\n"],
+    ids=["empty", "headerless", "header-only"])
 def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
     log = tmp_path / "round_log.csv"
     log.write_text(content)

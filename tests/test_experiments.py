@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import defcast
 from defcast.experiments import (AdversarialAntiForecast, ConfigError,
                                  Deterministic, ExperimentConfig, IidLogistic,
                                  Replay, certify_log, generator_from_json,
@@ -180,6 +184,28 @@ def test_two_runs_byte_identical(tmp_path):
     assert (a.regret_report_path.read_bytes()
             == b.regret_report_path.read_bytes())
     assert a.all_pass
+
+
+def test_round_log_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 entries over its
+    # threads; from round 10,002 on, the kernel sum behind each forecast
+    # is one, unless it is added up in slices
+    doc = config_doc(horizon=10_050, seed=7, comparators=[],
+                     generator={"kind": "iid_logistic"})
+    code = ("import json, sys; from defcast.experiments import "
+            "ExperimentConfig, run_engine; engine = run_engine("
+            "ExperimentConfig.from_json(json.loads(sys.argv[1]))); "
+            "print('\\n'.join(engine.round_log_rows()))")
+    src = str(Path(defcast.__file__).parents[1])
+    procs = [subprocess.Popen(  # one process per BLAS thread count, at once
+        [sys.executable, "-c", code, json.dumps(doc)], text=True,
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src,
+                                         OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")]
+    one, two = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(one.splitlines()) == 10_051
+    assert one == two
 
 
 def test_report_contents(tmp_path):

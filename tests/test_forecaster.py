@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import defcast
+from defcast.experiments import ExperimentConfig, run_engine
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
                                 Forecaster)
 from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
+from exact_margin import exact_certificate
 
 SOB = Kernel.sobolev()
 
@@ -627,6 +629,25 @@ def test_k29_equals_the_gram_formulas():
         lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
         rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
         assert fc.k29_certificate() == (lhs, rhs)
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403])
+def test_large_numbers_verdict_is_the_exact_one(seed):
+    # the benchmark's polyline/Gaussian config: a margin rhs + slack - lhs
+    # of about 1e-13, as small as the rounding of lhs and rhs
+    config = ExperimentConfig.from_json({
+        "game": {"kind": "custom", "boundary": [[0.0, 1.0], [0.2, 0.5],
+                                                [0.5, 0.2], [1.0, 0.0]]},
+        "kernel": {"kind": "gaussian", "width": 0.5},
+        "generator": "adversarial", "horizon": 500, "seed": seed})
+    fc = run_engine(config).forecaster
+    shipped = fc.large_numbers_certificate()
+    exact = exact_certificate(
+        *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
+        config.kernel.gram(fc.column("x")).tolist())
+    for key in ("lhs", "rhs", "slack"):
+        assert shipped[key] == pytest.approx(float(exact[key]), rel=1e-12)
+    assert shipped["pass"] == (exact["margin"] >= 0)
 
 
 def test_k29_certificate_memory_is_linear_in_rounds():

@@ -272,6 +272,15 @@ def test_scalar_exposure_interval_equals_the_vectorized_path():
         assert pairs == list(zip(hi.tolist(), lo.tolist()))
 
 
+def test_log_exposure_interval_has_the_bits_of_numpy_log():
+    # the grid and stage 2 both take exposure_interval's floats, and every
+    # recorded artifact has np.log's bits: math.log differs in the last
+    # place on a few p in a thousand
+    ps = np.random.default_rng(3).random(20_000)
+    got = [LG.exposure_interval(p)[0] for p in ps.tolist()]
+    assert got == np.log((1.0 - ps) / ps).tolist()
+
+
 def test_float_log_exposure_uses_numpy_log():
     # math.log and a vectorized np.log may differ in the last bit on a
     # few arguments in a thousand; a dense sweep finds them
