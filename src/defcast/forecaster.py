@@ -6,18 +6,22 @@ the exposure variable e over the optimal face's exposure interval:
     S(p, e) = (1 - 2p)/2 * e^2 + A*e + B + C*p
 
 with A the running sum of exposure-weighted residuals and B, C determined
-by the kernel column at the new datum.  Stage 1 scans a p-grid for the
-first sign change of S in lexicographic order; stage 2 shrinks that
-bracket to adjacent floats; stage 3 solves the quadratic in e analytically
-and maps e back to the tie-breaker q.
+by the kernel column at the new datum.  Stage 1 brackets the first sign
+change of S in lexicographic order; stage 2 shrinks that bracket to
+adjacent floats; stage 3 solves the quadratic in e analytically and maps e
+back to the tie-breaker q.
 
-Stage 1 signs S at every grid point and takes the value range over the
-face only where the face is wider than a point (special ps).  Stage 2 is
-one method for every game: S is continuous in p inside the bracket, so a
-safeguarded Illinois regula falsi steps to the secant point, or bisects
-where an end has no value (a wide face, within the face tolerance of a
-special p).  Its evaluations run in plain Python floats with the scan's
-arithmetic: the same expressions in the same order, and np.log.
+Stage 1 for square and log loss, which have no special ps, signs S on a
+p-grid of point faces.  A polyline's exposure is constant between special
+ps, so S is linear in p there: stage 1 walks the path in O(vertices),
+solving each segment's line in closed form and signing each special p's
+face over its value range, and brackets a root by the grid cell that
+holds it.  Stage 2 is one method for every game: S is continuous in p
+inside the bracket, so a safeguarded Illinois regula falsi steps to the
+secant point, or bisects where an end has no value (a wide face at a
+segment's end, or within the face tolerance of a special p).  Its
+evaluations run in plain Python floats with the scan's arithmetic: the
+same expressions in the same order, and np.log.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -36,23 +40,27 @@ shortest round-trip decimal.
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
 stripped-domain width delta, filled on first use; each round computes only
-the constant term B + C*p, the values and their signs.  _ranges_on is the
-uncached reference whose signs the scan and _s_at must both match.
+the constant term B + C*p, the values and their signs.  A polyline's path
+faces are computed once per forecaster.  _ranges_on is the uncached
+reference whose signs the scan, the walk and _s_at must all match.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from defcast.games import Decision, DomainError, Forecast, Game
+from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion, KernelKind, ordered_dot
 
-# points of the stage-1 p-grid, before the special ps are merged in
+# points of the stage-1 p-grid; on [0, 1], a polyline's bracket is one of
+# its cells
 _P_GRID = 1024
+_GRID = tuple(np.linspace(0.0, 1.0, _P_GRID).tolist())
 
 # stripped-domain bracketing starts here and halves until a sign change
 # is bracketed; exposure diverges at the stripped edges, so this terminates
@@ -112,8 +120,14 @@ class Forecaster:
                       for name, dtype in _COLUMNS.items()}
         self._n = 0
         self.agg_a = 0.0  # running sum of e_i * (y_i - p_i)
-        # delta -> (grid, e_hi, e_lo, a) of the stage-1 scan
+        # delta -> (grid, e_hi, a*e_hi^2) of the stage-1 scan
         self._scans: dict[float, tuple] = {}
+        # a polyline's path: (p, (e_hi, e_lo)) of the faces at 0, at each
+        # special p and at 1; the exposure between two is the first's e_lo
+        self._path = tuple(
+            (p, game.exposure_interval(p))
+            for p in (0.0, *game.special_ps(), 1.0)
+        ) if game.kind is GameKind.CUSTOM else None
 
     @property
     def round(self) -> int:
@@ -160,45 +174,27 @@ class Forecaster:
     def _p_grid(self, delta: float) -> np.ndarray:
         if self.game.stripped:
             half = np.geomspace(delta, 0.5, _P_GRID // 2)
-            grid = np.concatenate([half, 1.0 - half[::-1][1:]])
-        else:
-            grid = np.linspace(0.0, 1.0, _P_GRID)
-        specials = [p for p in self.game.special_ps()
-                    if grid[0] <= p <= grid[-1]]
-        if specials:
-            grid = np.unique(np.concatenate([grid, np.array(specials)]))
-        return grid
+            return np.concatenate([half, 1.0 - half[::-1][1:]])
+        return np.array(_GRID)
 
     def _scan_terms(self, delta: float) -> tuple:
-        """(grid, e_hi, a*e_hi^2, wide) of the scan, cached per delta.
-
-        wide lists (index, p, a, e_hi, e_lo) as floats for each face wider
-        than a point (e_hi != e_lo, or NaN): the special ps.
-        """
+        """(grid, e_hi, a*e_hi^2) of the scan, cached per delta."""
         terms = self._scans.get(delta)
         if terms is None:
             grid = self._p_grid(delta)
-            e_hi, e_lo = self.game.exposure_interval_arrays(grid)
-            a = 0.5 * (1.0 - 2.0 * grid)
-            quad = a * e_hi * e_hi
+            e_hi, _ = self.game.exposure_interval_arrays(grid)
+            quad = 0.5 * (1.0 - 2.0 * grid) * e_hi * e_hi
             for arr in (grid, e_hi, quad):
                 arr.flags.writeable = False
-            j = np.nonzero(e_hi != e_lo)[0]
-            wide = tuple(zip(j.tolist(), *(arr[j].tolist()
-                                           for arr in (grid, a, e_hi, e_lo))))
-            terms = self._scans[delta] = (grid, e_hi, quad, wide)
+            terms = self._scans[delta] = (grid, e_hi, quad)
         return terms
 
     def _scan(self, delta: float, A: float, B: float, C: float):
         """(grid, signs, values) of S on the grid at delta: the signs of
-        _sgn(*_ranges_on(grid, A, B, C)), and values NaN on wide faces."""
-        grid, e_hi, quad, wide = self._scan_terms(delta)
+        _sgn(*_ranges_on(grid, A, B, C)) where every face is a point."""
+        grid, e_hi, quad = self._scan_terms(delta)
         v = quad + A * e_hi + (B + C * grid)
-        sgn = self._sgn(v, v)
-        for j, p, a, hi, lo in wide:
-            sgn[j] = self._face_sign(a, A, B + C * p, hi, lo)
-            v[j] = np.nan
-        return grid, sgn, v
+        return grid, self._sgn(v, v), v
 
     def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
         """Min and max of S over the face at each p (vectorized)."""
@@ -237,9 +233,14 @@ class Forecaster:
         return (min(vals) > 0.0) - (max(vals) < 0.0)
 
     def _s_at(self, p: float, A: float, B: float, C: float):
-        """(sign, value) of S at a scalar p, in the scan's arithmetic; on a
-        wide face, the sign of its value range and the value NaN."""
-        e_hi, e_lo = self.game.exposure_interval_arrays(p)
+        """(sign, value) of S at a scalar p: _s_on at p's own face."""
+        return self._s_on(p, A, B, C, self.game.exposure_interval_arrays(p))
+
+    def _s_on(self, p, A, B, C, exposures):
+        """(sign, value) of S at p on the face with exposures (e_hi, e_lo),
+        in the scan's arithmetic; on a wide face, the sign of its value
+        range and the value NaN."""
+        e_hi, e_lo = exposures
         a = 0.5 * (1.0 - 2.0 * p)
         c = B + C * p
         if e_hi != e_lo:
@@ -250,6 +251,8 @@ class Forecaster:
     def next_forecast(self, x) -> RootReport:
         """Forecast for datum x: a root of S, or the endpoint rule."""
         A, B, C = self.coefficients(x)
+        if self._path is not None:
+            return self._walk(A, B, C)
         delta = _DELTA_START
         while True:
             grid, sgn, v = self._scan(delta, A, B, C)
@@ -271,6 +274,48 @@ class Forecaster:
                 raise RootFinderError(
                     f"no bracket found down to delta={_DELTA_MIN} "
                     f"(A={A}, B={B}, C={C}, sign={s0})")
+
+    def _walk(self, A: float, B: float, C: float) -> RootReport:
+        """Stage 1 for a polyline: the first sign change along its path.
+
+        Between two faces of the path e is constant, so S is the line
+        (e^2/2 + A*e + B) - p*(e^2 + K(x,x)), non-increasing as K(x,x) >= 0.
+        Entered with sign s0 > 0, a segment holds a root where its line
+        crosses zero before the end face; else the end face is signed.
+        """
+        path = self._path
+        s0 = self._s_on(0.0, A, B, C, path[0][1])[0]
+        if s0 == 0:
+            return self._solve_at(0.0, A, B, C)
+        for lo, hi in zip(path, path[1:]):
+            e = lo[1][1]
+            den = e * e - C
+            if s0 > 0 and den > 0.0:
+                root = (0.5 * e * e + A * e + B) / den
+                if root < hi[0]:
+                    return self._refine_cell(root, lo, hi, s0, A, B, C)
+            if self._s_on(hi[0], A, B, C, hi[1])[0] != s0:
+                return self._solve_at(hi[0], A, B, C)
+        return self._endpoint(s0)
+
+    def _refine_cell(self, root, lo, hi, s0, A, B, C) -> RootReport:
+        """Stage 2 on the grid cell that holds a segment's root, cut at the
+        segment's end faces lo and hi: the bracket, with its end values,
+        that a scan of the grid refines, except that a scan would solve at
+        a wide end face whose value range holds zero.  Where rounding at a
+        grid point leaves no sign change in the cell, solve at the root.
+        """
+        root = max(root, math.nextafter(lo[0], hi[0]))
+        j = bisect.bisect_left(_GRID, root)  # _GRID[j - 1] < root <= _GRID[j]
+        pa, pb = max(_GRID[j - 1], lo[0]), min(_GRID[j], hi[0])
+        inside = (lo[1][1],) * 2  # the segment's exposure
+        sa, fa = self._s_on(pa, A, B, C, lo[1] if pa == lo[0] else inside)
+        sb, fb = self._s_on(pb, A, B, C, hi[1] if pb == hi[0] else inside)
+        if sb == 0 and fb == fb:  # a zero at a point, not a wide face
+            return self._solve_at(pb, A, B, C)
+        if sa != s0 or sb == s0:
+            return self._solve_at(root, A, B, C)
+        return self._refine(pa, fa, pb, fb, s0, A, B, C)
 
     def _endpoint(self, s: int) -> RootReport:
         p = (1.0 + s) / 2.0

@@ -19,6 +19,8 @@ from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
 from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 from exact_margin import exact_certificate
+from oracle import oracle_forecast
+from test_games import convex_polylines
 
 SOB = Kernel.sobolev()
 
@@ -336,6 +338,108 @@ def test_refine_takes_few_steps(game, kernel, monkeypatch):
     assert len(calls) / len(fc.brackets) <= 8.0
 
 
+# -- stage 1: the polyline walk and the square/log scan --------------------
+
+# vertices 1e-13 apart in one loss: the faces within about 1e-12 of p = 0
+# (first) or p = 1 (second) are wide by the face tolerance, and the faces
+# at 0 and 1 themselves are pinned to the end vertex
+NEAR_DEGENERATE = [Game.custom([(0.0, 1.0), (1e-13, 0.5), (1.0, 0.0)]),
+                   Game.custom([(0.0, 1.0), (0.5, 1e-13), (1.0, 0.0)])]
+# the middle vertex has exposure 0: S is flat between the special ps
+FLAT_SEGMENT = Game.custom([(0.0, 1.5), (0.5, 0.5), (1.5, 0.0)])
+SINGLE_VERTEX = Game.custom([(0.3, 0.7)])
+
+
+def assert_first_sign_change(game, kernel, A, B, C):
+    """next_forecast at fixed (A, B, C) takes the first sign change of
+    _ranges_on on a dense grid that holds every special p: the branch, and
+    on a root round a p between the grid points that bracket the change
+    (to a few ulps), or p = 0 where the sign at 0 is 0."""
+    fc = BracketRecorder(game, kernel, (A, B, C))
+    rep = fc.next_forecast(0.0)
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2049),
+                                     game.special_ps()]))
+    sgn = fc._sgn(*fc._ranges_on(grid, A, B, C))
+    flips = np.nonzero(sgn != sgn[0])[0]
+    if sgn[0] == 0:
+        assert rep.branch is Branch.ROOT and rep.forecast.p == 0.0
+    elif not flips.size:
+        assert rep.branch is (Branch.ENDPOINT_POSITIVE if sgn[0] > 0
+                              else Branch.ENDPOINT_NEGATIVE)
+    else:
+        i, tol = int(flips[0]), 4 * math.ulp(1.0)
+        assert rep.branch is Branch.ROOT
+        assert grid[i - 1] - tol <= rep.forecast.p <= grid[i] + tol
+    if fc.brackets:
+        assert_brackets_closed(fc)
+
+
+@given(st.one_of(convex_polylines(), st.sampled_from(NEAR_DEGENERATE)),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, -1e-3))
+def test_walk_takes_the_first_sign_change(game, A, B, C):
+    assert_first_sign_change(game, SOB, A, B, C)
+
+
+@pytest.mark.parametrize("game", [FLAT_SEGMENT, SINGLE_VERTEX],
+                         ids=["flat-segment", "single-vertex"])
+@given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_walk_takes_the_first_sign_change_where_k_vanishes(game, A, B):
+    # K(0, 0) = 0 for the linear kernel with offset 0, so C = -0.0 and a
+    # segment's slope is -e^2: zero on the flat segment
+    kernel = Kernel.linear(offset=0.0)
+    C = Forecaster(game, kernel).coefficients(0.0)[2]
+    assert C == 0.0
+    assert_first_sign_change(game, kernel, A, B, C)
+
+
+def test_walk_takes_the_root_before_a_straddling_face():
+    # absolute loss with the Sobolev K(x, x) = 1/2: below p = 1/2 S is
+    # 1/2 + A + B - 3p/2, whose root sits 1e-4 below 1/2, inside the
+    # last grid cell before it.  The face at 1/2 runs from A + B - 1/4 < 0
+    # at e = 1 to -A + B - 1/4 > 0 at e = -1, so its value range holds
+    # zero; taking the first grid point whose sign is not S(0)'s solves on
+    # that face instead, at p = 1/2.
+    A, B, C = -0.5 - 1.5e-4, 0.75, -0.5
+    fc = BracketRecorder(Game.absolute(), SOB, (A, B, C))
+    rep = fc.next_forecast(0.0)
+    # one history row gives the oracle the same sums: e r = A and
+    # K(0, 0) r = 1/2, so B = 1/2 + K(0, 0)/2 (e is free in the oracle)
+    p, q = oracle_forecast(Game.absolute(), SOB, [(0.0, 0.0, 0.5, 1, A)],
+                           0.0)
+    assert abs(rep.forecast.p - p) <= 1e-6 and rep.forecast.p < 0.5
+    assert rep.branch is Branch.ROOT and rep.s_residual < 1e-15
+    assert_brackets_closed(fc)
+
+
+def test_polyline_rounds_fill_no_grid(monkeypatch):
+    sizes = []
+    arrays = Game.exposure_interval_arrays
+
+    def counted(self, ps):
+        sizes.append(np.size(ps))
+        return arrays(self, ps)
+
+    monkeypatch.setattr(Game, "exposure_interval_arrays", counted)
+    for game in (Game.absolute(), POLY):
+        run_random(game, SOB, 50, seed=3)
+    assert sizes and set(sizes) == {1}  # stage-2 steps only
+
+
+@given(st.floats(0.0, 10.0), st.floats(-10.0, 10.0), st.floats(-2.0, 0.0))
+def test_square_and_log_s_falls_where_a_is_nonnegative(A, B, C):
+    # dS/dp = -(e^2 - C) + ((1 - 2p) e + A) e'(p), with e' < 0 and
+    # (1 - 2p) e >= 0 for these scoring rules: S cannot rise when A >= 0,
+    # so the first sign change is the only one.  Where A < 0 it can rise,
+    # which is why these games scan a grid rather than walk.
+    for game in (Game.square(), Game.log()):
+        fc = Forecaster(game, SOB)
+        grid, e, quad = fc._scan_terms(_DELTA_START)
+        v = fc._scan(_DELTA_START, A, B, C)[2]
+        size = np.abs(quad) + np.abs(A * e) + abs(B) + np.abs(C * grid)
+        assert np.all(np.diff(v) <= 4 * np.finfo(float).eps
+                      * (size[:-1] + size[1:]))
+
+
 # -- history store and scan cache -----------------------------------------
 
 def list_coefficients(kernel, xs, ps, ys, agg_a, x):
@@ -446,13 +550,11 @@ def test_cached_scan_equals_uncached_ranges(game):
     rng = np.random.default_rng(79)
     coeffs = rng.normal(scale=5.0, size=(20, 3)).tolist()
     for delta in (_DELTA_START, _DELTA_START / 2.0, _DELTA_START / 64.0):
-        grid, e_hi, quad, wide = fc._scan_terms(delta)
+        grid, e_hi, quad = fc._scan_terms(delta)
         assert np.array_equal(grid, fc._p_grid(delta))
+        # no grid point is a special p: every face on the grid is a point
         hi, lo = game.exposure_interval_arrays(grid)
-        j = np.nonzero(hi != lo)[0]
-        assert [w[:2] for w in wide] == list(zip(j.tolist(),
-                                                 grid[j].tolist()))
-        assert sorted(w[1] for w in wide) == game.special_ps()
+        assert np.array_equal(hi, lo) and np.array_equal(hi, e_hi)
         for A, B, C in coeffs + [[math.nan, 1.0, 1.0]]:
             with np.errstate(invalid="ignore"):
                 sgn = fc._scan(delta, A, B, C)[1]

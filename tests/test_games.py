@@ -242,6 +242,30 @@ def test_polyline_exposure_arrays_equal_per_point_on_near_degenerate_faces():
         Game.custom([(0.0, 1.0), (0.5, 1e-13), (1.0, 0.0)]))
 
 
+def test_exposure_interval_arrays_shape_type_and_values():
+    # float64 arrays of the input's shape, or a float pair for a scalar p;
+    # the face at a special p (absolute and POLY at 1/2) is wide
+    ps = np.array([0.1, 0.25, 0.5, 0.8])
+    want = {
+        "square": [(0.8, 0.8), (0.5, 0.5), (0.0, 0.0), (-0.6, -0.6)],
+        "absolute": [(1.0, 1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)],
+        "log": [(e, e) for e in np.log((1.0 - ps) / ps).tolist()],
+        "custom": [(1.0, 1.0), (1.0, 1.0), (0.35, -0.35), (-1.0, -1.0)],
+    }
+    for game, name in zip(ALL_GAMES, ALL_IDS):
+        hi, lo = game.exposure_interval_arrays(ps)
+        assert hi.dtype == lo.dtype == np.float64
+        assert hi.shape == lo.shape == ps.shape
+        assert hi.tolist() == pytest.approx([w[0] for w in want[name]],
+                                            abs=1e-12)
+        assert lo.tolist() == pytest.approx([w[1] for w in want[name]],
+                                            abs=1e-12)
+        for i, p in enumerate(ps.tolist()):
+            pair = game.exposure_interval_arrays(p)
+            assert [type(v) for v in pair] == [float, float]
+            assert pair == (hi[i], lo[i])
+
+
 def test_polyline_exposure_arrays_reject_p_outside_domain():
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
