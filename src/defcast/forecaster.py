@@ -26,16 +26,13 @@ same expressions in the same order, and np.log.
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
 doubling, of which rows [:round] are live.  x is float for the built-in
-kernels and object for custom kernels, whose points are opaque.  Kernel
-sums and certificates read contiguous float64 slices of the columns, with
-the same expressions as over arrays built from per-round lists, so the
-bits are unchanged: the residual column holds float(y) - p, which is what
-np.asarray(ys, float) - np.asarray(ps) computes, and the stored loss is
-the canonical decision's loss1 or loss0, which equals Game.loss(y, gamma)
-bit for bit (square and log build the pair with Game.loss, polylines
-with the same arithmetic).  Values leave the store through
-tolist(), never as numpy scalars, whose repr under numpy 2 is not the
-shortest round-trip decimal.
+kernels and object for custom kernels, whose points are opaque.  Every
+kernel sum over the history is ordered_dot of a Kernel.row.  The stored
+loss is the canonical decision's loss1 or loss0, which equals
+Game.loss(y, gamma) bit for bit (square and log build the pair with
+Game.loss, polylines with the same arithmetic).  Values leave the store
+through tolist(), never as numpy scalars, whose repr under numpy 2 is
+not the shortest round-trip decimal.
 
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
@@ -146,27 +143,21 @@ class Forecaster:
 
     # -- kernel sums ------------------------------------------------------
 
-    def _kernel_row(self, x) -> np.ndarray:
-        xs = self._cols["x"][:self._n]
-        if self.kernel.kind is KernelKind.CUSTOM:
-            return np.array([float(self.kernel(x, xi)) for xi in xs])
-        return np.asarray(self.kernel(x, xs))
-
     def coefficients(self, x) -> tuple[float, float, float]:
         """(A, B, C) of the quadratic-in-e form of S at datum x."""
         kxx = float(self.kernel.diag(x))
         resid = self._cols["residual"][:self._n]
-        b = ordered_dot(self._kernel_row(x), resid) + 0.5 * kxx
-        return self.agg_a, b, -kxx
+        row = self.kernel.row(x, self._cols["x"][:self._n])
+        return self.agg_a, ordered_dot(row, resid) + 0.5 * kxx, -kxx
 
     def s_value(self, p: float, q: float, x) -> float:
         """Betting function at (p, q, x), by direct summation over history."""
-        d = self.game.canonical_choice(Forecast(p, q))
-        e = d.exposure
+        e = self.game.canonical_choice(Forecast(p, q)).exposure
         kxx = float(self.kernel.diag(x))
         total = 0.5 * (e * e + kxx) * (1.0 - 2.0 * p)
         resid = self._cols["residual"][:self._n]
-        terms = (e * self._cols["e"][:self._n] + self._kernel_row(x)) * resid
+        row = self.kernel.row(x, self._cols["x"][:self._n])
+        terms = (e * self._cols["e"][:self._n] + row) * resid
         return total + float(terms.sum())
 
     # -- root finding -----------------------------------------------------
@@ -470,7 +461,6 @@ class Forecaster:
         """Resolution certificate for f; fx, if given, lists f(x_i)."""
         if f.kernel != self.kernel:
             raise DomainError("expansion uses a different kernel")
-        if fx is None:
-            fx = [float(f(xi)) for xi in self._cols["x"][:self._n].tolist()]
-        lhs = abs(ordered_dot(self._cols["residual"][:self._n], np.array(fx)))
+        fx = f(self.column("x")) if fx is None else fx
+        lhs = abs(ordered_dot(self._cols["residual"][:self._n], fx))
         return lhs, f.norm() * math.sqrt(self._variance())

@@ -72,14 +72,19 @@ def from_doc(doc, what: str, error: type, kinds: dict):
     return kinds[kind](**args)
 
 
-def ordered_dot(a, b) -> float:
-    """a @ b summed in order over slices that OpenBLAS runs on one thread."""
-    if len(a) <= _DOT_SLICE:
+def ordered_dot(a, b):
+    """a @ b summed in order over slices that OpenBLAS runs on one thread.
+    Each row of a 2-D a gets its 1-D bits: (n, 1, m) @ (m, 1) runs one ddot
+    per row, where a gemv sums another way, and the slices add from the
+    first, not from zeros (0.0 + -0.0 is +0.0)."""
+    if a.ndim == 2:
+        a, b = a[:, None, :], b[:, None]
+    elif len(a) <= _DOT_SLICE:
         return float(a @ b)
-    total = float(a[:_DOT_SLICE] @ b[:_DOT_SLICE])
-    for i in range(_DOT_SLICE, len(a), _DOT_SLICE):
-        total += float(a[i:i + _DOT_SLICE] @ b[i:i + _DOT_SLICE])
-    return total
+    total = a[..., :_DOT_SLICE] @ b[:_DOT_SLICE]
+    for i in range(_DOT_SLICE, a.shape[-1], _DOT_SLICE):
+        total += a[..., i:i + _DOT_SLICE] @ b[i:i + _DOT_SLICE]
+    return float(total) if a.ndim == 1 else total[:, 0, 0]
 
 
 class KernelKind(Enum):
@@ -159,6 +164,13 @@ class Kernel:
         k = np.multiply(d, d, out=out)
         return np.exp(np.divide(k, -(2 * self.width ** 2), out=out), out=out)
 
+    def row(self, x, points) -> np.ndarray:
+        """K(x, p) for each point: broadcast for a built-in kernel, point by
+        point for a custom one.  Each point-sum is ordered_dot of a row."""
+        if self.kind is KernelKind.CUSTOM:
+            return np.array([float(self(x, p)) for p in points])
+        return np.asarray(self(x, points))
+
     def diag(self, x):
         """K(x, x); the stationary kernels' is their value at 0, exactly."""
         if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
@@ -195,13 +207,8 @@ class Kernel:
         pts = list(points)
         if not pts:
             raise KernelError("gram needs at least one point")
-        if self.kind is KernelKind.CUSTOM:
-            n = len(pts)
-            g = np.empty((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    g[i, j] = g[j, i] = float(self.func(pts[i], pts[j]))
-            return g
+        if self.kind is KernelKind.CUSTOM:  # _slab's entries, all columns
+            return self._slab(pts, 0, len(pts), np.empty((len(pts),) * 2))
         xs = np.asarray(pts, dtype=float)
         return np.asarray(self(xs[:, None], xs[None, :]))
 
@@ -304,18 +311,22 @@ class KernelExpansion:
         return KernelExpansion.build(doc["centers"], doc["weights"], kernel)
 
     def __call__(self, x):
-        """Evaluate at x; broadcasts over arrays for built-in kernels."""
-        if not self.centers:
-            return np.zeros_like(np.asarray(x, dtype=float)) \
-                if np.ndim(x) else 0.0
-        w = np.asarray(self.weights)
-        if self.kernel.kind is KernelKind.CUSTOM:
-            return float(sum(wi * float(self.kernel.func(zi, x))
-                             for wi, zi in zip(w, self.centers)))
-        zs = np.asarray(self.centers, dtype=float)
-        xs = np.asarray(x, dtype=float)
-        vals = self.kernel(zs, xs[..., None]) @ w
-        return float(vals) if np.ndim(x) == 0 else vals
+        """f(x) = ordered_dot(Kernel.row(x, centers), weights).  At a float
+        array, a built-in kernel's rows go to ordered_dot in 1 MiB blocks,
+        so each entry has the bits of a call at that x alone.  An object
+        array, a custom kernel's column, is evaluated point by point."""
+        if getattr(x, "dtype", None) == object:
+            return np.array([self(p) for p in x])
+        w = np.asarray(self.weights, dtype=float)
+        if self.kernel.kind is KernelKind.CUSTOM or np.ndim(x) == 0:
+            return ordered_dot(self.kernel.row(x, self.centers), w)
+        xs, zs = np.asarray(x, dtype=float), np.asarray(self.centers, float)
+        col, step = xs.reshape(-1, 1), max(1, (1 << 17) // max(len(zs), 1))
+        out = np.empty(len(col))
+        for i in range(0, len(col), step):  # blocks of about 2^17 entries
+            rows = self.kernel.row(col[i:i + step], zs)
+            out[i:i + step] = ordered_dot(rows, w)
+        return out.reshape(xs.shape)
 
     def norm(self) -> float:
         """RKHS norm sqrt(w' G w) of the expansion."""

@@ -120,15 +120,14 @@ class Engine:
 
     # -- comparators ------------------------------------------------------
 
-    def _comparator_rounds(self, c: Comparator) -> tuple[list, list]:
+    def _comparator_rounds(self, c: Comparator) -> tuple:
         """(exposures, losses) of c per round, kept until the next observe."""
         if id(c) not in self._comparator_cache:
-            xs = self.forecaster.column("x").tolist()
-            vals = [float(c.exposure_fn(x)) for x in xs]
+            vals = c.exposure_fn(self.forecaster.column("x"))
             ys = self.forecaster.column("y").tolist()
             try:
                 losses = [self.game.loss(y, self.game.decision_from_exposure(v))
-                          for y, v in zip(ys, vals)]
+                          for y, v in zip(ys, vals.tolist())]
             except DomainError as exc:
                 raise ComparatorError(f"{exc}: the rule does not map into "
                                       "the decision set") from None

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import defcast
@@ -220,12 +221,13 @@ def test_report_contents(tmp_path):
 
 def test_run_evaluates_each_comparator_once_per_round(tmp_path, monkeypatch):
     # the report's losses, its resolution certificate and the regret curve
-    # share one evaluation of each comparator at each x
+    # share one evaluation of each comparator at each x: one call over the
+    # x column per comparator; each call records how many points it took
     calls = []
     evaluate = KernelExpansion.__call__
 
     def counted(self, x):
-        calls.append(x)
+        calls.append(np.size(x))
         return evaluate(self, x)
 
     doc = config_doc(horizon=30, comparators=[
@@ -234,7 +236,7 @@ def test_run_evaluates_each_comparator_once_per_round(tmp_path, monkeypatch):
     expected = run(ExperimentConfig.from_json(doc), tmp_path / "a")
     monkeypatch.setattr(KernelExpansion, "__call__", counted)
     counted_run = run(ExperimentConfig.from_json(doc), tmp_path / "b")
-    assert len(calls) == 2 * 30
+    assert calls == [30, 30]
     assert counted_run.report == expected.report
 
 

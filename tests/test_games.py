@@ -182,16 +182,6 @@ def test_exposure_interval_matches_choice_endpoints():
             assert e_lo == pytest.approx(d1.exposure, abs=1e-9)
 
 
-def test_exposure_interval_arrays_agrees_with_scalar():
-    ps = np.linspace(0.05, 0.95, 37)
-    for game in ALL_GAMES:
-        hi, lo = game.exposure_interval_arrays(ps)
-        for i, p in enumerate(ps):
-            h, l = game.exposure_interval(float(p))
-            assert hi[i] == pytest.approx(h, abs=1e-12)
-            assert lo[i] == pytest.approx(l, abs=1e-12)
-
-
 @st.composite
 def convex_polylines(draw):
     """Random convex polylines: loss0 up, loss1 down, slopes increasing."""
@@ -286,16 +276,6 @@ def test_float_exposure_interval_has_the_one_element_bits(p):
             assert_float_matches_one_element(game, q)
 
 
-def test_scalar_exposure_interval_equals_the_vectorized_path():
-    # the scan and stage 2 bracket a root with the vectorized exposures,
-    # and _solve_at solves with the scalar ones: they must be the same
-    ps = np.random.default_rng(5).random(20_000)
-    for game in ALL_GAMES:
-        hi, lo = game.exposure_interval_arrays(ps)
-        pairs = [game.exposure_interval(p) for p in ps.tolist()]
-        assert pairs == list(zip(hi.tolist(), lo.tolist()))
-
-
 def test_log_exposure_interval_has_the_bits_of_numpy_log():
     # the grid and stage 2 both take exposure_interval's floats, and every
     # recorded artifact has np.log's bits: math.log differs in the last
@@ -303,13 +283,6 @@ def test_log_exposure_interval_has_the_bits_of_numpy_log():
     ps = np.random.default_rng(3).random(20_000)
     got = [LG.exposure_interval(p)[0] for p in ps.tolist()]
     assert got == np.log((1.0 - ps) / ps).tolist()
-
-
-def test_float_log_exposure_uses_numpy_log():
-    # math.log and a vectorized np.log may differ in the last bit on a
-    # few arguments in a thousand; a dense sweep finds them
-    for p in np.random.default_rng(3).random(20_000).tolist():
-        assert_float_matches_one_element(LG, p)
 
 
 def test_special_ps():

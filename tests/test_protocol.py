@@ -8,7 +8,7 @@ import pytest
 
 from defcast.forecaster import _INITIAL_CAPACITY, Branch
 from defcast.games import DomainError, Forecast, Game
-from defcast.kernels import Kernel, KernelExpansion
+from defcast.kernels import Kernel, KernelExpansion, ordered_dot
 from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
 
 SOB = Kernel.sobolev()
@@ -106,6 +106,29 @@ def test_opaque_points_still_accepted_by_custom_kernels():
         engine.decide(x)
         engine.observe(y)
     assert engine.rounds == 3
+
+
+def test_custom_kernel_on_float_vector_points_runs_a_report():
+    # a point may itself be a float array: the x column is an object column,
+    # evaluated point by point, never read as a column of floats
+    def laplace(a, b):
+        return 0.5 * math.exp(-float(np.sum(np.abs(np.subtract(a, b)))))
+
+    kernel = Kernel.custom(laplace, data_range=1.0)
+    engine = Engine(Game.square(), kernel)
+    rng = np.random.default_rng(29)
+    points = [rng.uniform(-1, 1, 2) for _ in range(12)]
+    for x in points:
+        engine.decide(x)
+        engine.observe(int(rng.integers(0, 2)))
+    f = KernelExpansion.build([np.array([0.2, -0.1]), np.array([-0.5, 0.4])],
+                              [0.6, -0.6], kernel)
+    report = engine.regret_report([Comparator.build(f)])
+    want = [f(x) for x in points]
+    assert f(engine.forecaster.column("x")).tolist() == want
+    assert report["rounds"] == 12
+    assert report["comparators"][0]["resolution"]["lhs"] == abs(ordered_dot(
+        engine.forecaster.column("residual"), np.array(want)))
 
 
 def test_round_log_reads_back_opaque_points_past_a_doubling():
