@@ -207,8 +207,13 @@ class Kernel:
         pts = list(points)
         if not pts:
             raise KernelError("gram needs at least one point")
-        if self.kind is KernelKind.CUSTOM:  # _slab's entries, all columns
-            return self._slab(pts, 0, len(pts), np.empty((len(pts),) * 2))
+        if self.kind is KernelKind.CUSTOM:
+            n = len(pts)
+            g = np.empty((n, n))
+            for i in range(n):
+                for j in range(i, n):
+                    g[i, j] = g[j, i] = float(self.func(pts[i], pts[j]))
+            return g
         xs = np.asarray(pts, dtype=float)
         return np.asarray(self(xs[:, None], xs[None, :]))
 
@@ -311,12 +316,10 @@ class KernelExpansion:
         return KernelExpansion.build(doc["centers"], doc["weights"], kernel)
 
     def __call__(self, x):
-        """f(x) = ordered_dot(Kernel.row(x, centers), weights).  At a float
-        array, a built-in kernel's rows go to ordered_dot in 1 MiB blocks,
-        so each entry has the bits of a call at that x alone.  An object
-        array, a custom kernel's column, is evaluated point by point."""
-        if getattr(x, "dtype", None) == object:
-            return np.array([self(p) for p in x])
+        """f(x) = ordered_dot(Kernel.row(x, centers), weights).  A custom
+        kernel's x is one opaque point.  At a float array, a built-in
+        kernel's rows go to ordered_dot in 1 MiB blocks, so each entry has
+        the bits of a call at that x alone."""
         w = np.asarray(self.weights, dtype=float)
         if self.kernel.kind is KernelKind.CUSTOM or np.ndim(x) == 0:
             return ordered_dot(self.kernel.row(x, self.centers), w)

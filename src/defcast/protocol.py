@@ -123,7 +123,7 @@ class Engine:
     def _comparator_rounds(self, c: Comparator) -> tuple:
         """(exposures, losses) of c per round, kept until the next observe."""
         if id(c) not in self._comparator_cache:
-            vals = c.exposure_fn(self.forecaster.column("x"))
+            vals = self.forecaster.at_x(c.exposure_fn)
             ys = self.forecaster.column("y").tolist()
             try:
                 losses = [self.game.loss(y, self.game.decision_from_exposure(v))

@@ -110,7 +110,7 @@ def test_opaque_points_still_accepted_by_custom_kernels():
 
 def test_custom_kernel_on_float_vector_points_runs_a_report():
     # a point may itself be a float array: the x column is an object column,
-    # evaluated point by point, never read as a column of floats
+    # and Forecaster.at_x calls the expansion once per point
     def laplace(a, b):
         return 0.5 * math.exp(-float(np.sum(np.abs(np.subtract(a, b)))))
 
@@ -125,10 +125,38 @@ def test_custom_kernel_on_float_vector_points_runs_a_report():
                               [0.6, -0.6], kernel)
     report = engine.regret_report([Comparator.build(f)])
     want = [f(x) for x in points]
-    assert f(engine.forecaster.column("x")).tolist() == want
+    assert engine.forecaster.at_x(f).tolist() == want
     assert report["rounds"] == 12
     assert report["comparators"][0]["resolution"]["lhs"] == abs(ordered_dot(
         engine.forecaster.column("residual"), np.array(want)))
+
+
+def test_custom_kernel_on_object_array_points_takes_each_as_one_point():
+    # a mixed record as a point is an object-dtype array: a custom
+    # expansion takes it as one point, not as a column of points
+    def record(a, b):
+        same = 1.0 if a[0] == b[0] else 0.5  # a product of PSD kernels
+        return same * 0.5 * math.exp(-abs(a[1] - b[1]))
+
+    kernel = Kernel.custom(record)
+    engine = Engine(Game.square(), kernel)
+    rng = np.random.default_rng(31)
+    points = [np.array([str(rng.choice(["a", "b"])), rng.uniform(-1, 1)],
+                       dtype=object) for _ in range(10)]
+    ys = rng.integers(0, 2, len(points)).tolist()
+    for x, y in zip(points, ys):
+        engine.decide(x)
+        engine.observe(y)
+    f = KernelExpansion.build(points[:2], [0.4, -0.3], kernel)
+    want = [f(x) for x in points]
+    assert all(type(v) is float for v in want)
+    assert engine.forecaster.at_x(f).tolist() == want
+    game = Game.square()
+    assert engine.comparator_round_losses(Comparator.build(f)) == [
+        game.loss(y, game.decision_from_exposure(v)) for y, v in zip(ys, want)]
+    lhs, _ = engine.forecaster.resolution_certificate(f)
+    assert lhs == abs(ordered_dot(engine.forecaster.column("residual"),
+                                  np.array(want)))
 
 
 def test_round_log_reads_back_opaque_points_past_a_doubling():
