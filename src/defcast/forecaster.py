@@ -197,10 +197,12 @@ class Forecaster:
     def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
         """Min and max of S over the face at each p (vectorized)."""
         e_hi, e_lo = self.game.exposure_interval_arrays(ps)
-        a, c = 0.5 * (1.0 - 2.0 * ps), B + C * ps
+        a = 0.5 * (1.0 - 2.0 * ps)
+        c = B + C * ps
         v1 = a * e_hi * e_hi + A * e_hi + c
         v2 = a * e_lo * e_lo + A * e_lo + c
-        lo, hi = np.minimum(v1, v2), np.maximum(v1, v2)
+        lo = np.minimum(v1, v2)
+        hi = np.maximum(v1, v2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ev = np.where(a != 0.0, -A / (2.0 * np.where(a == 0.0, 1.0, a)),
                           np.nan)
@@ -379,8 +381,15 @@ class Forecaster:
             disc = A * A - 4.0 * a * c
             if disc >= 0.0:
                 sq = math.sqrt(disc)
-                r1 = (-A - sq if A >= 0.0 else -A + sq) / (2.0 * a)
-                roots += [r1, c / (a * r1) if r1 != 0.0 else -A / a]
+                if A >= 0.0:
+                    r1 = (-A - sq) / (2.0 * a)
+                else:
+                    r1 = (-A + sq) / (2.0 * a)
+                roots.append(r1)
+                if r1 != 0.0:
+                    roots.append(c / (a * r1))
+                else:
+                    roots.append(-A / a)
         span = e_hi - e_lo
         tol = 1e-9 * (1.0 + abs(span))
         feasible = [min(max(r, e_lo), e_hi) for r in roots
@@ -389,7 +398,8 @@ class Forecaster:
             e = max(feasible)  # largest e == lexicographically smallest q
         else:
             e = min((e_hi, e_lo), key=lambda v: abs(phi(v)))
-        q = min(max((e_hi - e) / span, 0.0), 1.0)
+        q = (e_hi - e) / span
+        q = min(max(q, 0.0), 1.0)
         return RootReport(Forecast(p, q), abs(phi(e)), Branch.ROOT)
 
     # -- protocol hooks ---------------------------------------------------
