@@ -25,7 +25,7 @@ COLUMNS = ("p", "q", "y", "branch")
 
 def diff_logs(path_a, path_b) -> dict:
     """The comparison of two round logs that main prints."""
-    a, b = ([values for _, values in read_round_log(path, COLUMNS)]
+    a, b = (list(zip(*read_round_log(path, COLUMNS)[1]))
             for path in (path_a, path_b))
     dp = dq = 0.0
     first = None if len(a) == len(b) else min(len(a), len(b)) + 1

@@ -9,7 +9,9 @@ be compared for byte-identical artifacts with one diff of their
 summary.json files, and a verdict that rests on a rounding-sized margin
 shows up.  The large-number margin is rhs + slack - lhs; the resolution
 margin is the smallest bound + slack - lhs over the comparators other than
-the zero rule.
+the zero rule.  Each run's round log is then certified again, as
+`defcast certify` does; a certificate that differs from the run's in any
+bit is printed and makes the exit code 1.
 
 Usage: python3 scripts/run_battery.py [--horizon N] [--seed S] [--out DIR]
 """
@@ -23,7 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from defcast.experiments import ExperimentConfig, run  # noqa: E402
+from defcast.experiments import (ExperimentConfig, certify_log,  # noqa: E402
+                                 run)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" \
     / "replay_fixture.csv"
@@ -70,7 +73,7 @@ def main():
              f"{'worst regret':>13} {'bound':>9} {'time':>7}"
     print(header)
     print("-" * len(header))
-    all_ok = True
+    all_ok = certified = True
     hashes = {}
     run_margins = {}
     for game in ("square", "absolute", "log"):
@@ -84,11 +87,19 @@ def main():
                 "comparators": COMPARATORS,
             }
             name = f"{game}_{gen_name}"
+            config = ExperimentConfig.from_json(doc)
             t0 = time.perf_counter()
-            artifacts = run(ExperimentConfig.from_json(doc),
-                            Path(args.out) / name)
+            artifacts = run(config, Path(args.out) / name)
             dt = time.perf_counter() - t0
             rep = artifacts.report
+            # repr tells every float apart that differs in a bit (-0.0 too)
+            cert = certify_log(artifacts.round_log_path, config.game,
+                               config.kernel)["large_numbers_certificate"]
+            if repr(cert) != repr(rep["large_numbers_certificate"]):
+                certified = False
+                print(f"CERTIFY MISMATCH {name}: run "
+                      f"{rep['large_numbers_certificate']!r}, "
+                      f"certify {cert!r}")
             worst = max(r["realized_regret"] for r in rep["comparators"])
             bound = max(r["bound"] for r in rep["comparators"])
             all_ok = all_ok and artifacts.all_pass
@@ -108,11 +119,13 @@ def main():
             print(f"  regret_report {hashes[name]['regret_report_sha256']}")
     print()
     print("all inequalities pass" if all_ok else "INEQUALITY VIOLATED")
+    print("every certify reproduces its run" if certified
+          else "CERTIFY MISMATCH")
     summary = {"all_pass": all_ok, "horizon": args.horizon,
                "seed": args.seed, "margins": run_margins, "sha256": hashes}
     (Path(args.out) / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
-    return 0 if all_ok else 1
+    return 0 if all_ok and certified else 1
 
 
 if __name__ == "__main__":

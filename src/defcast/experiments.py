@@ -12,12 +12,13 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from defcast.forecaster import Branch, Forecaster
-from defcast.games import DomainError, Forecast, Game
+from defcast.games import DomainError, Game
 from defcast.kernels import (Kernel, KernelExpansion, check_keys, from_doc,
                              json_float)
 from defcast.protocol import Comparator, Engine
@@ -86,8 +87,8 @@ class Replay:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.pairs = [v for _, v in read_round_log(self.path, ("x", "y"),
-                                                   headerless=True)]
+        self.pairs = list(zip(*read_round_log(self.path, ("x", "y"),
+                                              headerless=True)[1]))
 
     def datum(self, seed, n):
         if n > len(self.pairs):
@@ -225,19 +226,21 @@ def _checked(name: str, admits, meaning: str):
     return read
 
 
+# y and branch hold a few distinct strings, so each is read once
 _READ = {"x": _checked("x", math.isfinite, "finite"), "p": float, "q": float,
-         "y": _checked("y", (0.0, 1.0).__contains__, "0 or 1"),
+         "y": lru_cache(64)(_checked("y", (0.0, 1.0).__contains__, "0 or 1")),
          # the engine writes |S| at the forecast
          "s_residual": _checked("s_residual", lambda v: 0.0 <= v < math.inf,
                                 "finite and >= 0"),
-         "branch": Branch}
+         "branch": lru_cache(64)(Branch)}
 
 
-def read_round_log(path, names, headerless=False) -> list:
-    """(line number, values) of each row of a CSV log: the named columns,
-    each read by its rule in _READ (y through float, so 1.0 reads as 1).
-    The header names the columns; with `headerless`, a file whose first
-    line does not name them all holds just those columns, in order."""
+def read_round_log(path, names, headerless=False) -> tuple[list, list]:
+    """(line numbers, columns) of the rows of a CSV log: a list per named
+    column, each value read by the column's rule in _READ (y through float,
+    so 1.0 reads as 1).  The header names the columns; with `headerless`, a
+    file whose first line does not name them all holds just those columns,
+    in order.  A bad value is reported by the first line that holds one."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = lines[0].split(",") if lines else []
@@ -250,27 +253,35 @@ def read_round_log(path, names, headerless=False) -> list:
         raise ConfigError(f"{path}: not a round log (header lacks "
                           f"{', '.join(missing)})")
     rules = [(_READ[name], i) for name, i in zip(names, cols)]
-    rows = []
-    for lineno, line in enumerate(lines[start - 1:], start=start):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            rows.append((lineno, [read(parts[i]) for read, i in rules]))
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad row: {exc}") from None
-    return rows
+    linenos = [n for n in range(start, len(lines) + 1) if lines[n - 1].strip()]
+    rows = [lines[n - 1].split(",") for n in linenos]
+    try:
+        return linenos, [list(map(read, [parts[i] for parts in rows]))
+                         for read, i in rules]
+    except (ValueError, IndexError):  # find the first bad line
+        for lineno, parts in zip(linenos, rows):
+            try:
+                for read, i in rules:
+                    read(parts[i])
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad row: {exc}") \
+                    from None
+        raise
 
 
 def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
-    """Rebuild the forecaster state from a round log and re-check it."""
+    """Rebuild the forecaster state from a round log and re-check it.  The
+    log is read in columns and loaded by one Forecaster.load (update stays
+    the per-round writer of a run); a row that does not read, or else the
+    first that the game refuses, is reported by its line number."""
+    lines, columns = read_round_log(
+        log_path, ("x", "p", "q", "y", "s_residual", "branch"))
     fc = Forecaster(game, kernel)
-    for lineno, (x, p, q, y, s_res, branch) in read_round_log(
-            log_path, ("x", "p", "q", "y", "s_residual", "branch")):
-        try:
-            fc.update(x, Forecast(p, q), y, s_residual=s_res, branch=branch)
-        except DomainError as exc:  # a forecast the game does not take
-            raise ConfigError(f"{log_path}:{lineno}: bad row: {exc}") from None
+    try:
+        fc.load(*columns)
+    except DomainError as exc:  # a forecast the game does not take
+        raise ConfigError(f"{log_path}:{lines[exc.row]}: bad row: {exc}") \
+            from None
     if not fc.round:  # nothing to certify: no verdict, not a pass
         raise ConfigError(f"{log_path}: the round log has no rounds")
     return {"rounds": fc.round,

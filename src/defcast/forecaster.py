@@ -25,14 +25,16 @@ same expressions in the same order, and np.log.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
-doubling, of which rows [:round] are live.  x is float for the built-in
-kernels and object for custom kernels, whose points are opaque.  Every
-kernel sum over the history is ordered_dot of a Kernel.row.  The stored
-loss is the canonical decision's loss1 or loss0, which equals
-Game.loss(y, gamma) bit for bit (square and log build the pair with
-Game.loss, polylines with the same arithmetic).  Values leave the store
-through tolist(), never as numpy scalars, whose repr under numpy 2 is
-not the shortest round-trip decimal.
+doubling, of which rows [:round] are live.  update writes a round as it
+is played; load writes a certified log's columns at once, with update's
+bits.  x is float for the built-in kernels and object for custom
+kernels, whose points are opaque.  Every kernel sum over the history is
+ordered_dot of a Kernel.row.  The stored loss is the canonical
+decision's loss1 or loss0, which equals Game.loss(y, gamma) bit for bit
+(square and log build the pair with Game.loss, polylines with the same
+arithmetic).  Values leave the store through tolist(), never as numpy
+scalars, whose repr under numpy 2 is not the shortest round-trip
+decimal.
 
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
@@ -72,10 +74,10 @@ _COLUMNS = {"x": None, "p": float, "q": float, "y": int, "e": float,
             "s_residual": float, "branch": object}
 
 
-def running_totals(values) -> np.ndarray:
+def running_totals(values, start: float = 0.0) -> np.ndarray:
     """Totals after 0, 1, ..., len(values) rounds, added left to right in
     round order as a running sum (sum() compensates since Python 3.12)."""
-    return np.concatenate(([0.0], values)).cumsum()
+    return np.concatenate(([start], values)).cumsum()
 
 
 def check_datum(x, data_range) -> None:
@@ -417,9 +419,8 @@ class Forecaster:
         e = d.exposure
         resid = float(y) - forecast.p
         n = self._n
-        if n == len(self._cols["p"]):  # full: double every column
-            self._cols = {name: np.concatenate([col, np.empty_like(col)])
-                          for name, col in self._cols.items()}
+        if n == len(self._cols["p"]):  # full
+            self._double()
         cols = self._cols
         cols["x"][n] = x
         cols["p"][n] = forecast.p
@@ -433,6 +434,47 @@ class Forecaster:
         cols["branch"][n] = branch
         self._n = n + 1
         self.agg_a += e * resid
+
+    def _double(self) -> None:
+        self._cols = {name: np.concatenate([col, np.empty_like(col)])
+                      for name, col in self._cols.items()}
+
+    def load(self, x, p, q, y, s_residual, branch) -> None:
+        """Append rounds given as columns, with the bits of an update per
+        row (agg_a adds e * residual in round order).  Every row is checked
+        first: x at its least and greatest (a custom kernel's at each
+        point), y, and the forecasts in Game.choices, whose gamma is then p
+        or a point of the face.  A bad row raises update's DomainError for
+        the first row that update refuses, with its index as `row`, and
+        nothing is written."""
+        xs = np.fromiter(x, self._cols["x"].dtype, len(p))
+        p, q, ys = np.asarray(p, float), np.asarray(q, float), np.asarray(y)
+        try:
+            for v in xs if xs.dtype == object else (xs.min(initial=0.0),
+                                                    xs.max(initial=0.0)):
+                check_datum(v, self.kernel.data_range)
+            if not np.isin(ys, (0, 1)).all():
+                raise DomainError("observations must be binary")
+            gamma, loss0, loss1 = self.game.choices(p, q)
+        except DomainError:
+            probe = Forecaster(self.game, self.kernel)
+            for k, (v, pk, qk, yk) in enumerate(zip(xs.tolist(), p.tolist(),
+                                                    q.tolist(), y)):
+                try:
+                    probe.update(v, Forecast(pk, qk), yk)
+                except DomainError as exc:
+                    exc.row = k
+                    raise
+            raise
+        n, m, e, resid = self._n, len(p), loss1 - loss0, ys - p
+        while n + m > len(self._cols["p"]):
+            self._double()
+        new = (xs, p, q, ys, e, resid, gamma, np.where(ys, loss1, loss0),
+               s_residual, branch)
+        for name, col in zip(_COLUMNS, new):
+            self._cols[name][n:n + m] = col
+        self._n = n + m
+        self.agg_a = float(running_totals(e * resid, self.agg_a)[-1])
 
     # -- certificates -----------------------------------------------------
 

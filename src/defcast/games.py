@@ -144,6 +144,10 @@ class Game:
     def loss(self, y: int, gamma: float) -> float:
         """Loss of decision gamma on outcome y."""
         self._check_gamma(gamma)
+        return self._loss(y, gamma)
+
+    def _loss(self, y: int, gamma: float) -> float:
+        """loss without the check of gamma."""
         if self.kind is GameKind.SQUARE:
             return (y - gamma) ** 2
         if self.kind is GameKind.LOG:
@@ -206,6 +210,33 @@ class Game:
         t = i + q * (j - i)
         a, b = self._boundary_pair(t)
         return Decision(t, a, b)
+
+    def choices(self, p, q) -> tuple:
+        """canonical_choice at each (p, q) of two columns, as the columns
+        (gamma, loss0, loss1) with its bits.  Each domain is an interval, so
+        the least and the greatest p and q are checked.  Square and log loss
+        take the scalar loss at each p (numpy's square and log round other
+        ways); a polyline runs _custom_face and _boundary_pair elementwise,
+        each product and sum rounded as Python rounds it."""
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        for pick in (np.min, np.max) if p.size else ():
+            self.check_forecast(Forecast(float(pick(p)), float(pick(q))))
+        if self.kind is not GameKind.CUSTOM:
+            return p, *(np.array([self._loss(y, g) for g in p.tolist()])
+                        for y in (0, 1))
+        a, b = np.array(self.boundary).T
+        m = len(a) - 1
+        scores = np.outer(1.0 - p, a) + np.outer(p, b)
+        best = scores.min(axis=1, keepdims=True)
+        face = scores <= best + _FACE_TOL * (1.0 + np.abs(best))
+        ends = np.arange(m + 1)
+        face[p <= 0.0], face[p >= 1.0] = ends == 0, ends == m
+        i, j = face.argmax(axis=1), m - face[:, ::-1].argmax(axis=1)
+        t = i + q * (j - i)
+        if m == 0:  # a single vertex
+            return t, np.full(t.shape, a[0]), np.full(t.shape, b[0])
+        k = np.minimum(np.floor(t).astype(np.intp), m - 1)
+        return t, *(v[k] + (t - k) * (v[k + 1] - v[k]) for v in (a, b))
 
     def exposure_interval(self, p: float) -> tuple[float, float]:
         """Exposure endpoints (at A(p), at B(p)) of the optimal face at p."""

@@ -7,6 +7,7 @@ through kernel sums only; feature maps are never materialized.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -315,15 +316,23 @@ class KernelExpansion:
         check_keys(doc, "centers", "weights")
         return KernelExpansion.build(doc["centers"], doc["weights"], kernel)
 
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """(centers, weights) as arrays, converted once; a custom kernel's
+        centres stay its tuple of opaque points."""
+        custom = self.kernel.kind is KernelKind.CUSTOM
+        return (self.centers if custom else np.array(self.centers, float),
+                np.array(self.weights, float))
+
     def __call__(self, x):
         """f(x) = ordered_dot(Kernel.row(x, centers), weights).  A custom
         kernel's x is one opaque point.  At a float array, a built-in
         kernel's rows go to ordered_dot in 1 MiB blocks, so each entry has
         the bits of a call at that x alone."""
-        w = np.asarray(self.weights, dtype=float)
+        zs, w = self._arrays
         if self.kernel.kind is KernelKind.CUSTOM or np.ndim(x) == 0:
-            return ordered_dot(self.kernel.row(x, self.centers), w)
-        xs, zs = np.asarray(x, dtype=float), np.asarray(self.centers, float)
+            return ordered_dot(self.kernel.row(x, zs), w)
+        xs = np.asarray(x, dtype=float)
         col, step = xs.reshape(-1, 1), max(1, (1 << 17) // max(len(zs), 1))
         out = np.empty(len(col))
         for i in range(0, len(col), step):  # blocks of about 2^17 entries

@@ -1,6 +1,8 @@
 """The standard battery reproduces its recorded summary bit for bit."""
 
+import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "battery_summary.json"
+SCRIPT = ROOT / "scripts" / "run_battery.py"
 # the fixture's numpy; another release may round the last bits differently
 RECORDED_NUMPY = "2.4.6"
 
@@ -18,7 +21,7 @@ RECORDED_NUMPY = "2.4.6"
                     reason=f"summary recorded with numpy {RECORDED_NUMPY}")
 def test_battery_reproduces_recorded_summary(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_battery.py"),
+        [sys.executable, str(SCRIPT),
          "--horizon", "1000", "--seed", "77", "--out", str(tmp_path)],
         capture_output=True, text=True)
     summary = tmp_path / "summary.json"
@@ -30,3 +33,28 @@ def test_battery_reproduces_recorded_summary(tmp_path):
              or got["margins"].get(name) != want["margins"][name]]
     assert not moved, f"artifacts or margins moved in: {', '.join(moved)}"
     assert summary.read_bytes() == FIXTURE.read_bytes()
+    assert proc.returncode == 0, proc.stdout
+    assert "every certify reproduces its run" in proc.stdout
+
+
+@pytest.mark.parametrize("bits_off", [0, 1])
+def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
+                                                      capsys, bits_off):
+    spec = importlib.util.spec_from_file_location("run_battery", SCRIPT)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    certify_log = battery.certify_log
+
+    def certify_off(*args):
+        result = certify_log(*args)
+        cert = result["large_numbers_certificate"]
+        for _ in range(bits_off):
+            cert["lhs"] = math.nextafter(cert["lhs"], math.inf)
+        return result
+
+    monkeypatch.setattr(battery, "certify_log", certify_off)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py", "--horizon", "32",
+                                      "--out", str(tmp_path)])
+    assert battery.main() == bits_off
+    out = capsys.readouterr().out
+    assert out.count("CERTIFY MISMATCH") == 13 * bits_off

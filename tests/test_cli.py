@@ -376,6 +376,37 @@ def test_certify_bad_row_exits_two(tmp_path, capsys, name):
     assert "round_log.csv:3: bad row" in err
 
 
+# rows that read but that the game or the kernel refuses: --game, --kernel
+GAME_BAD_ROWS = {
+    "log-p-0": ("log", "sobolev", "1,0.5,0.0,0.5,0.0,1,0.0,0.0,root"),
+    "q-above-1": ("square", "sobolev", "1,0.5,0.5,1.5,0.5,1,0.25,0.0,root"),
+    "x-beyond-range": ("absolute", '{"kind": "linear", "range": 1.0}',
+                       "1,2.0,0.5,0.5,0.5,1,0.5,0.0,root"),
+}
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["alone", "first"])
+@pytest.mark.parametrize("name", list(GAME_BAD_ROWS))
+def test_certify_row_the_game_refuses_exits_two(tmp_path, capsys, name,
+                                                later):
+    # alone, or before a row that the game refuses in another way
+    game, kernel, row = GAME_BAD_ROWS[name]
+    log = tmp_path / "round_log.csv"
+    log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
+                   "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n"
+                   + row + "\n"
+                   + "3,0.25,0.5,-0.5,0.5,1,0.25,0.0,root\n" * later)
+    assert main(["certify", "--log", str(log), "--game", game,
+                 "--kernel", kernel]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "round_log.csv:3: bad row" in err
+    # without the bad row, the game and the kernel take the log
+    log.write_text("\n".join(log.read_text().splitlines()[:2]) + "\n")
+    assert main(["certify", "--log", str(log), "--game", game,
+                 "--kernel", kernel]) in (0, 1)
+
+
 @pytest.mark.parametrize("name", ["x-nan", "x-inf", "y-0.7", "y-2"])
 def test_replay_bad_row_exits_two(tmp_path, capsys, name):
     # replay reads the x and y columns of a round log by certify's rules

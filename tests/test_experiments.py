@@ -286,11 +286,10 @@ def test_round_log_reads_back_bit_for_bit(tmp_path, game, kernel, generator):
     artifacts = run(config, tmp_path)
     store = run_engine(config).forecaster
     names = ("x", "p", "q", "y", "s_residual", "branch")
-    rows = read_round_log(artifacts.round_log_path, names)
-    assert [lineno for lineno, _ in rows] == list(range(2, 202))
-    for j, name in enumerate(names):
-        assert [values[j] for _, values in rows] == \
-            store.column(name).tolist(), name
+    linenos, columns = read_round_log(artifacts.round_log_path, names)
+    assert linenos == list(range(2, 202))
+    for name, column in zip(names, columns):
+        assert column == store.column(name).tolist(), name
     cert = certify_log(artifacts.round_log_path, config.game, config.kernel)
     assert cert["large_numbers_certificate"] == \
         artifacts.report["large_numbers_certificate"]

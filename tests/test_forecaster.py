@@ -522,6 +522,112 @@ def test_columns_are_read_only():
         fc.column("p")[0] = 0.5
 
 
+def history_columns(game, xs, seed):
+    """Columns (x, p, q, y, s_residual, branch) of valid rounds at xs, as
+    a round log reads them: p at the ends, the special ps or anywhere."""
+    rng = np.random.default_rng(seed)
+    n = len(xs)
+    ps = [*game.special_ps(), *rng.uniform(0.0, 1.0, 9).tolist()]
+    ps += [] if game.stripped else [0.0, 1.0]
+    return (list(xs), rng.choice(ps, n).tolist(),
+            rng.choice([0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 3)], n).tolist(),
+            rng.integers(0, 2, n).astype(float).tolist(),
+            np.abs(rng.normal(scale=1e-12, size=n)).tolist(),
+            rng.choice(list(Branch), n).tolist())
+
+
+def updated(game, kernel, rows):
+    """A forecaster fed rows (x, p, q, y, s_residual, branch) by update."""
+    fc = Forecaster(game, kernel)
+    for x, p, q, y, s_res, br in rows:
+        fc.update(x, Forecast(p, q), y, s_residual=s_res, branch=br)
+    return fc
+
+
+def assert_same_store(got, want):
+    assert (got.round, len(got._cols["p"])) == (want.round,
+                                                len(want._cols["p"]))
+    for name in want._cols:
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype, name
+        if a.dtype == float:
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        else:
+            assert all(u is v or u == v for u, v in zip(a.tolist(),
+                                                        b.tolist())), name
+    assert math.copysign(1.0, got.agg_a) == math.copysign(1.0, want.agg_a)
+    assert got.agg_a == want.agg_a
+    assert got.large_numbers_certificate() == want.large_numbers_certificate()
+
+
+@pytest.mark.parametrize("first", [0, _INITIAL_CAPACITY - 5])
+@pytest.mark.parametrize("game", [Game.square(), Game.log(), Game.absolute(),
+                                  POLY], ids=["square", "log", "absolute",
+                                              "polyline"])
+def test_load_has_the_bits_of_one_update_per_row(game, first):
+    # the rows after `first` are loaded at once, across two doublings
+    xs = np.random.default_rng(3).uniform(-1, 1, 3 * _INITIAL_CAPACITY)
+    rows = list(zip(*history_columns(game, xs.tolist(), seed=5)))
+    got = updated(game, SOB, rows[:first])
+    got.load(*(list(c) for c in zip(*rows[first:])))
+    assert_same_store(got, updated(game, SOB, rows))
+
+
+def test_load_keeps_opaque_points_and_has_the_bits_of_update():
+    # strings, tuples, an object-dtype record and a float as points; K is
+    # a Laplace kernel of their index
+    names = ["red", ("a", 2), np.array(["b", 1], dtype=object), 0.25, ("c",)]
+    index = {repr(name): i for i, name in enumerate(names)}
+    kernel = Kernel.custom(lambda a, b: 0.5 * math.exp(
+        -abs(index[repr(a)] - index[repr(b)]) / 4.0), data_range=1.0)
+    points = [names[n % len(names)] for n in range(_INITIAL_CAPACITY + 10)]
+    columns = history_columns(POLY, points, seed=7)
+    for first in (0, 9):
+        rows = list(zip(*columns))
+        got = updated(POLY, kernel, rows[:first])
+        got.load(*(list(c) for c in zip(*rows[first:])))
+        assert got.column("x").dtype == object
+        assert all(a is b for a, b in zip(got.column("x").tolist(), points))
+        assert_same_store(got, updated(POLY, kernel, rows))
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["alone", "first"])
+@pytest.mark.parametrize("game, kernel, column, value, match", [
+    (Game.log(), SOB, "p", 0.0, "p=0.0"),
+    (Game.log(), SOB, "p", 1.0, "p=1.0"),
+    (Game.square(), SOB, "q", 1.5, "q=1.5"),
+    (Game.square(), SOB, "q", -0.5, "q=-0.5"),
+    (Game.square(), SOB, "q", math.nan, "q=nan"),
+    (Game.square(), SOB, "y", 2.0, "binary"),
+    (Game.square(), SOB, "x", math.inf, "finite"),
+    (Game.square(), SOB, "x", -math.inf, "finite"),
+    (POLY, Kernel.linear(range=1.0), "x", 2.0, "range"),
+    (POLY, Kernel.linear(range=1.0), "x", -2.0, "range"),
+], ids=["log-p-0", "log-p-1", "q-above-1", "q-below-0", "q-nan", "y-2",
+        "x-inf", "x-minus-inf", "x-above-range", "x-below-range"])
+def test_load_names_the_first_bad_row_and_writes_nothing(game, kernel, column,
+                                                         value, match, later):
+    # the bad row is row 3 of the load, alone or before a row that fails
+    # an earlier rule of the load's checks (y): the first row that update
+    # refuses wins
+    fc = updated(game, kernel, list(zip(*history_columns(
+        game, [0.5] * _INITIAL_CAPACITY, seed=11))))
+    cols = {name: c.copy() for name, c in fc._cols.items()}
+    state = (fc.round, fc.agg_a, fc.large_numbers_certificate())
+    columns = dict(zip(("x", "p", "q", "y", "s_residual", "branch"),
+                       history_columns(game, [0.25] * 8, seed=13)))
+    columns[column][3] = value
+    if later:
+        columns["y"][6] = 0.5
+    with pytest.raises(DomainError, match=match) as exc:
+        fc.load(**columns)
+    assert exc.value.row == 3
+    for name, col in cols.items():
+        assert len(fc._cols[name]) == len(col)
+        assert np.array_equal(fc._cols[name], col, equal_nan=name != "branch")
+    assert (fc.round, fc.agg_a, fc.large_numbers_certificate()) == state
+
+
 def replayed(fc):
     """A fresh forecaster fed fc's history through update."""
     fresh = Forecaster(fc.game, fc.kernel)
@@ -769,8 +875,13 @@ def test_k29_certificate_memory_is_linear_in_rounds():
                            rng.integers(0, 2, n).tolist()):
             fc.update(x, Forecast(p, 0.5), y)
         lhs, rhs = fc.k29_certificate()
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(json.dumps([lhs, rhs, peak]))
+        try:  # this process's own peak: ru_maxrss keeps the parent's
+            with open("/proc/self/status") as fh:
+                kb = next(int(line.split()[1]) for line in fh
+                          if line.startswith("VmHWM:"))
+        except OSError:  # no /proc
+            kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps([lhs, rhs, kb / 1024]))
     """)
     env = dict(os.environ,
                PYTHONPATH=str(Path(defcast.__file__).parents[1]))

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import defcast
-from defcast.games import Decision, DomainError, Forecast, Game
+from defcast.games import _FACE_TOL, Decision, DomainError, Forecast, Game
 
 SQ = Game.square()
 AB = Game.absolute()
@@ -210,25 +210,47 @@ def parity_grid(game):
     return np.array(sorted({p for p in ps if 0.0 <= p <= 1.0}))
 
 
-def assert_arrays_equal_per_point(game):
+def reference_exposures(game, p):
+    """(e_hi, e_lo) at p from the definitions, not from the game's code:
+    1 - 2p for square loss, np.log((1 - p)/p) for log loss, and for a
+    polyline the exposures b - a of the first and last vertex of the
+    optimal face: the vertices whose score (1 - p) a + p b is within the
+    face tolerance of the least, or the end vertex at p = 0 and p = 1."""
+    if game.kind.value == "square":
+        return 1.0 - 2.0 * p, 1.0 - 2.0 * p
+    if game.kind.value == "log":
+        e = float(np.log((1.0 - p) / p))
+        return e, e
+    a, b = np.array(game.boundary).T
+    if p <= 0.0 or p >= 1.0:
+        i = j = 0 if p <= 0.0 else len(a) - 1
+    else:
+        scores = (1.0 - p) * a + p * b
+        best = scores.min()
+        i, j = np.flatnonzero(
+            scores <= best + _FACE_TOL * (1.0 + abs(best)))[[0, -1]]
+    return float(b[i] - a[i]), float(b[j] - a[j])
+
+
+def assert_arrays_equal_reference(game):
     ps = parity_grid(game)
     hi, lo = game.exposure_interval_arrays(ps)
-    pairs = np.array([game.exposure_interval(float(p)) for p in ps])
+    pairs = np.array([reference_exposures(game, p) for p in ps.tolist()])
     assert np.array_equal(hi, pairs[:, 0])
     assert np.array_equal(lo, pairs[:, 1])
 
 
 @given(convex_polylines())
 def test_polyline_exposure_arrays_equal_per_point(game):
-    assert_arrays_equal_per_point(game)
+    assert_arrays_equal_reference(game)
 
 
 def test_polyline_exposure_arrays_equal_per_point_on_near_degenerate_faces():
     # vertices 1e-13 apart in one loss sit inside the face tolerance at
     # p = 0 or p = 1, where the face is pinned to the end vertex instead
-    assert_arrays_equal_per_point(
+    assert_arrays_equal_reference(
         Game.custom([(0.0, 1.0), (1e-13, 0.5), (1.0, 0.0)]))
-    assert_arrays_equal_per_point(
+    assert_arrays_equal_reference(
         Game.custom([(0.0, 1.0), (0.5, 1e-13), (1.0, 0.0)]))
 
 
@@ -256,6 +278,49 @@ def test_exposure_interval_arrays_shape_type_and_values():
             assert pair == (hi[i], lo[i])
 
 
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# ps where numpy's (1 - p)**2, p**2, log(p) and log1p(-p) differ from the
+# scalar loss's pow, math.log and math.log1p in the last bit
+NUMPY_ROUNDS_OTHERWISE = [0.18271225766227794, 0.42672114373024106,
+                          0.9833347065534214, 0.6066357757671799]
+CHOICE_GAMES = ALL_GAMES + [
+    Game.custom([(0.0, 1.0), (1e-13, 0.5), (1.0, 0.0)]),
+    Game.custom([(0.3, 0.7)])]
+
+
+@pytest.mark.parametrize("game", CHOICE_GAMES, ids=ALL_IDS + [
+    "near-degenerate", "one-vertex"])
+@given(st.data())
+def test_choices_have_the_bits_of_canonical_choice(game, data):
+    # every parity-grid p (0, 1, each special p, its neighbouring floats
+    # and points inside the face tolerance) and the NUMPY_ROUNDS_OTHERWISE
+    # ps at q in {0, 1/2, 1}, then drawn rows of such ps or any p, at
+    # those qs or any q
+    grid = parity_grid(game).tolist() + NUMPY_ROUNDS_OTHERWISE
+    rows = [(p, q) for p in grid for q in (0.0, 0.5, 1.0)]
+    rows += data.draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))))
+    rows = [(p, q) for p, q in rows if not game.stripped or 0.0 < p < 1.0]
+    ps, qs = (np.array(c) for c in zip(*rows))
+    want = [game.canonical_choice(Forecast(p, q)) for p, q in rows]
+    got = game.choices(ps, qs)
+    for name, column in zip(("gamma", "loss0", "loss1"), got):
+        assert bits(column) == bits([getattr(d, name) for d in want]), name
+
+
+@pytest.mark.parametrize("game", ALL_GAMES, ids=ALL_IDS)
+def test_choices_check_every_row_and_take_no_rows(game):
+    for p, q in ((0.0 if game.stripped else -0.1, 0.5), (0.5, 1.5),
+                 (0.5, math.nan), (math.nan, 0.5)):
+        with pytest.raises(DomainError):
+            game.choices([0.25, p, 0.75], [0.5, q, 0.5])
+    assert [c.tolist() for c in game.choices([], [])] == [[], [], []]
+
+
 def test_polyline_exposure_arrays_reject_p_outside_domain():
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
@@ -266,9 +331,12 @@ def assert_float_matches_one_element(game, p):
     hi, lo = game.exposure_interval_arrays(p)
     hi1, lo1 = game.exposure_interval_arrays(np.array([p]))
     assert type(hi) is float and type(lo) is float
-    assert hi == hi1[0] and lo == lo1[0]
+    assert (hi, lo) == (hi1[0], lo1[0]) == reference_exposures(game, p)
 
 
+# math.log((1 - p)/p) differs from np.log's in the last place at these p
+@example(0.5882931558557919)
+@example(0.6434724541360264)
 @given(st.floats(1e-300, 1.0, exclude_max=True))
 def test_float_exposure_interval_has_the_one_element_bits(p):
     for game in ALL_GAMES + [Game.custom([(0.0, 1.0), (1.0, 0.0)])]:
