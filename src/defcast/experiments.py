@@ -279,7 +279,7 @@ def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
     fc = Forecaster(game, kernel)
     try:
         fc.load(*columns)
-    except DomainError as exc:  # a forecast the game does not take
+    except DomainError as exc:  # a row the game or the kernel refuses
         raise ConfigError(f"{log_path}:{lines[exc.row]}: bad row: {exc}") \
             from None
     if not fc.round:  # nothing to certify: no verdict, not a pass

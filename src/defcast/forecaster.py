@@ -447,6 +447,8 @@ class Forecaster:
         or a point of the face.  A bad row raises update's DomainError for
         the first row that update refuses, with its index as `row`, and
         nothing is written."""
+        if len({len(c) for c in (x, p, q, y, s_residual, branch)}) > 1:
+            raise ValueError("load needs columns of one length")
         xs = np.fromiter(x, self._cols["x"].dtype, len(p))
         p, q, ys = np.asarray(p, float), np.asarray(q, float), np.asarray(y)
         try:

@@ -144,10 +144,6 @@ class Game:
     def loss(self, y: int, gamma: float) -> float:
         """Loss of decision gamma on outcome y."""
         self._check_gamma(gamma)
-        return self._loss(y, gamma)
-
-    def _loss(self, y: int, gamma: float) -> float:
-        """loss without the check of gamma."""
         if self.kind is GameKind.SQUARE:
             return (y - gamma) ** 2
         if self.kind is GameKind.LOG:
@@ -215,15 +211,20 @@ class Game:
         """canonical_choice at each (p, q) of two columns, as the columns
         (gamma, loss0, loss1) with its bits.  Each domain is an interval, so
         the least and the greatest p and q are checked.  Square and log loss
-        take the scalar loss at each p (numpy's square and log round other
-        ways); a polyline runs _custom_face and _boundary_pair elementwise,
-        each product and sum rounded as Python rounds it."""
+        call the scalar loss's pow, log and log1p at each p (numpy's square
+        and log round other ways); a polyline runs _custom_face and
+        _boundary_pair elementwise, each product and sum rounded as in
+        Python."""
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
         for pick in (np.min, np.max) if p.size else ():
             self.check_forecast(Forecast(float(pick(p)), float(pick(q))))
-        if self.kind is not GameKind.CUSTOM:
-            return p, *(np.array([self._loss(y, g) for g in p.tolist()])
+        if self.kind is GameKind.SQUARE:  # libm's pow, as the scalar ** 2
+            return p, *(np.array([v ** 2 for v in (y - p).tolist()])
                         for y in (0, 1))
+        if self.kind is GameKind.LOG:  # math.log and math.log1p, as loss
+            g = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
+            return p, -np.array(list(map(math.log1p, (-g).tolist()))), \
+                -np.array(list(map(math.log, g.tolist())))
         a, b = np.array(self.boundary).T
         m = len(a) - 1
         scores = np.outer(1.0 - p, a) + np.outer(p, b)

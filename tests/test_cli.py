@@ -385,22 +385,25 @@ GAME_BAD_ROWS = {
 }
 
 
+@pytest.mark.parametrize("blank", [False, True],
+                         ids=["no-blank", "after-blank"])
 @pytest.mark.parametrize("later", [False, True], ids=["alone", "first"])
 @pytest.mark.parametrize("name", list(GAME_BAD_ROWS))
 def test_certify_row_the_game_refuses_exits_two(tmp_path, capsys, name,
-                                                later):
-    # alone, or before a row that the game refuses in another way
+                                                later, blank):
+    # alone, or before a row that the game refuses in another way; after
+    # a blank line, which is no row, the bad row is on line 4
     game, kernel, row = GAME_BAD_ROWS[name]
     log = tmp_path / "round_log.csv"
     log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
                    "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n"
-                   + row + "\n"
+                   + "\n" * blank + row + "\n"
                    + "3,0.25,0.5,-0.5,0.5,1,0.25,0.0,root\n" * later)
     assert main(["certify", "--log", str(log), "--game", game,
                  "--kernel", kernel]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "round_log.csv:3: bad row" in err
+    assert f"round_log.csv:{3 + blank}: bad row" in err
     # without the bad row, the game and the kernel take the log
     log.write_text("\n".join(log.read_text().splitlines()[:2]) + "\n")
     assert main(["certify", "--log", str(log), "--game", game,

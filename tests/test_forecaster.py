@@ -628,6 +628,15 @@ def test_load_names_the_first_bad_row_and_writes_nothing(game, kernel, column,
     assert (fc.round, fc.agg_a, fc.large_numbers_certificate()) == state
 
 
+def test_load_rejects_columns_of_unequal_length():
+    # one branch for four rows would broadcast into every row
+    fc = Forecaster(Game.square(), SOB)
+    columns = history_columns(Game.square(), [0.25] * 4, seed=17)
+    with pytest.raises(ValueError, match="one length"):
+        fc.load(*columns[:5], columns[5][:1])
+    assert fc.round == 0
+
+
 def replayed(fc):
     """A fresh forecaster fed fc's history through update."""
     fresh = Forecaster(fc.game, fc.kernel)

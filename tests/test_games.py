@@ -283,9 +283,11 @@ def bits(values) -> list:
 
 
 # ps where numpy's (1 - p)**2, p**2, log(p) and log1p(-p) differ from the
-# scalar loss's pow, math.log and math.log1p in the last bit
-NUMPY_ROUNDS_OTHERWISE = [0.18271225766227794, 0.42672114373024106,
-                          0.9833347065534214, 0.6066357757671799]
+# scalar loss's pow, math.log and math.log1p in the last bit, and ps that
+# the log loss clamps
+SCALAR_LOSS_PS = [0.18271225766227794, 0.42672114373024106,
+                          0.9833347065534214, 0.6066357757671799,
+                          5e-13, 1.0 - 5e-13]
 CHOICE_GAMES = ALL_GAMES + [
     Game.custom([(0.0, 1.0), (1e-13, 0.5), (1.0, 0.0)]),
     Game.custom([(0.3, 0.7)])]
@@ -296,10 +298,10 @@ CHOICE_GAMES = ALL_GAMES + [
 @given(st.data())
 def test_choices_have_the_bits_of_canonical_choice(game, data):
     # every parity-grid p (0, 1, each special p, its neighbouring floats
-    # and points inside the face tolerance) and the NUMPY_ROUNDS_OTHERWISE
+    # and points inside the face tolerance) and the SCALAR_LOSS_PS
     # ps at q in {0, 1/2, 1}, then drawn rows of such ps or any p, at
     # those qs or any q
-    grid = parity_grid(game).tolist() + NUMPY_ROUNDS_OTHERWISE
+    grid = parity_grid(game).tolist() + SCALAR_LOSS_PS
     rows = [(p, q) for p in grid for q in (0.0, 0.5, 1.0)]
     rows += data.draw(st.lists(st.tuples(
         st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0)),
