@@ -447,9 +447,10 @@ class Forecaster:
         or a point of the face.  A bad row raises update's DomainError for
         the first row that update refuses, with its index as `row`, and
         nothing is written."""
-        if len({len(c) for c in (x, p, q, y, s_residual, branch)}) > 1:
+        m = len(p)
+        if any(len(c) != m for c in (x, q, y, s_residual, branch)):
             raise ValueError("load needs columns of one length")
-        xs = np.fromiter(x, self._cols["x"].dtype, len(p))
+        xs = np.fromiter(x, self._cols["x"].dtype, m)
         p, q, ys = np.asarray(p, float), np.asarray(q, float), np.asarray(y)
         try:
             for v in xs if xs.dtype == object else (xs.min(initial=0.0),
@@ -468,7 +469,7 @@ class Forecaster:
                     exc.row = k
                     raise
             raise
-        n, m, e, resid = self._n, len(p), loss1 - loss0, ys - p
+        n, e, resid = self._n, loss1 - loss0, ys - p
         while n + m > len(self._cols["p"]):
             self._double()
         new = (xs, p, q, ys, e, resid, gamma, np.where(ys, loss1, loss0),
