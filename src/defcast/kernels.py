@@ -318,11 +318,14 @@ class KernelExpansion:
 
     @functools.cached_property
     def _arrays(self) -> tuple:
-        """(centers, weights) as arrays, converted once; a custom kernel's
-        centres stay its tuple of opaque points."""
+        """(centers, weights) as read-only arrays, converted once; a custom
+        kernel's centres stay its tuple of opaque points."""
         custom = self.kernel.kind is KernelKind.CUSTOM
-        return (self.centers if custom else np.array(self.centers, float),
-                np.array(self.weights, float))
+        zs = self.centers if custom else np.array(self.centers, float)
+        w = np.array(self.weights, float)
+        for arr in (w,) if custom else (zs, w):
+            arr.flags.writeable = False
+        return zs, w
 
     def __call__(self, x):
         """f(x) = ordered_dot(Kernel.row(x, centers), weights).  A custom
