@@ -240,7 +240,9 @@ def read_round_log(path, names, headerless=False) -> tuple[list, list]:
     column, each value read by the column's rule in _READ (y through float,
     so 1.0 reads as 1).  The header names the columns; with `headerless`, a
     file whose first line does not name them all holds just those columns,
-    in order.  A bad value is reported by the first line that holds one."""
+    in order.  A bad value is reported by the first line that holds one,
+    as a ConfigError whose `before` holds the (line numbers, columns) of
+    the rows above it."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = lines[0].split(",") if lines else []
@@ -255,33 +257,47 @@ def read_round_log(path, names, headerless=False) -> tuple[list, list]:
     rules = [(_READ[name], i) for name, i in zip(names, cols)]
     linenos = [n for n in range(start, len(lines) + 1) if lines[n - 1].strip()]
     rows = [lines[n - 1].split(",") for n in linenos]
+
+    def columns(rows):
+        return [list(map(read, [parts[i] for parts in rows]))
+                for read, i in rules]
+
     try:
-        return linenos, [list(map(read, [parts[i] for parts in rows]))
-                         for read, i in rules]
+        return linenos, columns(rows)
     except (ValueError, IndexError):  # find the first bad line
-        for lineno, parts in zip(linenos, rows):
+        for k, (lineno, parts) in enumerate(zip(linenos, rows)):
             try:
                 for read, i in rules:
                     read(parts[i])
             except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad row: {exc}") \
-                    from None
+                error = ConfigError(f"{path}:{lineno}: bad row: {exc}")
+                error.before = linenos[:k], columns(rows[:k])
+                raise error from None
         raise
 
 
 def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
     """Rebuild the forecaster state from a round log and re-check it.  The
     log is read in columns and loaded by one Forecaster.load (update stays
-    the per-round writer of a run); a row that does not read, or else the
-    first that the game refuses, is reported by its line number."""
-    lines, columns = read_round_log(
-        log_path, ("x", "p", "q", "y", "s_residual", "branch"))
+    the per-round writer of a run).  The first bad row in file order is
+    reported by its line number: one that does not read, unless a row
+    above it, loaded first, is one that the game or the kernel refuses."""
+    unread = None
+    try:
+        lines, columns = read_round_log(
+            log_path, ("x", "p", "q", "y", "s_residual", "branch"))
+    except ConfigError as exc:
+        if not hasattr(exc, "before"):  # not a round log
+            raise
+        unread, (lines, columns) = exc, exc.before
     fc = Forecaster(game, kernel)
     try:
         fc.load(*columns)
     except DomainError as exc:  # a row the game or the kernel refuses
         raise ConfigError(f"{log_path}:{lines[exc.row]}: bad row: {exc}") \
             from None
+    if unread is not None:
+        raise unread
     if not fc.round:  # nothing to certify: no verdict, not a pass
         raise ConfigError(f"{log_path}: the round log has no rounds")
     return {"rounds": fc.round,

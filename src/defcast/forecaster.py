@@ -11,8 +11,11 @@ change of S in lexicographic order; stage 2 shrinks that bracket to
 adjacent floats; stage 3 solves the quadratic in e analytically and maps e
 back to the tie-breaker q.
 
-Stage 1 for square and log loss, which have no special ps, signs S on a
-p-grid of point faces.  A polyline's exposure is constant between special
+Stage 1 for square and log loss, which have no special ps, evaluates S on
+a p-grid of point faces and finds its first sign change in one pass: the
+sign s0 of the first value, in Python, picks one comparison (v > 0 or
+v < 0), and its argmin is the first point whose sign is not s0, NaN
+counting as sign 0.  A polyline's exposure is constant between special
 ps, so S is linear in p there: stage 1 walks the path in O(vertices),
 solving each segment's line in closed form and signing each special p's
 face over its value range, and brackets a root by the grid cell that
@@ -21,7 +24,9 @@ inside the bracket, so a safeguarded Illinois regula falsi steps to the
 secant point, or bisects where an end has no value (a wide face at a
 segment's end, or within the face tolerance of a special p).  Its
 evaluations run in plain Python floats with the scan's arithmetic: the
-same expressions in the same order, and np.log.
+same expressions in the same order, and np.log.  On a polyline, stage 3
+finds the face at p once, for its exposures and for the canonical
+decision that the report carries to the engine.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -31,23 +36,24 @@ bits.  x is float for the built-in kernels and object for custom
 kernels, whose points are opaque.  Every kernel sum over the history is
 ordered_dot of a Kernel.row.  The stored loss is the canonical
 decision's loss1 or loss0, which equals Game.loss(y, gamma) bit for bit
-(square and log build the pair with Game.loss, polylines with the same
-arithmetic).  Values leave the store through tolist(), never as numpy
-scalars, whose repr under numpy 2 is not the shortest round-trip
+(square and log build the pair with Game.loss's expressions, polylines
+with its arithmetic).  Values leave the store through tolist(), never as
+numpy scalars, whose repr under numpy 2 is not the shortest round-trip
 decimal.
 
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
 stripped-domain width delta, filled on first use; each round computes only
-the constant term B + C*p, the values and their signs.  A polyline's path
-faces are computed once per forecaster.  _ranges_on is the uncached
-reference whose signs the scan, the walk and _s_at must all match.
+the constant term B + C*p, the values and the first sign change.  A
+polyline's path faces are computed once per forecaster.  _ranges_on is the
+uncached reference whose signs the scan, the walk and _s_at must all match.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,13 +88,20 @@ def running_totals(values, start: float = 0.0) -> np.ndarray:
 
 def check_datum(x, data_range) -> None:
     """Real data must be finite and inside the kernel's declared range, if
-    any (only floats can fail this); custom kernels' points are opaque."""
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise DomainError(f"datum must be finite, got {x}")
-        if data_range is not None and abs(x) > data_range:
-            raise DomainError(f"datum {x} outside the kernel's range "
-                              f"|x| <= {data_range}")
+    any, as the float that the x column and load take (an int or a bool
+    too); other points are a custom kernel's, which are opaque."""
+    if not isinstance(x, (float, np.floating)):
+        if not isinstance(x, numbers.Real):
+            return
+        try:
+            x = float(x)
+        except OverflowError:
+            raise DomainError(f"datum {x} outside the float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"datum must be finite, got {x}")
+    if data_range is not None and abs(x) > data_range:
+        raise DomainError(f"datum {x} outside the kernel's range "
+                          f"|x| <= {data_range}")
 
 
 class RootFinderError(RuntimeError):
@@ -106,6 +119,9 @@ class RootReport:
     forecast: Forecast
     s_residual: float
     branch: Branch
+    # the canonical decision at forecast where stage 3 found it on the way
+    # (a polyline's root, from the face it solved on), else None
+    decision: Decision | None = None
 
 
 class Forecaster:
@@ -190,11 +206,19 @@ class Forecaster:
         return terms
 
     def _scan(self, delta: float, A: float, B: float, C: float):
-        """(grid, signs, values) of S on the grid at delta: the signs of
-        _sgn(*_ranges_on(grid, A, B, C)) where every face is a point."""
+        """(grid, values, s0, i) of S on the grid at delta, where every face
+        is a point: s0 is the sign of the first value, and i the index of
+        the first value whose sign is not s0, the first index of
+        np.nonzero(_sgn(v, v) != s0) (NaN has sign 0); i is 0 when s0 is 0
+        or no sign differs.  One comparison and one argmin find it."""
         grid, e_hi, quad = self._scan_terms(delta)
         v = quad + A * e_hi + (B + C * grid)
-        return grid, self._sgn(v, v), v
+        v0 = float(v[0])
+        s0 = (v0 > 0.0) - (v0 < 0.0)
+        if s0 == 0:
+            return grid, v, 0, 0
+        # argmin of a bool array is its first False, or 0 when all are True
+        return grid, v, s0, int((v > 0.0 if s0 > 0 else v < 0.0).argmin())
 
     def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
         """Min and max of S over the face at each p (vectorized)."""
@@ -233,8 +257,13 @@ class Forecaster:
         return (min(vals) > 0.0) - (max(vals) < 0.0)
 
     def _s_at(self, p: float, A: float, B: float, C: float):
-        """(sign, value) of S at a scalar p: _s_on at p's own face."""
-        return self._s_on(p, A, B, C, self.game.exposure_interval_arrays(p))
+        """(sign, value) of S at a scalar p: _s_on at p's own face, with a
+        point face's value inline in _s_on's order."""
+        e_hi, e_lo = self.game.exposure_interval_arrays(p)
+        if e_hi != e_lo:
+            return self._s_on(p, A, B, C, (e_hi, e_lo))
+        v = 0.5 * (1.0 - 2.0 * p) * e_hi * e_hi + A * e_hi + (B + C * p)
+        return (v > 0.0) - (v < 0.0), v  # NaN: sign 0
 
     def _s_on(self, p, A, B, C, exposures):
         """(sign, value) of S at p on the face with exposures (e_hi, e_lo),
@@ -255,17 +284,15 @@ class Forecaster:
             return self._walk(A, B, C)
         delta = _DELTA_START
         while True:
-            grid, sgn, v = self._scan(delta, A, B, C)
-            s0 = int(sgn[0])
+            grid, v, s0, i = self._scan(delta, A, B, C)
             if s0 == 0:
                 return self._solve_at(float(grid[0]), A, B, C)
-            flips = np.nonzero(sgn != s0)[0]
-            if flips.size:
-                i = int(flips[0])
-                if sgn[i] == 0:
+            if i:
+                vi = float(v[i])
+                if not (vi > 0.0 or vi < 0.0):  # a zero or NaN: sign 0
                     return self._solve_at(float(grid[i]), A, B, C)
                 return self._refine(float(grid[i - 1]), float(v[i - 1]),
-                                    float(grid[i]), float(v[i]), s0, A, B, C)
+                                    float(grid[i]), vi, s0, A, B, C)
             # no sign change visible on this grid
             if not self.game.stripped:
                 return self._endpoint(s0)
@@ -333,6 +360,7 @@ class Forecaster:
         an ulp of one end is closed in a step or two, not by halving.  No
         special p sits strictly inside, so S is continuous on (pa, pb).
         """
+        nextafter, s_at = math.nextafter, self._s_at
         side = 0  # -1 after pa was replaced, 1 after pb was
         for _ in range(200):
             pm = 0.5 * (pa + pb)
@@ -340,9 +368,9 @@ class Forecaster:
                 break
             ps = pa - fa * (pb - pa) / (fb - fa)
             if ps == ps:  # else NaN: an end has no value
-                pm = min(max(ps, math.nextafter(pa, pb)),
-                         math.nextafter(pb, pa))
-            s, f = self._s_at(pm, A, B, C)
+                lo, hi = nextafter(pa, pb), nextafter(pb, pa)
+                pm = lo if ps < lo else hi if ps > hi else ps
+            s, f = s_at(pm, A, B, C)
             if s == 0:
                 return self._solve_at(pm, A, B, C)
             if s == s0:
@@ -353,27 +381,41 @@ class Forecaster:
                 if side > 0:
                     fa *= 0.5
                 pb, fb, side = pm, f, 1
-        return min((self._solve_at(p, A, B, C) for p in (pa, pb)),
-                   key=lambda rep: rep.s_residual)
+        ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
+        return rb if rb.s_residual < ra.s_residual else ra  # a tie: pa's
 
     def _solve_at(self, p: float, A: float, B: float, C: float) -> RootReport:
-        """Solve the quadratic in e at fixed p; map e to the tie-breaker q."""
-        e_hi, e_lo = self.game.exposure_interval(p)
+        """Solve the quadratic in e at fixed p; map e to the tie-breaker q.
+        A polyline's face at p is found once: it gives the exposures here
+        and the report's decision, which the protocol then plays."""
+        game = self.game
+        if self._path is None:
+            face = None
+            e_hi, e_lo = game.exposure_interval(p)
+        else:
+            face = game._custom_face(p)
+            e_hi, e_lo = game._face_exposures(face)
         a = 0.5 * (1.0 - 2.0 * p)
         c = B + C * p
+        if e_hi == e_lo:
+            return RootReport(
+                Forecast(p, 0.5), abs(a * e_hi * e_hi + A * e_hi + c),
+                Branch.ROOT,
+                None if face is None else game._face_choice(face, 0.5))
 
+        # a wide face: only a polyline has one
         def phi(e):
             return a * e * e + A * e + c
 
-        if e_hi == e_lo:
-            return RootReport(Forecast(p, 0.5), abs(phi(e_hi)), Branch.ROOT)
+        def report(q, e):
+            return RootReport(Forecast(p, q), abs(phi(e)), Branch.ROOT,
+                              game._face_choice(face, q))
 
         tiny = 1e-14 * (1.0 + abs(A) + abs(c))
         if abs(a) * max(abs(e_hi), abs(e_lo)) ** 2 < tiny and abs(A) * max(
                 abs(e_hi), abs(e_lo)) < tiny:
             # S is flat in q along this face; tie-break at q = 1/2
-            e_mid = 0.5 * (e_hi + e_lo)
-            return RootReport(Forecast(p, 0.5), abs(phi(e_mid)), Branch.ROOT)
+            return report(0.5, 0.5 * (e_hi + e_lo))
 
         roots: list[float] = []
         if abs(a) < 1e-300:
@@ -401,8 +443,7 @@ class Forecaster:
         else:
             e = min((e_hi, e_lo), key=lambda v: abs(phi(v)))
         q = (e_hi - e) / span
-        q = min(max(q, 0.0), 1.0)
-        return RootReport(Forecast(p, q), abs(phi(e)), Branch.ROOT)
+        return report(min(max(q, 0.0), 1.0), e)
 
     # -- protocol hooks ---------------------------------------------------
 

@@ -199,13 +199,27 @@ class Game:
         """
         self.check_forecast(f)
         p, q = f.p, f.q
-        if self.kind in (GameKind.SQUARE, GameKind.LOG):
-            # proper scoring rules: the optimal decision is p itself
-            return Decision(p, self.loss(0, p), self.loss(1, p))
-        i, j = self._custom_face(p)
+        # proper scoring rules: the optimal decision is p itself, and its
+        # losses are Game.loss's, whose gamma check check_forecast made
+        if self.kind is GameKind.SQUARE:
+            return Decision(p, (0 - p) ** 2, (1 - p) ** 2)
+        if self.kind is GameKind.LOG:
+            g = min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP)
+            return Decision(p, -math.log1p(-g), -math.log(g))
+        return self._face_choice(self._custom_face(p), q)
+
+    def _face_choice(self, face: tuple[int, int], q: float) -> Decision:
+        """A polyline's canonical choice at tie-breaker q on the face whose
+        first and last vertices are `face`."""
+        i, j = face
         t = i + q * (j - i)
         a, b = self._boundary_pair(t)
         return Decision(t, a, b)
+
+    def _face_exposures(self, face: tuple[int, int]) -> tuple[float, float]:
+        """A polyline's exposure interval on the face (i, j)."""
+        (a0, b0), (a1, b1) = self.boundary[face[0]], self.boundary[face[1]]
+        return b0 - a0, b1 - a1
 
     def choices(self, p, q) -> tuple:
         """canonical_choice at each (p, q) of two columns, as the columns
@@ -250,10 +264,7 @@ class Game:
             # artifacts have np.log's bits; math.log's differ on 0.2% of p
             e = float(np.log((1.0 - p) / p))
             return e, e
-        i, j = self._custom_face(p)
-        a0, b0 = self.boundary[i]
-        a1, b1 = self.boundary[j]
-        return b0 - a0, b1 - a1
+        return self._face_exposures(self._custom_face(p))
 
     def exposure_interval_arrays(self, ps):
         """exposure_interval at each p of an array, or at a scalar p.  The

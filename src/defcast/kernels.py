@@ -170,7 +170,8 @@ class Kernel:
         point for a custom one.  Each point-sum is ordered_dot of a row."""
         if self.kind is KernelKind.CUSTOM:
             return np.array([float(self(x, p)) for p in points])
-        return np.asarray(self(x, points))
+        # one fresh array, in which the ufunc chain runs in place
+        return self(x, points, out=np.empty(np.broadcast(x, points).shape))
 
     def diag(self, x):
         """K(x, x); the stationary kernels' is their value at 0, exactly."""

@@ -102,7 +102,8 @@ class Engine:
             raise UsageError("previous round still awaiting an observation")
         check_datum(x, self.kernel.data_range)
         report = self.forecaster.next_forecast(x)
-        decision = self.game.canonical_choice(report.forecast)
+        decision = report.decision or self.game.canonical_choice(
+            report.forecast)
         self._pending = (x, report, decision)
         return decision.gamma
 

@@ -1,5 +1,6 @@
 """The standard battery reproduces its recorded summary bit for bit."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from defcast.experiments import ExperimentConfig, run
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "battery_summary.json"
@@ -58,3 +61,35 @@ def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
     assert battery.main() == bits_off
     out = capsys.readouterr().out
     assert out.count("CERTIFY MISMATCH") == 13 * bits_off
+
+
+# the configs of perfbench/run.py's three workloads, and the SHA-256 of
+# their round logs at horizon 300 and seed 401, recorded with the fixture's
+# numpy: the root finder's rounds keep their bits
+WORKLOAD_LOGS = {
+    "square-sobolev-iid": (
+        {"game": "square", "kernel": {"kind": "sobolev"},
+         "generator": {"kind": "iid_logistic", "weights": [0.0, 2.0]}},
+        "51f34550ba43a7ded829c8060ba9ccc02f1e4b5bd4a7d5329c926d239e034e14"),
+    "polyline-gaussian-adversarial": (
+        {"game": {"kind": "custom", "boundary": [[0.0, 1.0], [0.2, 0.5],
+                                                 [0.5, 0.2], [1.0, 0.0]]},
+         "kernel": {"kind": "gaussian", "width": 0.5},
+         "generator": {"kind": "adversarial"}},
+        "70e92349a46b2209b3dc785de5445d4884e854bd7af608dbe4b9ab0e847620e8"),
+    "log-sobolev-audit": (
+        {"game": "log", "kernel": {"kind": "sobolev"},
+         "generator": {"kind": "deterministic", "threshold": 0.0,
+                       "noise_rate": 0.1}},
+        "057e6e83351298eb026ad305a46336f7bd0cd8b1f7b96516bd5693d8643a7fb8"),
+}
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"hashes recorded with numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("name", list(WORKLOAD_LOGS))
+def test_benchmark_workload_round_logs_keep_their_bits(tmp_path, name):
+    doc, digest = WORKLOAD_LOGS[name]
+    config = ExperimentConfig.from_json(dict(doc, horizon=300, seed=401))
+    log = run(config, tmp_path).round_log_path
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest

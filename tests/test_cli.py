@@ -387,18 +387,21 @@ GAME_BAD_ROWS = {
 
 @pytest.mark.parametrize("blank", [False, True],
                          ids=["no-blank", "after-blank"])
-@pytest.mark.parametrize("later", [False, True], ids=["alone", "first"])
+@pytest.mark.parametrize("later", [
+    "", "3,0.25,0.5,-0.5,0.5,1,0.25,0.0,root\n",
+    "3,0.25,0.5,0.5,0.5,2,0.25,0.0,root\n"],
+    ids=["alone", "first", "before-unreadable"])
 @pytest.mark.parametrize("name", list(GAME_BAD_ROWS))
 def test_certify_row_the_game_refuses_exits_two(tmp_path, capsys, name,
                                                 later, blank):
-    # alone, or before a row that the game refuses in another way; after
-    # a blank line, which is no row, the bad row is on line 4
+    # alone, before a row that the game refuses in another way, or before
+    # one that does not read (y = 2): the first bad row in file order is
+    # named.  After a blank line, which is no row, the bad row is on line 4
     game, kernel, row = GAME_BAD_ROWS[name]
     log = tmp_path / "round_log.csv"
     log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
                    "1,0.25,0.5,0.5,0.5,0,0.25,0.0,root\n"
-                   + "\n" * blank + row + "\n"
-                   + "3,0.25,0.5,-0.5,0.5,1,0.25,0.0,root\n" * later)
+                   + "\n" * blank + row + "\n" + later)
     assert main(["certify", "--log", str(log), "--game", game,
                  "--kernel", kernel]) == 2
     err = capsys.readouterr().err

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import defcast
 from defcast.experiments import ExperimentConfig, run_engine
-from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, Branch,
-                                Forecaster)
+from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _P_GRID,
+                                Branch, Forecaster)
 from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 from exact_margin import exact_certificate
@@ -338,6 +338,32 @@ def test_refine_takes_few_steps(game, kernel, monkeypatch):
     assert len(calls) / len(fc.brackets) <= 8.0
 
 
+class StepCounter(Forecaster):
+    """Counts stage-2 evaluations."""
+
+    steps = 0
+
+    def _s_at(self, p, A, B, C):
+        self.steps += 1
+        return super()._s_at(p, A, B, C)
+
+
+@pytest.mark.parametrize("game", [Game.square(), Game.log()],
+                         ids=["square", "log"])
+def test_each_stage_2_step_reads_its_exposures_once(game, monkeypatch):
+    # the benchmark's tracer counts stage-2 steps at
+    # Game.exposure_interval_arrays, one scalar call per evaluation
+    calls = scalar_evaluations(monkeypatch)
+    fc = StepCounter(game, SOB)
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        x = float(rng.uniform(-1, 1))
+        rep = fc.next_forecast(x)
+        fc.update(x, rep.forecast, int(rng.integers(0, 2)),
+                  s_residual=rep.s_residual, branch=rep.branch)
+    assert fc.steps > 60 and len(calls) == fc.steps
+
+
 # -- stage 1: the polyline walk and the square/log scan --------------------
 
 # vertices 1e-13 apart in one loss: the faces within about 1e-12 of p = 0
@@ -425,6 +451,26 @@ def test_polyline_rounds_fill_no_grid(monkeypatch):
     assert sizes and set(sizes) == {1}  # stage-2 steps only
 
 
+@pytest.mark.parametrize("game", PARITY_GAMES, ids=PARITY_IDS)
+def test_a_polyline_root_carries_the_canonical_decision(game):
+    # stage 3 finds a polyline's face once, for the exposures and for the
+    # decision the engine plays; square and log leave it to the engine
+    fc = Forecaster(game, SOB)
+    rng = np.random.default_rng(43)
+    carried = 0
+    for _ in range(80):
+        x = float(rng.uniform(-1, 1))
+        rep = fc.next_forecast(x)
+        if game.kind is GameKind.CUSTOM and rep.branch is Branch.ROOT:
+            assert rep.decision == game.canonical_choice(rep.forecast)
+            carried += rep.forecast.q != 0.5  # solved on a wide face
+        else:
+            assert rep.decision is None
+        fc.update(x, rep.forecast, int(rep.forecast.p <= 0.5),
+                  s_residual=rep.s_residual, branch=rep.branch)
+    assert carried or game.kind is not GameKind.CUSTOM
+
+
 @given(st.floats(0.0, 10.0), st.floats(-10.0, 10.0), st.floats(-2.0, 0.0))
 def test_square_and_log_s_falls_where_a_is_nonnegative(A, B, C):
     # dS/dp = -(e^2 - C) + ((1 - 2p) e + A) e'(p), with e' < 0 and
@@ -434,7 +480,7 @@ def test_square_and_log_s_falls_where_a_is_nonnegative(A, B, C):
     for game in (Game.square(), Game.log()):
         fc = Forecaster(game, SOB)
         grid, e, quad = fc._scan_terms(_DELTA_START)
-        v = fc._scan(_DELTA_START, A, B, C)[2]
+        v = fc._scan(_DELTA_START, A, B, C)[1]
         size = np.abs(quad) + np.abs(A * e) + abs(B) + np.abs(C * grid)
         assert np.all(np.diff(v) <= 4 * np.finfo(float).eps
                       * (size[:-1] + size[1:]))
@@ -672,10 +718,39 @@ def test_cached_scan_equals_uncached_ranges(game):
         assert np.array_equal(hi, lo) and np.array_equal(hi, e_hi)
         for A, B, C in coeffs + [[math.nan, 1.0, 1.0]]:
             with np.errstate(invalid="ignore"):
-                sgn = fc._scan(delta, A, B, C)[1]
+                v = fc._scan(delta, A, B, C)[1]
                 assert np.array_equal(
-                    sgn, fc._sgn(*fc._ranges_on(grid, A, B, C)))
+                    fc._sgn(v, v), fc._sgn(*fc._ranges_on(grid, A, B, C)))
         assert fc._scan_terms(delta)[0] is grid  # filled once per delta
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+COEFFICIENT = st.one_of(SPECIAL, st.floats(-1e3, 1e3))
+
+
+@given(st.sampled_from(["square", "log"]),
+       st.sampled_from([_DELTA_START, _DELTA_START / 64.0]),
+       COEFFICIENT, COEFFICIENT, COEFFICIENT,
+       st.one_of(st.none(), st.integers(0, _P_GRID - 1)))
+@example("square", _DELTA_START, math.inf, math.inf, 0.0, None)  # inf, NaN
+@example("square", _DELTA_START, math.inf, 0.0, 0.0, None)  # inf, -inf
+@example("log", _DELTA_START, -math.inf, math.nan, 1.0, None)  # all NaN
+@example("square", _DELTA_START, 0.5, 0.0, 0.0, 300)  # a zero at 300
+@example("log", _DELTA_START, -2.0, 0.0, 0.0, 0)  # a zero at 0
+def test_scan_finds_the_first_sign_change(name, delta, A, B, C, zero_at):
+    # with zero_at, B puts an exact 0 at that grid point, where C = 0 and
+    # the value is t + -t, t = quad + A * e (or NaN where t is infinite)
+    fc = Forecaster(Game.from_json(name), SOB)
+    grid, e_hi, quad = fc._scan_terms(delta)
+    with np.errstate(all="ignore"):
+        if zero_at is not None:
+            k = zero_at % len(grid)  # a log grid has one point fewer
+            C, B = 0.0, -float(quad[k] + A * e_hi[k])
+        _, v, s0, i = fc._scan(delta, A, B, C)
+        sgn = fc._sgn(*fc._ranges_on(grid, A, B, C))
+    assert s0 == sgn[0]
+    flips = np.nonzero(sgn != s0)[0]
+    assert i == (int(flips[0]) if s0 and flips.size else 0)
 
 
 def small_root_history():

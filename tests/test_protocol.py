@@ -84,13 +84,19 @@ def test_non_finite_datum_rejected_before_any_state_change(game_name, x):
     assert engine.decide(0.0) == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("x", [0.75, -0.5000000001, np.float64(2.0)])
+@pytest.mark.parametrize("x", [0.75, -0.5000000001, np.float64(2.0), 5,
+                               np.int64(-2), True])
 def test_datum_outside_the_kernel_range_rejected_before_any_state_change(x):
-    # c_f, and so every regret bound, holds only for |x| <= range
+    # c_f, and so every regret bound, holds only for |x| <= range; an int
+    # or a bool is checked as the float that the x column and load take
     engine = Engine(Game.square(), Kernel.linear(range=0.5))
-    with pytest.raises(DomainError, match="range"):
+    with pytest.raises(DomainError, match="range") as refused:
         engine.decide(x)
     assert engine.pending_forecast is None and engine.rounds == 0
+    with pytest.raises(DomainError) as loaded:
+        engine.forecaster.load([x], [0.5], [0.5], [1], [0.0], [Branch.ROOT])
+    assert str(loaded.value) == str(refused.value)
+    assert engine.rounds == 0
     engine.decide(-0.5)  # the range's ends lie inside it
     engine.observe(1)
     with pytest.raises(DomainError, match="range"):
