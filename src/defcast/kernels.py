@@ -147,9 +147,12 @@ class Kernel:
 
     def __call__(self, x, x2, out=None):
         """K(x, x'); broadcasts over numpy arrays for built-ins, which write
-        into `out` when one is given: each ufunc of the chain passes it on."""
+        into `out` when one is given: each ufunc of the chain passes it on.
+        Without one, a stationary kernel's chain runs in place in the fresh
+        difference array (a scalar difference has none)."""
         if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
-            return self.of_difference(np.subtract(x, x2, out=out), out=out)
+            d = np.subtract(x, x2, out=out)
+            return self.of_difference(d, out=d if d.ndim else out)
         if self.kind is KernelKind.LINEAR:
             return np.add(np.multiply(x, x2, out=out), self.offset, out=out)
         return self.func(x, x2)
@@ -170,8 +173,7 @@ class Kernel:
         point for a custom one.  Each point-sum is ordered_dot of a row."""
         if self.kind is KernelKind.CUSTOM:
             return np.array([float(self(x, p)) for p in points])
-        # one fresh array, in which the ufunc chain runs in place
-        return self(x, points, out=np.empty(np.broadcast(x, points).shape))
+        return np.asarray(self(x, points))
 
     def diag(self, x):
         """K(x, x); the stationary kernels' is their value at 0, exactly."""
