@@ -11,15 +11,26 @@ change of S in lexicographic order; stage 2 shrinks that bracket to
 adjacent floats; stage 3 solves the quadratic in e analytically and maps e
 back to the tie-breaker q.
 
-Stage 1 for square and log loss, which have no special ps, evaluates S on
-a p-grid of point faces and finds its first sign change in one pass: the
-sign s0 of the first value, in Python, picks one comparison (v > 0 or
-v < 0), and its argmin is the first point whose sign is not s0, NaN
-counting as sign 0.  A polyline's exposure is constant between special
-ps, so S is linear in p there: stage 1 walks the path in O(vertices),
-solving each segment's line in closed form and signing each special p's
-face over its value range, and brackets a root by the grid cell that
-holds it.  Stage 2 is one method for every game: S is continuous in p
+Stage 1 for square and log loss, which have no special ps, takes the
+first sign change of S on a p-grid of point faces.  Where S provably
+falls in p (square: A - C/2 > 0, since with u = 1 - 2p S is the cubic
+u^3/2 + (A - C/2)*u + (B + C/2); log: A >= 0 and C <= 0), it finds the
+cell without evaluating the grid: square takes the cubic's one real root
+from Cardano's formula and bisects it into the grid, log binary-searches
+the delta = 1e-6 grid, each reading only the grid values it needs, with
+the scan's bits.  beta bounds |computed value - exact S| over the grid,
+so a cell whose left value exceeds 2*beta and whose right value is not
+positive is the scan's first sign change: every earlier value stays
+above beta.  On square, a first value below -2*beta or a last above
+2*beta likewise proves an endpoint round.  Every other round falls back
+to the scan, the reference: S on the whole grid, whose first sign change
+one pass finds: the sign s0 of the first value, in Python, picks one
+comparison (v > 0 or v < 0), and its argmin is the first point whose
+sign is not s0, NaN counting as sign 0.  A polyline's exposure is
+constant between special ps, so S is linear in p there: stage 1 walks
+the path in O(vertices), solving each segment's line in closed form and
+signing each special p's face over its value range, and brackets a root
+by the grid cell that holds it.  Stage 2 is one method for every game: S is continuous in p
 inside the bracket, so a safeguarded Illinois regula falsi steps to the
 secant point, or bisects where an end has no value (a wide face at a
 segment's end, or within the face tolerance of a special p).  Its
@@ -44,9 +55,11 @@ decimal.
 The grid, its exposure interval and its quadratic coefficient do not
 depend on the history, so the scan takes them from a cache keyed by the
 stripped-domain width delta, filled on first use; each round computes only
-the constant term B + C*p, the values and the first sign change.  A
-polyline's path faces are computed once per forecaster.  _ranges_on is the
-uncached reference whose signs the scan, the walk and _s_at must all match.
+the constant term B + C*p, the values and the first sign change.  The
+falling-S bracket reads the delta = 1e-6 scan's terms as Python lists,
+with beta's coefficients, cached beside them.  A polyline's path faces
+are computed once per forecaster.  _ranges_on is the uncached reference
+whose signs the scan, the walk and _s_at must all match.
 """
 
 from __future__ import annotations
@@ -72,6 +85,10 @@ _GRID = tuple(np.linspace(0.0, 1.0, _P_GRID).tolist())
 _DELTA_START = 1e-6
 _DELTA_MIN = 1e-15
 
+# unit roundoff and least normal number of a float64
+_U = 2.0 ** -53
+_NORMAL_MIN = 2.0 ** -1022
+
 # rows the history columns hold before their first doubling
 _INITIAL_CAPACITY = 64
 # dtype of each history column; None marks x, whose dtype the kernel sets
@@ -86,22 +103,26 @@ def running_totals(values, start: float = 0.0) -> np.ndarray:
     return np.concatenate(([start], values)).cumsum()
 
 
-def check_datum(x, data_range) -> None:
-    """Real data must be finite and inside the kernel's declared range, if
-    any, as the float that the x column and load take (an int or a bool
-    too); other points are a custom kernel's, which are opaque."""
+def check_datum(x, kernel: Kernel) -> None:
+    """A built-in kernel's datum must be real (an int or a bool too),
+    finite and inside the kernel's declared range, if any, as the float
+    that the x column and load take.  A custom kernel's real data are
+    checked alike; its other points are opaque."""
     if not isinstance(x, (float, np.floating)):
         if not isinstance(x, numbers.Real):
-            return
+            if kernel.kind is KernelKind.CUSTOM:
+                return
+            raise DomainError(f"datum must be a real number for the "
+                              f"{kernel.kind.value} kernel, got {x!r}")
         try:
             x = float(x)
         except OverflowError:
             raise DomainError(f"datum {x} outside the float range") from None
     if not math.isfinite(x):
         raise DomainError(f"datum must be finite, got {x}")
-    if data_range is not None and abs(x) > data_range:
+    if kernel.data_range is not None and abs(x) > kernel.data_range:
         raise DomainError(f"datum {x} outside the kernel's range "
-                          f"|x| <= {data_range}")
+                          f"|x| <= {kernel.data_range}")
 
 
 class RootFinderError(RuntimeError):
@@ -137,6 +158,8 @@ class Forecaster:
         self.agg_a = 0.0  # running sum of e_i * (y_i - p_i)
         # delta -> (grid, e_hi, a*e_hi^2) of the stage-1 scan
         self._scans: dict[float, tuple] = {}
+        # the falling-S bracket's lists and beta coefficients (_fall_terms)
+        self._fall: tuple | None = None
         # a polyline's path: (p, (e_hi, e_lo)) of the faces at 0, at each
         # special p and at 1; the exposure between two is the first's e_lo
         self._path = tuple(
@@ -220,6 +243,100 @@ class Forecaster:
         # argmin of a bool array is its first False, or 0 when all are True
         return grid, v, s0, int((v > 0.0 if s0 > 0 else v < 0.0).argmin())
 
+    def _fall_terms(self) -> tuple:
+        """(grid, e_hi, quad) of the delta = _DELTA_START scan as lists, and
+        the coefficients (k0, kA, kB, kC) of its error bound
+
+            beta = k0 + kA*|A| + kB*|B| + kC*|C|
+                 >= |v_i - S(g_i)| at every grid point g_i,
+
+        where v_i is the scan's value and S the exact betting function at
+        the float g_i (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 3).  With w = 1 - 2g exact and e the cached exposure,
+        v = ((w/2*e*e + A*e) + (B + C*g)) carries at most five roundings
+        on its quadratic term (1 - 2g, two products, two sums), three on
+        A*e and on C*g, two on B; so |v - v^| <= gamma_5 * (|quad| + |A e|
+        + |B| + |C g|), v^ being S with e in place of the exact exposure
+        e*.  If |e - e*| <= d, |v^ - S| <= |w|/2 * d * (2|e| + d) + |A| d.
+        Square's e = 1 - 2g rounds once: d = u|e|.  Log's rounds
+        (1 - g)/g twice, then np.log, allowed 4 ulps (numpy's accuracy
+        tests hold it to 1): d = 2u + 8u|e|.  Each maximum over the grid is
+        doubled, which covers the dropped O(u^2) terms, an underflowing
+        operation's absolute error and the rounding of beta's own sum.
+        """
+        if self._fall is None:
+            grid, e_hi, quad = self._scan_terms(_DELTA_START)
+            e = np.abs(e_hi)
+            d = (2.0 + 8.0 * e if self.game.stripped else e) * _U
+            gamma5 = 5.0 * _U / (1.0 - 5.0 * _U)
+            k = (gamma5 * np.abs(quad).max()
+                 + (np.abs(1.0 - 2.0 * grid) * d * (e + 0.5 * d)).max(),
+                 gamma5 * e.max() + d.max(), gamma5, gamma5 * grid[-1])
+            self._fall = (grid.tolist(), e_hi.tolist(), quad.tolist(),
+                          tuple(2.0 * float(c) for c in k))
+        return self._fall
+
+    def _falling(self, A: float, B: float, C: float) -> RootReport | None:
+        """Stage 1 without the scan where S provably falls in p, else None.
+
+        S falls where dS/dp <= 0 on the whole domain: on square,
+        -3u^2 - 2(A - C/2) with u = 1 - 2p; on log, -(e^2 - C) +
+        (w*e + A)*e'(p) with e' < 0 and w*e >= 0.  Then a cell with
+        v[j - 1] > 2*beta and v[j] not > 0 is the scan's first sign
+        change: for i < j, v_i >= S(g_i) - beta >= S(g_(j-1)) - beta
+        >= v[j - 1] - 2*beta > 0.  Square finds j from the cubic's root,
+        log by binary search; both read the scan's values with its bits.
+        beta < 1e290 keeps every term below 1e305: no value overflows.
+        """
+        stripped = self.game.stripped
+        if not (A >= 0.0 and C <= 0.0 if stripped else 2.0 * A > C):
+            return None
+        g, e, quad, k = self._fall_terms()
+        beta = k[0] + k[1] * abs(A) + k[2] * abs(B) + k[3] * abs(C)
+        if not beta < 1e290:  # also a NaN or infinite coefficient
+            return None
+        tol = 2.0 * beta
+        n = len(g)
+        if stripped:
+            # where the grid shows no sign change the search ends in a cell
+            # the check below declines, and the scan halves delta
+            j, hi = 0, n - 1
+            va = quad[j] + A * e[j] + (B + C * g[j])
+            vb = quad[hi] + A * e[hi] + (B + C * g[hi])
+            while hi - j > 1:
+                mid = (j + hi) // 2
+                v = quad[mid] + A * e[mid] + (B + C * g[mid])
+                if v > 0.0:
+                    j, va = mid, v
+                else:
+                    hi, vb = mid, v
+            j = hi
+        else:
+            # the one real root of u^3 + a*u + b = 0, a > 0, from Cardano's
+            # formula without cancellation: u = c1 + c2 with c1*c2 = -a/3
+            # and c1^3 + c2^3 = -b, so u = -b / (c1^2 + a/3 + c2^2)
+            a, b = 2.0 * A - C, 2.0 * B + C
+            c1 = math.cbrt(0.5 * abs(b) + math.sqrt(0.25 * b * b
+                                                    + a * a * a / 27.0))
+            if c1 == 0.0:  # b = 0 and a^3 underflows
+                return None
+            c2 = a / (3.0 * c1)
+            j = bisect.bisect_left(
+                g, 0.5 * (1.0 + b / (c1 * c1 + a / 3.0 + c2 * c2)))
+            if j == 0:
+                va = quad[0] + A * e[0] + (B + C * g[0])
+                return self._endpoint(-1) if va < -tol else None
+            if j == n:
+                vb = quad[-1] + A * e[-1] + (B + C * g[-1])
+                return self._endpoint(1) if vb > tol else None
+            va = quad[j - 1] + A * e[j - 1] + (B + C * g[j - 1])
+            vb = quad[j] + A * e[j] + (B + C * g[j])
+        if not va > tol or vb > 0.0:
+            return None
+        if vb < 0.0:
+            return self._refine(g[j - 1], va, g[j], vb, 1, A, B, C)
+        return self._solve_at(g[j], A, B, C)  # a zero or NaN: sign 0
+
     def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
         """Min and max of S over the face at each p (vectorized)."""
         e_hi, e_lo = self.game.exposure_interval_arrays(ps)
@@ -282,6 +399,9 @@ class Forecaster:
         A, B, C = self.coefficients(x)
         if self._path is not None:
             return self._walk(A, B, C)
+        report = self._falling(A, B, C)
+        if report is not None:
+            return report
         delta = _DELTA_START
         while True:
             grid, v, s0, i = self._scan(delta, A, B, C)
@@ -366,7 +486,10 @@ class Forecaster:
             pm = 0.5 * (pa + pb)
             if pm <= pa or pm >= pb:
                 break
-            ps = pa - fa * (pb - pa) / (fb - fa)
+            t = fa * (pb - pa)
+            # a product below the normal range has lost the secant's digits
+            ps = pa - (t / (fb - fa) if abs(t) >= _NORMAL_MIN
+                       else (pb - pa) * (fa / (fb - fa)))
             if ps == ps:  # else NaN: an end has no value
                 lo, hi = nextafter(pa, pb), nextafter(pb, pa)
                 pm = lo if ps < lo else hi if ps > hi else ps
@@ -453,7 +576,7 @@ class Forecaster:
         """Append a completed round to the history."""
         if y not in (0, 1):
             raise DomainError(f"observation must be binary, got {y}")
-        check_datum(x, self.kernel.data_range)
+        check_datum(x, self.kernel)
         # decision, when the caller has it, is the canonical choice at forecast
         d = decision or self.game.canonical_choice(forecast)
         y = int(y)
@@ -483,26 +606,32 @@ class Forecaster:
     def load(self, x, p, q, y, s_residual, branch) -> None:
         """Append rounds given as columns, with the bits of an update per
         row (agg_a adds e * residual in round order).  Every row is checked
-        first: x at its least and greatest (a custom kernel's at each
-        point), y, and the forecasts in Game.choices, whose gamma is then p
-        or a point of the face.  A bad row raises update's DomainError for
-        the first row that update refuses, with its index as `row`, and
-        nothing is written."""
+        first: x at its least and greatest where it holds only ints and
+        floats for a built-in kernel, else at each point (fromiter would
+        parse a string into the float column), y, and the forecasts in
+        Game.choices, whose gamma is then p or a point of the face.  A bad
+        row raises update's DomainError for the first row that update
+        refuses, with its index as `row`, and nothing is written."""
         m = len(p)
         if any(len(c) != m for c in (x, q, y, s_residual, branch)):
             raise ValueError("load needs columns of one length")
-        xs = np.fromiter(x, self._cols["x"].dtype, m)
+        whole = self.kernel.kind is not KernelKind.CUSTOM and (
+            x.dtype.kind in "biuf" if isinstance(x, np.ndarray)
+            else set(map(type, x)) <= {float, int, bool})
         p, q, ys = np.asarray(p, float), np.asarray(q, float), np.asarray(y)
         try:
-            for v in xs if xs.dtype == object else (xs.min(initial=0.0),
-                                                    xs.max(initial=0.0)):
-                check_datum(v, self.kernel.data_range)
+            for v in () if whole else x:
+                check_datum(v, self.kernel)
+            xs = np.fromiter(x, self._cols["x"].dtype, m)
+            for v in (xs.min(initial=0.0), xs.max(initial=0.0)) if whole \
+                    else ():
+                check_datum(v, self.kernel)
             if not np.isin(ys, (0, 1)).all():
                 raise DomainError("observations must be binary")
             gamma, loss0, loss1 = self.game.choices(p, q)
         except DomainError:
             probe = Forecaster(self.game, self.kernel)
-            for k, (v, pk, qk, yk) in enumerate(zip(xs.tolist(), p.tolist(),
+            for k, (v, pk, qk, yk) in enumerate(zip(x, p.tolist(),
                                                     q.tolist(), y)):
                 try:
                     probe.update(v, Forecast(pk, qk), yk)

@@ -100,7 +100,7 @@ class Engine:
         """Produce the decision for datum x; awaits the observation next."""
         if self._pending is not None:
             raise UsageError("previous round still awaiting an observation")
-        check_datum(x, self.kernel.data_range)
+        check_datum(x, self.kernel)
         report = self.forecaster.next_forecast(x)
         decision = report.decision or self.game.canonical_choice(
             report.forecast)

@@ -1,23 +1,27 @@
 """The staged root finder and its certificates."""
 
+import decimal
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import defcast
 from defcast.experiments import ExperimentConfig, run_engine
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _P_GRID,
-                                Branch, Forecaster)
+                                Branch, Forecaster, RootFinderError)
 from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
+from defcast.protocol import Engine
 from exact_margin import exact_certificate
 from oracle import oracle_forecast
 from test_games import convex_polylines
@@ -402,6 +406,9 @@ def assert_first_sign_change(game, kernel, A, B, C):
 
 @given(st.one_of(convex_polylines(), st.sampled_from(NEAR_DEGENERATE)),
        st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, -1e-3))
+# a root at a subnormal p: the secant's product fa * (pb - pa) underflows
+@example(Game.custom([(0.0, 0.0), (1.0, -1.0)]), 0.0, 2.225073858507e-311,
+         -1.0)
 def test_walk_takes_the_first_sign_change(game, A, B, C):
     assert_first_sign_change(game, SOB, A, B, C)
 
@@ -471,19 +478,28 @@ def test_a_polyline_root_carries_the_canonical_decision(game):
     assert carried or game.kind is not GameKind.CUSTOM
 
 
-@given(st.floats(0.0, 10.0), st.floats(-10.0, 10.0), st.floats(-2.0, 0.0))
+@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-2.0, 2.0))
+@example(-0.25, 1.0, -0.5 + 2.0 ** -50)  # A - C/2 just above 0, A < 0
+@example(1e-3, -3.0, 1e-3 * (2.0 - 2.0 ** -50))  # C > 0
 def test_square_and_log_s_falls_where_a_is_nonnegative(A, B, C):
     # dS/dp = -(e^2 - C) + ((1 - 2p) e + A) e'(p), with e' < 0 and
-    # (1 - 2p) e >= 0 for these scoring rules: S cannot rise when A >= 0,
-    # so the first sign change is the only one.  Where A < 0 it can rise,
-    # which is why these games scan a grid rather than walk.
-    for game in (Game.square(), Game.log()):
+    # (1 - 2p) e >= 0 for these scoring rules: S cannot rise when A >= 0
+    # and C <= 0, so the first sign change is the only one.  Square's S
+    # is u^3/2 + (A - C/2) u + (B + C/2) in u = 1 - 2p, which also falls
+    # wherever A - C/2 > 0, A < 0 or C > 0 included.  Elsewhere it can
+    # rise, which is why these games scan a grid where _falling declines.
+    games = [Game.square()] * (2.0 * A > C) + [Game.log()] * (
+        A >= 0.0 and C <= 0.0)
+    assume(games)
+    for game in games:
         fc = Forecaster(game, SOB)
         grid, e, quad = fc._scan_terms(_DELTA_START)
         v = fc._scan(_DELTA_START, A, B, C)[1]
         size = np.abs(quad) + np.abs(A * e) + abs(B) + np.abs(C * grid)
         assert np.all(np.diff(v) <= 4 * np.finfo(float).eps
                       * (size[:-1] + size[1:]))
+        # within beta of a falling S, no value rises by more than 2 beta
+        assert np.all(np.diff(v) <= 2.0 * fall_beta(fc, A, B, C))
 
 
 # -- history store and scan cache -----------------------------------------
@@ -649,8 +665,10 @@ def test_load_keeps_opaque_points_and_has_the_bits_of_update():
     (Game.square(), SOB, "x", -math.inf, "finite"),
     (POLY, Kernel.linear(range=1.0), "x", 2.0, "range"),
     (POLY, Kernel.linear(range=1.0), "x", -2.0, "range"),
+    (POLY, Kernel.linear(range=1.0), "x", "0.5", "real number"),
 ], ids=["log-p-0", "log-p-1", "q-above-1", "q-below-0", "q-nan", "y-2",
-        "x-inf", "x-minus-inf", "x-above-range", "x-below-range"])
+        "x-inf", "x-minus-inf", "x-above-range", "x-below-range",
+        "x-string"])
 def test_load_names_the_first_bad_row_and_writes_nothing(game, kernel, column,
                                                          value, match, later):
     # the bad row is row 3 of the load, alone or before a row that fails
@@ -751,6 +769,178 @@ def test_scan_finds_the_first_sign_change(name, delta, A, B, C, zero_at):
     assert s0 == sgn[0]
     flips = np.nonzero(sgn != s0)[0]
     assert i == (int(flips[0]) if s0 and flips.size else 0)
+
+
+# -- stage 1 where S falls: the cell without the scan ----------------------
+
+def fall_beta(fc, A, B, C):
+    """_falling's bound on |scan value - exact S| over the grid."""
+    k = fc._fall_terms()[3]
+    return k[0] + k[1] * abs(A) + k[2] * abs(B) + k[3] * abs(C)
+
+
+class ScanOnly(BracketRecorder):
+    """Stage 1 by the scan alone."""
+
+    def _falling(self, A, B, C):
+        return None
+
+
+def falling_report(name, A, B, C):
+    """_falling's report at (A, B, C), or None, after checking that any
+    report it gives is the scan's to the bit, and next_forecast too (where
+    the scan finds no bracket at any delta, _falling must decline)."""
+    game = Game.from_json(name)
+    fc = BracketRecorder(game, SOB, (A, B, C))
+    with np.errstate(all="ignore"):
+        got = fc._falling(A, B, C)
+        try:
+            want = repr(ScanOnly(game, SOB, (A, B, C)).next_forecast(0.0))
+        except RootFinderError:
+            assert got is None
+            return None
+        assert repr(fc.next_forecast(0.0)) == want
+    assert got is None or repr(got) == want
+    return got
+
+
+def grid_zero(name, A, k):
+    """B that, with C = 0, makes the scan's value at grid point k exactly
+    0: t + -t with t = quad + A * e."""
+    grid, e, quad = Forecaster(Game.from_json(name), SOB)._scan_terms(
+        _DELTA_START)
+    return -float(quad[k] + A * e[k])
+
+
+def cancelling(P, u0, K):
+    """(A, B, C) of the square S = u^3/2 + P u + Q with its root at
+    u = u0 and K(x, x) = K: at large K the scan's values carry rounding
+    of order K * 1e-16, more than S moves between grid points near the
+    root (near u = 0 where P is small, or u = +-1 at K near 1e15)."""
+    Q = -(0.5 * u0 ** 3 + P * u0)
+    return P - 0.5 * K, Q + 0.5 * K, -K
+
+
+@given(st.sampled_from(["square", "log"]), COEFFICIENT, COEFFICIENT,
+       COEFFICIENT)
+@example("square", 1.0, 10.0, -0.5)  # positive endpoint
+@example("square", 1.0, -10.0, -0.5)  # negative endpoint
+@example("square", math.nan, 0.0, -0.5)
+@example("square", math.inf, 0.0, -0.5)
+@example("log", 1.0, math.nan, -0.5)
+@example("square", 1e306, 0.0, -0.5)  # beta too large: no proof
+@example("log", 2.0, -60.0, -0.5)  # root below the first delta
+@example("log", 0.0, 60.0, -0.5)  # root above 1 - delta
+@example("square", *cancelling(1e-9, 0.0, 1e8))
+@example("square", *cancelling(0.0, 1e-3, 1e8))
+# noisy values near p = 0 and near p = 1: only 2 beta proves an endpoint
+@example("square", -5770394524739182.0, 5770394524739181.0,
+         -1.1540789049478368e+16)
+@example("square", -443078130654394.0, 443078130654395.56, -886156261308789.0)
+def test_falling_cell_is_the_scans(name, A, B, C):
+    falling_report(name, A, B, C)
+
+
+@given(st.sampled_from(["square", "log"]), st.floats(0.0, 10.0),
+       st.integers(1, _P_GRID - 3), st.integers(-4, 4))
+@example("square", 1.0, 300, 0)
+@example("log", 1.0, 300, 0)
+def test_falling_cell_at_a_zero_on_the_grid(name, A, k, ulps):
+    # C = 0 and B puts an exact 0 at grid point k, or B is a few ulps off
+    # it, so the value there is 0 or near it, of either sign
+    B = grid_zero(name, A, k)
+    for _ in range(abs(ulps)):
+        B = math.nextafter(B, math.copysign(math.inf, ulps))
+    falling_report(name, A, B, 0.0)
+
+
+@given(st.floats(0.0, 8.0), st.sampled_from([-1.0, 0.0, 1.0]),
+       st.floats(-3e-3, 3e-3), st.floats(1.0, 1e17))
+def test_falling_cell_is_the_scans_where_values_are_noisy(r, end, du, K):
+    # roots near p = 1/2 and near either end, where an endpoint round is
+    # proved or not; P, a few ulps of K/2, keeps A - C/2 > 0 in floats
+    falling_report("square", *cancelling(r * K * 2.0 ** -53, end + du, K))
+
+
+@pytest.mark.parametrize("name", ["square", "log"])
+def test_falling_takes_what_it_proves_and_no_more(name):
+    grid = Forecaster(Game.from_json(name), SOB)._scan_terms(_DELTA_START)[0]
+    # a value that is exactly 0: stage 3 at that grid point, as the scan
+    A, k = 1.0, 300
+    rep = falling_report(name, A, grid_zero(name, A, k), 0.0)
+    assert rep.branch is Branch.ROOT and rep.forecast.p == grid[k]
+    # left of that zero the value is a few ulps of B above 0, under 2 beta
+    B = math.nextafter(grid_zero(name, A, k - 1), math.inf)
+    assert falling_report(name, A, B, 0.0) is None
+    assert falling_report(name, math.nan, 0.0, -0.5) is None
+    # S may rise: square where A - C/2 <= 0, log where A < 0 or C > 0
+    assert falling_report(name, -0.25, 0.0, -0.5) is None
+    if name == "log":
+        assert falling_report(name, 0.0, 0.0, 0.5) is None
+    else:
+        for B, branch in ((10.0, Branch.ENDPOINT_POSITIVE),
+                          (-10.0, Branch.ENDPOINT_NEGATIVE)):
+            assert falling_report(name, 1.0, B, -0.5).branch is branch
+
+
+@functools.lru_cache(maxsize=None)
+def exact_exposures(name):
+    """The exposure at each point of the delta = 1e-6 grid to 60 digits,
+    with the grid's points as decimals."""
+    grid = Forecaster(Game.from_json(name), SOB)._scan_terms(_DELTA_START)[0]
+    with decimal.localcontext(decimal.Context(prec=60)):
+        gs = [Decimal(g) for g in grid.tolist()]
+        if name == "square":
+            return gs, [1 - 2 * g for g in gs]
+        return gs, [((1 - g) / g).ln() for g in gs]
+
+
+@given(st.sampled_from(["square", "log"]), st.floats(-1e6, 1e6),
+       st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+@example("square", 0.0, 0.0, 0.0)
+@example("log", 0.0, 0.0, 0.0)
+@example("log", 1e6, 0.0, 0.0)  # the exposure's error, scaled by A
+@example("log", 0.0, 1e6, -1e6)
+def test_fall_beta_bounds_the_scan_error(name, A, B, C):
+    fc = Forecaster(Game.from_json(name), SOB)
+    values = fc._scan(_DELTA_START, A, B, C)[1].tolist()
+    beta = Decimal(fall_beta(fc, A, B, C))
+    with decimal.localcontext(decimal.Context(prec=60)):
+        a, b, c = Decimal(A), Decimal(B), Decimal(C)
+        for v, g, e in zip(values, *exact_exposures(name)):
+            exact = (1 - 2 * g) / 2 * e * e + a * e + b + c * g
+            assert abs(Decimal(v) - exact) <= beta
+
+
+@pytest.mark.parametrize("name", ["square", "log"])
+def test_falling_keeps_every_round_log(name, monkeypatch):
+    # the same runs with _falling and with the scan alone write the same
+    # bytes, and most rounds take the cell without the scan
+    taken = []
+    falling = Forecaster._falling
+
+    def counted(self, A, B, C):
+        report = falling(self, A, B, C)
+        taken.append(report is not None)
+        return report
+
+    for kernel in ({"kind": "sobolev"}, {"kind": "gaussian", "width": 0.5},
+                   {"kind": "linear"}):
+        for generator in ({"kind": "iid_logistic", "weights": [0.0, 2.0]},
+                          {"kind": "deterministic", "threshold": 0.0,
+                           "noise_rate": 0.1},
+                          {"kind": "adversarial"}):
+            config = ExperimentConfig.from_json({
+                "game": name, "kernel": kernel, "generator": generator,
+                "horizon": 300, "seed": 3})
+            with monkeypatch.context() as m:
+                m.setattr(Forecaster, "_falling", counted)
+                rows = run_engine(config).round_log_rows()
+            with monkeypatch.context() as m:
+                m.setattr(Forecaster, "_falling",
+                          lambda self, A, B, C: None)
+                assert run_engine(config).round_log_rows() == rows
+    assert len(taken) == 9 * 300 and sum(taken) > 0.9 * len(taken)
 
 
 def small_root_history():
@@ -879,6 +1069,32 @@ def test_update_rejects_non_finite_datum_before_any_write(x):
         assert np.array_equal(fc._cols[name], col, equal_nan=name != "branch")
     assert (fc.round, fc.agg_a, fc.residual_total,
             fc.large_numbers_certificate()) == state
+
+
+@pytest.mark.parametrize("x", ["5", "0.5", b"0.5", None, (0.5,), [0.5],
+                               0.5j], ids=["str", "str-in-range", "bytes",
+                                           "none", "tuple", "list", "complex"])
+def test_builtin_kernel_refuses_a_non_real_datum_and_writes_nothing(x):
+    # numpy would parse "5" into the float x column, outside the range
+    kernel = Kernel.linear(range=1.0)
+    fc = Forecaster(Game.square(), kernel)
+    fc.update(0.5, Forecast(0.5, 0.5), 1)
+    cols = {name: col.copy() for name, col in fc._cols.items()}
+    state = (fc.round, fc.agg_a, fc.k29_certificate())
+    with pytest.raises(DomainError, match="real number"):
+        fc.update(x, Forecast(0.5, 0.5), 1)
+    with pytest.raises(DomainError, match="real number") as exc:
+        fc.load([0.25, x], [0.5] * 2, [0.5] * 2, [1, 0], [0.0] * 2,
+                [Branch.ROOT] * 2)
+    assert exc.value.row == 1
+    assert (fc.round, fc.agg_a, fc.k29_certificate()) == state
+    for name, col in cols.items():
+        assert np.array_equal(fc._cols[name], col, equal_nan=name != "branch")
+    engine = Engine(Game.square(), kernel)
+    with pytest.raises(DomainError, match="real number"):
+        engine.decide(x)
+    assert engine.rounds == 0 and engine.pending_forecast is None
+    engine.decide(0.5)  # nothing is left pending
 
 
 # -- certificates ---------------------------------------------------------
