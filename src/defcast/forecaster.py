@@ -30,14 +30,14 @@ sign is not s0, NaN counting as sign 0.  A polyline's exposure is
 constant between special ps, so S is linear in p there: stage 1 walks
 the path in O(vertices), solving each segment's line in closed form and
 signing each special p's face over its value range, and brackets a root
-by the grid cell that holds it.  Stage 2 is one method for every game: S is continuous in p
-inside the bracket, so a safeguarded Illinois regula falsi steps to the
-secant point, or bisects where an end has no value (a wide face at a
-segment's end, or within the face tolerance of a special p).  Its
-evaluations run in plain Python floats with the scan's arithmetic: the
-same expressions in the same order, and np.log.  On a polyline, stage 3
-finds the face at p once, for its exposures and for the canonical
-decision that the report carries to the engine.
+by the grid cell that holds it.  Stage 2 is one method for every game: S
+is continuous in p inside the bracket, so a safeguarded Illinois regula
+falsi steps to the secant point, or bisects where an end has no value (a
+wide face at a segment's end, or within the face tolerance of a special
+p).  Its evaluations run in plain Python floats with the scan's
+arithmetic: the same expressions in the same order, and np.log.  On a
+polyline, stage 3 finds the face at p once, for its exposures and for
+the canonical decision that the report carries to the engine.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -244,8 +244,9 @@ class Forecaster:
         return grid, v, s0, int((v > 0.0 if s0 > 0 else v < 0.0).argmin())
 
     def _fall_terms(self) -> tuple:
-        """(grid, e_hi, quad) of the delta = _DELTA_START scan as lists, and
-        the coefficients (k0, kA, kB, kC) of its error bound
+        """(stripped, grid, e_hi, quad, k): whether the game is stripped,
+        the delta = _DELTA_START scan's terms as lists, and the
+        coefficients k = (k0, kA, kB, kC) of its error bound
 
             beta = k0 + kA*|A| + kB*|B| + kC*|C|
                  >= |v_i - S(g_i)| at every grid point g_i,
@@ -260,9 +261,10 @@ class Forecaster:
         e*.  If |e - e*| <= d, |v^ - S| <= |w|/2 * d * (2|e| + d) + |A| d.
         Square's e = 1 - 2g rounds once: d = u|e|.  Log's rounds
         (1 - g)/g twice, then np.log, allowed 4 ulps (numpy's accuracy
-        tests hold it to 1): d = 2u + 8u|e|.  Each maximum over the grid is
-        doubled, which covers the dropped O(u^2) terms, an underflowing
-        operation's absolute error and the rounding of beta's own sum.
+        tests hold it to 1): d = 2u + 8u|e|.  Each coefficient, a maximum
+        over the grid times its factor, is doubled, which covers the dropped
+        O(u^2) terms, an underflowing operation's absolute error and the
+        rounding of beta's own sum.
         """
         if self._fall is None:
             grid, e_hi, quad = self._scan_terms(_DELTA_START)
@@ -272,8 +274,8 @@ class Forecaster:
             k = (gamma5 * np.abs(quad).max()
                  + (np.abs(1.0 - 2.0 * grid) * d * (e + 0.5 * d)).max(),
                  gamma5 * e.max() + d.max(), gamma5, gamma5 * grid[-1])
-            self._fall = (grid.tolist(), e_hi.tolist(), quad.tolist(),
-                          tuple(2.0 * float(c) for c in k))
+            self._fall = (self.game.stripped, grid.tolist(), e_hi.tolist(),
+                          quad.tolist(), tuple(2.0 * float(c) for c in k))
         return self._fall
 
     def _falling(self, A: float, B: float, C: float) -> RootReport | None:
@@ -288,10 +290,9 @@ class Forecaster:
         log by binary search; both read the scan's values with its bits.
         beta < 1e290 keeps every term below 1e305: no value overflows.
         """
-        stripped = self.game.stripped
+        stripped, g, e, quad, k = self._fall or self._fall_terms()
         if not (A >= 0.0 and C <= 0.0 if stripped else 2.0 * A > C):
             return None
-        g, e, quad, k = self._fall_terms()
         beta = k[0] + k[1] * abs(A) + k[2] * abs(B) + k[3] * abs(C)
         if not beta < 1e290:  # also a NaN or infinite coefficient
             return None
@@ -620,12 +621,13 @@ class Forecaster:
             else set(map(type, x)) <= {float, int, bool})
         p, q, ys = np.asarray(p, float), np.asarray(q, float), np.asarray(y)
         try:
-            for v in () if whole else x:
-                check_datum(v, self.kernel)
+            if not whole:
+                for v in x:
+                    check_datum(v, self.kernel)
             xs = np.fromiter(x, self._cols["x"].dtype, m)
-            for v in (xs.min(initial=0.0), xs.max(initial=0.0)) if whole \
-                    else ():
-                check_datum(v, self.kernel)
+            if whole:
+                check_datum(xs.min(initial=0.0), self.kernel)
+                check_datum(xs.max(initial=0.0), self.kernel)
             if not np.isin(ys, (0, 1)).all():
                 raise DomainError("observations must be binary")
             gamma, loss0, loss1 = self.game.choices(p, q)
