@@ -17,6 +17,7 @@ import sys
 
 from defcast.experiments import (ConfigError, ExperimentConfig, certify_log,
                                  document_errors, run)
+from defcast.forecaster import RootFinderError
 from defcast.games import Game
 from defcast.kernels import Kernel
 
@@ -46,12 +47,10 @@ def cmd_certify(args) -> int:
 
 def cmd_constants(args) -> int:
     game, kernel = _game_and_kernel(args)
-    c_f = kernel.c_f()
-    if math.isinf(c_f):
+    if math.isinf(kernel.c_f):
         raise ConfigError("C_lambda_F needs a kernel range (C_F is inf)")
-    cl = game.clambda(c_f)
-    print(f"C_F = {c_f!r}")
-    print(f"C_lambda_F = {cl!r}")
+    print(f"C_F = {kernel.c_f!r}")
+    print(f"C_lambda_F = {game.clambda(kernel.c_f)!r}")
     return 0
 
 
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RootFinderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

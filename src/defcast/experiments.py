@@ -133,7 +133,7 @@ class ExperimentConfig:
             if type(value) is not int or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, "
                                   f"got {value!r}")
-        if self.comparators and math.isinf(self.kernel.c_f()):
+        if self.comparators and math.isinf(self.kernel.c_f):
             raise ConfigError("comparators need a kernel range (C_F is inf)")
 
     @staticmethod

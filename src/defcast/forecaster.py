@@ -104,14 +104,18 @@ def running_totals(values, start: float = 0.0) -> np.ndarray:
 
 
 def check_datum(x, kernel: Kernel) -> None:
-    """A built-in kernel's datum must be real (an int or a bool too),
-    finite and inside the kernel's declared range, if any, as the float
-    that the x column and load take.  A custom kernel's real data are
-    checked alike; its other points are opaque."""
+    """A custom kernel's point is opaque: it needs a finite K(x, x) >= 0
+    with sqrt(K(x, x)) <= C_F, which NaN fails.  A built-in kernel's datum
+    must be real (an int or a bool too), finite and inside a linear range,
+    if any, as the float that the x column and load take."""
+    if kernel.kind is KernelKind.CUSTOM:
+        kxx = float(kernel.diag(x))
+        if not (0.0 <= kxx < math.inf and math.sqrt(kxx) <= kernel.c_f):
+            raise DomainError(f"datum {x!r} has K(x, x) = {kxx!r}, outside "
+                              f"[0, C_F^2] for C_F = {kernel.c_f!r}")
+        return
     if not isinstance(x, (float, np.floating)):
         if not isinstance(x, numbers.Real):
-            if kernel.kind is KernelKind.CUSTOM:
-                return
             raise DomainError(f"datum must be a real number for the "
                               f"{kernel.kind.value} kernel, got {x!r}")
         try:
@@ -126,7 +130,8 @@ def check_datum(x, kernel: Kernel) -> None:
 
 
 class RootFinderError(RuntimeError):
-    """The bracket cascade failed; unreachable for the built-in games."""
+    """No sign change of S on the stripped grid down to _DELTA_MIN: where
+    K(x, x) >= about 1e18, the root lies nearer 0 or 1 than 1e-15."""
 
 
 class Branch(Enum):

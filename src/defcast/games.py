@@ -94,6 +94,9 @@ class Game:
                     for pt in boundary)
         if {len(pt) for pt in pts} != {2}:
             raise DomainError("custom boundary needs (loss0, loss1) pairs")
+        if not all(math.isfinite((b - a) * (b - a)) for a, b in pts):
+            raise DomainError("each boundary vertex needs an exposure "
+                              "loss1 - loss0 with a finite square")
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
             if not (a1 > a0 and b1 < b0):
                 raise DomainError(

@@ -26,7 +26,7 @@ _DOT_SLICE = 8192  # OpenBLAS threads a ddot of more than 10,000 entries
 
 
 class KernelError(ValueError):
-    """Broken kernel: negative quadratic form or missing data range."""
+    """Broken kernel: bad parameters or a negative quadratic form."""
 
 
 def check_keys(doc, *keys: str) -> None:
@@ -99,11 +99,13 @@ class KernelKind(Enum):
 class Kernel:
     """Symmetric positive-definite function on the data space.
 
-    `data_range`, a document's `range`, declares that data lie in |x| <= r,
-    where a kernel with a diagonal unbounded on the line takes its sup.
+    `c_f`, C_F = sup sqrt(K(x, x)) over the data, scales every regret
+    bound (inf: no bound); a custom kernel declares it.  `data_range`, a
+    linear document's `range`, declares that data lie in |x| <= r.
     """
 
     kind: KernelKind
+    c_f: float
     width: float | None = None
     offset: float | None = None
     func: Callable | None = None
@@ -111,14 +113,18 @@ class Kernel:
 
     @staticmethod
     def sobolev() -> "Kernel":
-        return Kernel(KernelKind.SOBOLEV)
+        return Kernel(KernelKind.SOBOLEV, 1.0 / math.sqrt(2.0))
 
     @staticmethod
     def gaussian(width: float = 1.0) -> "Kernel":
         width = json_float("width", width)
-        if width <= 0:
-            raise KernelError("gaussian width must be positive")
-        return Kernel(KernelKind.GAUSSIAN, width=width)
+        # of_difference divides by 2 * width ** 2; width * width comes first,
+        # as ** raises OverflowError
+        if not (width > 0 and math.isfinite(width * width)
+                and 0.0 < 2 * width ** 2 < math.inf):
+            raise KernelError(f"gaussian width must be > 0 with 2*width^2 a "
+                              f"positive finite float, got {width!r}")
+        return Kernel(KernelKind.GAUSSIAN, 1.0, width=width)
 
     @staticmethod
     def linear(offset: float = 0.0, range: float | None = None) -> "Kernel":
@@ -130,11 +136,14 @@ class Kernel:
             if not (range > 0 and math.isfinite(range * range)):
                 raise KernelError(f"range must be > 0 with a finite square, "
                                   f"got {range!r}")
-        return Kernel(KernelKind.LINEAR, offset=offset, data_range=range)
+        c_f = math.inf if range is None else math.sqrt(range * range + offset)
+        return Kernel(KernelKind.LINEAR, c_f, offset=offset, data_range=range)
 
     @staticmethod
-    def custom(func: Callable, data_range: float | None = None) -> "Kernel":
-        return Kernel(KernelKind.CUSTOM, func=func, data_range=data_range)
+    def custom(func: Callable, c_f: float = math.inf) -> "Kernel":
+        if not c_f > 0:
+            raise KernelError(f"c_f must be > 0, got {c_f!r}")
+        return Kernel(KernelKind.CUSTOM, float(c_f), func=func)
 
     @staticmethod
     def from_json(doc) -> "Kernel":
@@ -187,24 +196,6 @@ class Kernel:
         if self.kind is KernelKind.CUSTOM:
             return np.array([float(self.diag(x)) for x in points])
         return self.diag(np.asarray(points, dtype=float))
-
-    def c_f(self) -> float:
-        """Sup over the data space of sqrt(K(x, x))."""
-        if self.kind is KernelKind.SOBOLEV:
-            return 1.0 / math.sqrt(2.0)
-        if self.kind is KernelKind.GAUSSIAN:
-            return 1.0
-        if self.data_range is None:
-            return math.inf  # unbounded diagonal, no declared compact range
-        r = float(self.data_range)
-        if self.kind is KernelKind.LINEAR:  # the diagonal x^2 + offset
-            return math.sqrt(r * r + self.offset)
-        grid = np.linspace(-r, r, 10_000)  # custom: a grid search, refined
-        diag = self.diags(grid)
-        best = int(np.argmax(diag))
-        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-        fine = self.diags(np.linspace(lo, hi, 1_000))
-        return math.sqrt(max(float(diag[best]), float(fine.max())))
 
     def gram(self, points) -> np.ndarray:
         """Gram matrix of a nonempty point list."""

@@ -146,7 +146,7 @@ class Engine:
     @functools.cached_property
     def clambda(self) -> float:
         """The game/kernel constant of every regret bound, computed once."""
-        return self.game.clambda(self.kernel.c_f())
+        return self.game.clambda(self.kernel.c_f)
 
     def regret_bound(self, c: Comparator, n: int | None = None) -> float:
         """Regret bound for the rule after n rounds (default: all so far)."""

@@ -150,12 +150,22 @@ ADVERSARIAL = {"game": "square", "generator": {"kind": "adversarial"},
     (dict(ADVERSARIAL, kernel={"kind": "linear"},
           comparators=[{"centers": [0.0], "weights": [0.5]}]), "range"),
     (dict(ADVERSARIAL, kernel={"kind": "linear", "range": 0.5}), "range"),
+    (dict(ADVERSARIAL, kernel={"kind": "gaussian", "width": 1e160}), "width"),
+    (dict(ADVERSARIAL, kernel={"kind": "gaussian", "width": 1e-300}),
+     "width"),
+    (dict(ADVERSARIAL, game={"kind": "custom",
+                             "boundary": [[0, 1e160], [1e160, 0]]}),
+     "boundary"),
+    (dict(ADVERSARIAL, game="log", kernel={"kind": "linear", "offset": 1e160}),
+     "no bracket"),
 ], ids=["no-game", "no-horizon", "generator-without-kind", "list",
         "stale-epsilon-root", "typo-seeds", "kernel-typo-widht",
         "generator-typo-weight", "square-with-boundary",
         "comparator-extra-norm", "float-horizon", "string-seed", "bool-seed",
         "negative-seed", "range-square-overflows", "negative-range",
-        "comparators-without-range", "data-outside-range"])
+        "comparators-without-range", "data-outside-range",
+        "width-square-overflows", "width-square-underflows",
+        "exposure-square-overflows", "no-root-bracket"])
 def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -164,6 +174,46 @@ def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert key in err
+
+
+def test_root_finder_failure_exits_two(tmp_path, capsys):
+    # K(x, x) = 1e18 puts log loss's root nearer 0 or 1 than the cascade's
+    # last stripped-domain width, 1e-15
+    replay = tmp_path / "xy.csv"
+    replay.write_text("x,y\n1e9,1\n-1e9,0\n1e9,0\n")
+    config = write_config(
+        tmp_path, game="log", kernel={"kind": "linear", "range": 1e10},
+        generator={"kind": "replay", "path": str(replay)}, horizon=3,
+        comparators=[])
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no bracket found") and err.count("\n") == 1
+
+
+def extreme_parameters():
+    """(game, kernel) with a number near the float limits in one field."""
+    for v in (1e-300, 1e160, 1e300):
+        for game in ("square", "log", "absolute"):
+            for kind, key in (("gaussian", "width"), ("linear", "offset"),
+                              ("linear", "range")):
+                yield pytest.param(game, {"kind": kind, key: v},
+                                   id=f"{game}-{key}-{v:g}")
+        yield pytest.param({"kind": "custom", "boundary": [[0, v], [v, 0]]},
+                           "sobolev", id=f"polyline-{v:g}")
+
+
+@pytest.mark.parametrize("game, kernel", extreme_parameters())
+def test_extreme_parameters_end_in_an_exit_code(tmp_path, capsys, game,
+                                                kernel):
+    # a parameter near the float limits gives a verdict or one error line,
+    # never a traceback
+    config = write_config(tmp_path, game=game, kernel=kernel, horizon=8,
+                          comparators=[])
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert code != 2 or (err.startswith("error:") and err.count("\n") == 1)
 
 
 CUSTOM = {"kind": "custom", "boundary": [[0, 1], [1, 0]]}

@@ -158,11 +158,11 @@ def test_comparators_need_a_kernel_with_a_range():
     doc = config_doc(kernel={"kind": "linear"})
     with pytest.raises(ConfigError, match="range"):
         ExperimentConfig.from_json(doc)
-    assert ExperimentConfig.from_json(dict(doc, comparators=[])).kernel.c_f() \
+    assert ExperimentConfig.from_json(dict(doc, comparators=[])).kernel.c_f \
         == math.inf
     config = ExperimentConfig.from_json(
         dict(doc, kernel={"kind": "linear", "range": 1.0}))
-    assert config.kernel.c_f() == 1.0
+    assert config.kernel.c_f == 1.0
 
 
 # -- running --------------------------------------------------------------

@@ -641,7 +641,7 @@ def test_load_keeps_opaque_points_and_has_the_bits_of_update():
     names = ["red", ("a", 2), np.array(["b", 1], dtype=object), 0.25, ("c",)]
     index = {repr(name): i for i, name in enumerate(names)}
     kernel = Kernel.custom(lambda a, b: 0.5 * math.exp(
-        -abs(index[repr(a)] - index[repr(b)]) / 4.0), data_range=1.0)
+        -abs(index[repr(a)] - index[repr(b)]) / 4.0), c_f=math.sqrt(0.5))
     points = [names[n % len(names)] for n in range(_INITIAL_CAPACITY + 10)]
     columns = history_columns(POLY, points, seed=7)
     for first in (0, 9):

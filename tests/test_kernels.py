@@ -50,31 +50,31 @@ def test_symmetry():
 
 
 def test_custom_kernel_eval():
-    k = Kernel.custom(lambda a, b: min(a, b) + 1.0, data_range=1.0)
+    k = Kernel.custom(lambda a, b: min(a, b) + 1.0, c_f=math.sqrt(2.0))
     assert k(0.25, 0.75) == 1.25
 
 
 # -- diagonal sup ---------------------------------------------------------
 
 def test_c_f_values():
-    assert SOB.c_f() == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
-    assert Kernel.gaussian(0.1).c_f() == 1.0
-    assert Kernel.linear(range=2.0).c_f() == pytest.approx(2.0, abs=1e-6)
+    assert SOB.c_f == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
+    assert Kernel.gaussian(0.1).c_f == 1.0
+    assert Kernel.linear(range=2.0).c_f == pytest.approx(2.0, abs=1e-6)
     # the linear diagonal x^2 + offset peaks at |x| = range: a closed form
-    assert Kernel.linear(1.0, 2.0).c_f() == math.sqrt(5.0)
-    # a custom kernel's sup is searched for on a grid over its range
-    custom = Kernel.custom(lambda a, b: a * b + 1.0, data_range=2.0)
-    assert custom.c_f() == pytest.approx(math.sqrt(5.0), rel=1e-12)
+    assert Kernel.linear(1.0, 2.0).c_f == math.sqrt(5.0)
+    # a custom kernel's points are opaque: it declares its sup
+    custom = Kernel.custom(lambda a, b: a * b + 1.0, c_f=math.sqrt(5.0))
+    assert custom.c_f == math.sqrt(5.0)
 
 
 def test_c_f_unbounded_without_range():
-    assert math.isinf(Kernel.linear().c_f())
-    assert math.isinf(Kernel.custom(lambda a, b: a * b).c_f())
+    assert math.isinf(Kernel.linear().c_f)
+    assert math.isinf(Kernel.custom(lambda a, b: a * b).c_f)
 
 
 def test_c_f_squared_is_the_sobolev_diagonal():
     for x in np.linspace(-5, 5, 11):
-        assert SOB.c_f() ** 2 == pytest.approx(float(SOB.diag(x)), abs=1e-12)
+        assert SOB.c_f ** 2 == pytest.approx(float(SOB.diag(x)), abs=1e-12)
 
 
 def test_constructor_validation():
@@ -82,6 +82,32 @@ def test_constructor_validation():
         Kernel.gaussian(0.0)
     with pytest.raises(KernelError):
         Kernel.linear(offset=-1.0)
+
+
+@pytest.mark.parametrize("c_f", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_custom_c_f_is_positive(c_f):
+    with pytest.raises(KernelError, match="c_f"):
+        Kernel.custom(lambda a, b: 1.0, c_f=c_f)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 1e-300, 1e155, 1e160,
+                                   1e300])
+def test_gaussian_width_is_positive_with_a_finite_2w2(value):
+    # 1e160 squares past the float range, 1e-300 to 0: both once made a run
+    # fail, by an OverflowError or by a NaN diagonal in the certificate
+    for make in (lambda: Kernel.gaussian(value),
+                 lambda: Kernel.from_json({"kind": "gaussian",
+                                           "width": value})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError, match="width"):
+                make()
+
+
+def test_gaussian_width_near_the_float_limits_runs():
+    for width in (1e-150, 1e150):
+        k = Kernel.gaussian(width)
+        assert float(k(0.0, 0.0)) == 1.0 and float(k(0.0, 1.0)) >= 0.0
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 1e155, 1e308])

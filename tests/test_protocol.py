@@ -105,8 +105,7 @@ def test_datum_outside_the_kernel_range_rejected_before_any_state_change(x):
 
 
 def test_opaque_points_still_accepted_by_custom_kernels():
-    kernel = Kernel.custom(lambda a, b: 1.0 if a == b else 0.0,
-                           data_range=1.0)
+    kernel = Kernel.custom(lambda a, b: 1.0 if a == b else 0.0, c_f=1.0)
     engine = Engine(Game.square(), kernel)
     for x, y in (("red", 1), (("a", 2), 0), ("red", 1)):
         engine.decide(x)
@@ -120,7 +119,7 @@ def test_custom_kernel_on_float_vector_points_runs_a_report():
     def laplace(a, b):
         return 0.5 * math.exp(-float(np.sum(np.abs(np.subtract(a, b)))))
 
-    kernel = Kernel.custom(laplace, data_range=1.0)
+    kernel = Kernel.custom(laplace, c_f=math.sqrt(0.5))
     engine = Engine(Game.square(), kernel)
     rng = np.random.default_rng(29)
     points = [rng.uniform(-1, 1, 2) for _ in range(12)]
@@ -165,13 +164,77 @@ def test_custom_kernel_on_object_array_points_takes_each_as_one_point():
                                   np.array(want)))
 
 
+def test_record_kernel_with_a_declared_c_f_runs_a_report():
+    # (label, value) records: C_F is declared, as no float grid reaches them
+    kernel = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a[1] - b[1])),
+                           c_f=math.sqrt(0.5))
+    engine = Engine(Game.square(), kernel)
+    rng = np.random.default_rng(37)
+    points = [(str(rng.choice(["a", "b"])), float(rng.uniform(-1, 1)))
+              for _ in range(20)]
+    for x in points:
+        engine.decide(x)
+        engine.observe(int(rng.integers(0, 2)))
+    f = KernelExpansion.build(points[:2], [0.6, -0.6], kernel)
+    report = engine.regret_report([Comparator.build(f)])
+    assert engine.clambda == Game.square().clambda(math.sqrt(0.5))
+    row, = report["comparators"]
+    assert report["rounds"] == 20
+    assert row["bound"] == engine.clambda * (f.norm() + 1.0) * math.sqrt(20)
+    assert row["pass"] and row["resolution"]["pass"]
+    assert report["large_numbers_certificate"]["pass"]
+
+
+# K(x, x) = v^2 + 1 on (label, v) records, so C_F = sqrt(2) for |v| <= 1
+RECORD_LINEAR = Kernel.custom(lambda a, b: a[1] * b[1] + 1.0,
+                              c_f=math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("x", [("far", 1.5), ("far", -2.0), ("nan", math.nan)],
+                         ids=["above", "below", "nan-diagonal"])
+def test_custom_point_beyond_c_f_refused_before_any_state_change(x):
+    engine = Engine(Game.square(), RECORD_LINEAR)
+    engine.decide(("edge", 1.0))  # K(x, x) = C_F^2, the sup itself
+    engine.observe(1)
+    fc = engine.forecaster
+    cols = {name: col.copy() for name, col in fc._cols.items()}
+    state = (fc.round, fc.agg_a, fc.k29_certificate())
+    with pytest.raises(DomainError, match="C_F") as refused:
+        engine.decide(x)
+    assert engine.pending_forecast is None
+    with pytest.raises(DomainError, match="C_F"):
+        fc.update(x, Forecast(0.5, 0.5), 1)
+    with pytest.raises(DomainError) as loaded:
+        fc.load([("in", 0.5), x], [0.5, 0.5], [0.5, 0.5], [1, 0], [0.0, 0.0],
+                [Branch.ROOT] * 2)
+    assert loaded.value.row == 1 and str(loaded.value) == str(refused.value)
+    assert (fc.round, fc.agg_a, fc.k29_certificate()) == state
+    for name, col in cols.items():
+        assert np.array_equal(fc._cols[name], col,
+                              equal_nan=col.dtype.kind == "f")
+    engine.decide(("in", -0.5))  # nothing is left pending
+    engine.observe(0)
+    assert engine.rounds == 2
+
+
+def test_a_declared_c_f_admits_its_own_diagonal():
+    # sqrt(3.0) ** 2 rounds below 3.0: the check compares sqrt(K(x, x))
+    # with C_F, so a kernel whose diagonal is 3 may declare math.sqrt(3.0)
+    kernel = Kernel.custom(lambda a, b: 3.0 if a == b else 0.0,
+                           c_f=math.sqrt(3.0))
+    engine = Engine(Game.square(), kernel)
+    engine.decide("red")
+    engine.observe(1)
+    assert engine.rounds == 1
+
+
 def test_round_log_reads_back_opaque_points_past_a_doubling():
     # strings and tuples as points; K is a Laplace kernel of their index
     names = ["red", ("a", 2), "blue", ("b", (1, 2)), ("c",)]
     index = {name: i for i, name in enumerate(names)}
     kernel = Kernel.custom(
         lambda a, b: 0.5 * math.exp(-abs(index[a] - index[b]) / 4.0),
-        data_range=1.0)
+        c_f=math.sqrt(0.5))
     engine = Engine(Game.square(), kernel)
     rng = np.random.default_rng(73)
     points = [names[n % len(names)] for n in range(_INITIAL_CAPACITY + 10)]
