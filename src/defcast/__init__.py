@@ -9,11 +9,10 @@ regret certificates.
 from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelError, KernelExpansion
 from defcast.forecaster import Branch, Forecaster, RootFinderError, RootReport
-from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
+from defcast.protocol import ComparatorError, Engine, UsageError
 
 __all__ = [
     "Branch",
-    "Comparator",
     "ComparatorError",
     "Decision",
     "DomainError",

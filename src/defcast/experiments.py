@@ -21,7 +21,7 @@ from defcast.forecaster import Branch, Forecaster
 from defcast.games import DomainError, Game
 from defcast.kernels import (Kernel, KernelExpansion, check_keys, from_doc,
                              json_float)
-from defcast.protocol import Comparator, Engine
+from defcast.protocol import Engine
 
 
 class ConfigError(ValueError):
@@ -125,7 +125,7 @@ class ExperimentConfig:
     generator: object
     horizon: int
     seed: int
-    comparators: tuple[Comparator, ...] = ()
+    comparators: tuple[KernelExpansion, ...] = ()
 
     def __post_init__(self):
         for key, least in (("horizon", 1), ("seed", 0)):
@@ -135,6 +135,8 @@ class ExperimentConfig:
                                   f"got {value!r}")
         if self.comparators and math.isinf(self.kernel.c_f):
             raise ConfigError("comparators need a kernel range (C_F is inf)")
+        for f in self.comparators:  # a broken kernel fails before round 1
+            f.norm()
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":
@@ -151,9 +153,8 @@ class ExperimentConfig:
                 generator=generator_from_json(doc["generator"]),
                 horizon=doc["horizon"],
                 seed=doc.get("seed", 0),
-                comparators=tuple(
-                    Comparator.build(KernelExpansion.from_json(c, kernel))
-                    for c in doc.get("comparators", [])),
+                comparators=tuple(KernelExpansion.from_json(c, kernel)
+                                  for c in doc.get("comparators", [])),
             )
 
 

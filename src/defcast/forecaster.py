@@ -636,7 +636,7 @@ class Forecaster:
             if not np.isin(ys, (0, 1)).all():
                 raise DomainError("observations must be binary")
             gamma, loss0, loss1 = self.game.choices(p, q)
-        except DomainError:
+        except (DomainError, OverflowError):  # fromiter: an int past floats
             probe = Forecaster(self.game, self.kernel)
             for k, (v, pk, qk, yk) in enumerate(zip(x, p.tolist(),
                                                     q.tolist(), y)):

@@ -154,16 +154,14 @@ class Kernel:
 
     # -- evaluation -------------------------------------------------------
 
-    def __call__(self, x, x2, out=None):
-        """K(x, x'); broadcasts over numpy arrays for built-ins, which write
-        into `out` when one is given: each ufunc of the chain passes it on.
-        Without one, a stationary kernel's chain runs in place in the fresh
-        difference array (a scalar difference has none)."""
+    def __call__(self, x, x2):
+        """K(x, x'); broadcasts over numpy arrays for built-ins.  A stationary
+        kernel's chain runs in place in its fresh difference array, if any."""
         if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
-            d = np.subtract(x, x2, out=out)
-            return self.of_difference(d, out=d if d.ndim else out)
+            d = np.subtract(x, x2)
+            return self.of_difference(d, out=d if d.ndim else None)
         if self.kind is KernelKind.LINEAR:
-            return np.add(np.multiply(x, x2, out=out), self.offset, out=out)
+            return np.add(np.multiply(x, x2), self.offset)
         return self.func(x, x2)
 
     def of_difference(self, d, out=None):
@@ -321,6 +319,14 @@ class KernelExpansion:
             arr.flags.writeable = False
         return zs, w
 
+    @functools.cached_property
+    def _norm(self) -> float:
+        quad = self.kernel.quad_form(self.centers, self.weights)
+        if quad < PSD_TOL:
+            raise KernelError(
+                f"negative quadratic form {quad}: kernel is not PSD")
+        return math.sqrt(max(quad, 0.0))
+
     def __call__(self, x):
         """f(x) = ordered_dot(Kernel.row(x, centers), weights).  A custom
         kernel's x is one opaque point.  At a float array, a built-in
@@ -338,9 +344,5 @@ class KernelExpansion:
         return out.reshape(xs.shape)
 
     def norm(self) -> float:
-        """RKHS norm sqrt(w' G w) of the expansion."""
-        quad = self.kernel.quad_form(self.centers, self.weights)
-        if quad < PSD_TOL:
-            raise KernelError(
-                f"negative quadratic form {quad}: kernel is not PSD")
-        return math.sqrt(max(quad, 0.0))
+        """RKHS norm sqrt(w' G w) of the expansion, computed once."""
+        return self._norm

@@ -11,7 +11,6 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from defcast.forecaster import (Forecaster, RootReport, check_datum,
                                 running_totals)
@@ -25,18 +24,6 @@ class UsageError(RuntimeError):
 
 class ComparatorError(ValueError):
     """Benchmark rule not admissible for the game on the observed data."""
-
-
-@dataclass(frozen=True)
-class Comparator:
-    """A benchmark decision rule, encoded by its exposure expansion."""
-
-    exposure_fn: KernelExpansion
-    norm: float
-
-    @staticmethod
-    def build(exposure_fn: KernelExpansion) -> "Comparator":
-        return Comparator(exposure_fn, exposure_fn.norm())
 
 
 # one round of the log; its fields are the round-log CSV header
@@ -81,7 +68,7 @@ class Engine:
         self.forecaster = Forecaster(game, kernel)
         self.round_log = RoundLog(self.forecaster)
         self._pending: tuple[object, RootReport, Decision] | None = None
-        # id(c) -> (c, exposures, losses); holding c keeps its id unique
+        # id(f) -> (f, exposures, losses); holding f keeps its id unique
         self._comparator_cache: dict[int, tuple] = {}
 
     @property
@@ -121,10 +108,10 @@ class Engine:
 
     # -- comparators ------------------------------------------------------
 
-    def _comparator_rounds(self, c: Comparator) -> tuple:
-        """(exposures, losses) of c per round, kept until the next observe."""
-        if id(c) not in self._comparator_cache:
-            vals = self.forecaster.at_x(c.exposure_fn)
+    def _comparator_rounds(self, f: KernelExpansion) -> tuple:
+        """(exposures, losses) of f per round, kept until the next observe."""
+        if id(f) not in self._comparator_cache:
+            vals = self.forecaster.at_x(f)
             ys = self.forecaster.column("y").tolist()
             try:
                 losses = [self.game.loss(y, self.game.decision_from_exposure(v))
@@ -132,50 +119,50 @@ class Engine:
             except DomainError as exc:
                 raise ComparatorError(f"{exc}: the rule does not map into "
                                       "the decision set") from None
-            self._comparator_cache[id(c)] = (c, vals, losses)
-        return self._comparator_cache[id(c)][1:]
+            self._comparator_cache[id(f)] = (f, vals, losses)
+        return self._comparator_cache[id(f)][1:]
 
-    def comparator_round_losses(self, c: Comparator) -> list[float]:
+    def comparator_round_losses(self, f: KernelExpansion) -> list[float]:
         """Per-round losses of the benchmark rule D = inverse exposure."""
-        return list(self._comparator_rounds(c)[1])
+        return list(self._comparator_rounds(f)[1])
 
-    def comparator_loss(self, c: Comparator) -> float:
+    def comparator_loss(self, f: KernelExpansion) -> float:
         """Total loss of the log replayed under the benchmark rule."""
-        return float(running_totals(self._comparator_rounds(c)[1])[-1])
+        return float(running_totals(self._comparator_rounds(f)[1])[-1])
 
     @functools.cached_property
     def clambda(self) -> float:
         """The game/kernel constant of every regret bound, computed once."""
         return self.game.clambda(self.kernel.c_f)
 
-    def regret_bound(self, c: Comparator, n: int | None = None) -> float:
+    def regret_bound(self, f: KernelExpansion, n: int | None = None) -> float:
         """Regret bound for the rule after n rounds (default: all so far)."""
         n = self.rounds if n is None else n
         if n == 0:
             return 0.0
-        return self.clambda * (c.norm + 1.0) * math.sqrt(n)
+        return self.clambda * (f.norm() + 1.0) * math.sqrt(n)
 
-    def _regret_at(self, comparators: Sequence[Comparator], ks):
+    def _regret_at(self, comparators: Sequence[KernelExpansion], ks):
         """For each k in ks, (own loss, rows) after k rounds, with one row
         (comparator loss, bound, slack, pass) per comparator: the regret
         inequality, over running totals of the history."""
         own = running_totals(self.forecaster.column("loss")).tolist()
         residual = running_totals(
             abs(self.forecaster.column("s_residual"))).tolist()
-        closses = [running_totals(self._comparator_rounds(c)[1]).tolist()
-                   for c in comparators]
+        closses = [running_totals(self._comparator_rounds(f)[1]).tolist()
+                   for f in comparators]
         for k in ks:
             rows = []
-            for c, closs in zip(comparators, closses):
-                bound = self.regret_bound(c, k)
+            for f, closs in zip(comparators, closses):
+                bound = self.regret_bound(f, k)
                 # inexact roots perturb the capital bookkeeping by at most
                 # the accumulated residual, scaled by the comparator's norm
-                slack = 2.0 * residual[k] * (1.0 + c.norm)
+                slack = 2.0 * residual[k] * (1.0 + f.norm())
                 rows.append((closs[k], bound, slack,
                              own[k] <= closs[k] + bound + slack))
             yield own[k], rows
 
-    def regret_report(self, comparators: Sequence[Comparator]) -> dict:
+    def regret_report(self, comparators: Sequence[KernelExpansion]) -> dict:
         """Per-comparator regret rows plus both run certificates."""
         cert = self.forecaster.large_numbers_certificate()
         cert_slack = cert["slack"]
@@ -187,12 +174,13 @@ class Engine:
             "large_numbers_certificate": cert,
             "comparators": [],
         }
-        for c, (closs, bound, slack, ok) in zip(comparators, rows):
+        for f, (closs, bound, slack, ok) in zip(comparators, rows):
+            norm = f.norm()
             res_lhs, res_bound = self.forecaster.resolution_certificate(
-                c.exposure_fn, self._comparator_rounds(c)[0])
-            res_slack = c.norm * math.sqrt(cert_slack) if cert_slack > 0 else 0.0
+                f, self._comparator_rounds(f)[0])
+            res_slack = norm * math.sqrt(cert_slack) if cert_slack > 0 else 0.0
             report["comparators"].append({
-                "norm": c.norm,
+                "norm": norm,
                 "own_loss": own,
                 "comparator_loss": closs,
                 "realized_regret": own - closs,
@@ -208,7 +196,7 @@ class Engine:
             })
         return report
 
-    def regret_curve(self, comparators: Sequence[Comparator]) -> list[dict]:
+    def regret_curve(self, comparators: Sequence[KernelExpansion]) -> list:
         """The regret rows after 1, 2, 4, ... rounds, up to the run's."""
         ks = [2 ** i for i in range(self.rounds.bit_length())]
         return [{"n": k, "own_loss": own, "comparators": [

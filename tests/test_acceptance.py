@@ -18,7 +18,7 @@ from defcast.experiments import (AdversarialAntiForecast, Deterministic,
                                  ExperimentConfig, IidLogistic, Replay, run)
 from defcast.games import Game
 from defcast.kernels import Kernel, KernelExpansion
-from defcast.protocol import Comparator, Engine
+from defcast.protocol import Engine
 from oracle import oracle_forecast
 
 SOB = Kernel.sobolev()
@@ -87,9 +87,9 @@ def battery():
                 y = gen.outcome(77, n, x, engine.pending_forecast.p)
                 engine.observe(y)
             comparators = [
-                Comparator.build(KernelExpansion.zero(SOB)),
-                Comparator.build(random_unit_expansion(rng)),
-                Comparator.build(fit_expansion(matched_targets(gen_name))),
+                KernelExpansion.zero(SOB),
+                random_unit_expansion(rng),
+                fit_expansion(matched_targets(gen_name)),
             ]
             report = engine.regret_report(comparators)
             elapsed = time.perf_counter() - start

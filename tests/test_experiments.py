@@ -16,7 +16,7 @@ from defcast.experiments import (AdversarialAntiForecast, ConfigError,
                                  Replay, certify_log, generator_from_json,
                                  read_round_log, round_rng, run, run_engine)
 from defcast.games import Game
-from defcast.kernels import Kernel, KernelExpansion
+from defcast.kernels import Kernel, KernelError, KernelExpansion
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay_fixture.csv"
 
@@ -163,6 +163,14 @@ def test_comparators_need_a_kernel_with_a_range():
     config = ExperimentConfig.from_json(
         dict(doc, kernel={"kind": "linear", "range": 1.0}))
     assert config.kernel.c_f == 1.0
+
+
+def test_a_comparator_on_a_broken_kernel_fails_with_the_config():
+    bad = Kernel.custom(lambda a, b: -1.0 if a != b else 0.0, c_f=1.0)
+    f = KernelExpansion.build([0.0, 1.0], [1.0, 1.0], bad)
+    with pytest.raises(KernelError, match="not PSD"):
+        ExperimentConfig(Game.square(), bad, IidLogistic(), horizon=1, seed=0,
+                         comparators=(f,))
 
 
 # -- running --------------------------------------------------------------

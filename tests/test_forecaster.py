@@ -409,6 +409,13 @@ def assert_first_sign_change(game, kernel, A, B, C):
 # a root at a subnormal p: the secant's product fa * (pb - pa) underflows
 @example(Game.custom([(0.0, 0.0), (1.0, -1.0)]), 0.0, 2.225073858507e-311,
          -1.0)
+# the segment's root is grid point 1: _refine_cell solves at a zero there
+@example(Game.absolute(), 0.0, -0.49853372434017595, -0.5)
+# rounding at the cell's grid points leaves no sign change in it
+@example(Game.absolute(), 0.0, -0.28739002932551316, -0.5)
+# a root one ulp below p = 1/2: no root of _solve_at's quadratic lies on
+# the wide face, which takes the end nearer zero
+@example(Game.absolute(), 1e-08, 0.24999998999999992, -0.5)
 def test_walk_takes_the_first_sign_change(game, A, B, C):
     assert_first_sign_change(game, SOB, A, B, C)
 
@@ -663,11 +670,12 @@ def test_load_keeps_opaque_points_and_has_the_bits_of_update():
     (Game.square(), SOB, "y", 2.0, "binary"),
     (Game.square(), SOB, "x", math.inf, "finite"),
     (Game.square(), SOB, "x", -math.inf, "finite"),
+    (Game.square(), SOB, "x", 10 ** 400, "float range"),
     (POLY, Kernel.linear(range=1.0), "x", 2.0, "range"),
     (POLY, Kernel.linear(range=1.0), "x", -2.0, "range"),
     (POLY, Kernel.linear(range=1.0), "x", "0.5", "real number"),
 ], ids=["log-p-0", "log-p-1", "q-above-1", "q-below-0", "q-nan", "y-2",
-        "x-inf", "x-minus-inf", "x-above-range", "x-below-range",
+        "x-inf", "x-minus-inf", "x-huge-int", "x-above-range", "x-below-range",
         "x-string"])
 def test_load_names_the_first_bad_row_and_writes_nothing(game, kernel, column,
                                                          value, match, later):

@@ -9,11 +9,11 @@ import pytest
 from defcast.forecaster import _INITIAL_CAPACITY, Branch
 from defcast.games import DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion, ordered_dot
-from defcast.protocol import Comparator, ComparatorError, Engine, UsageError
+from defcast.protocol import ComparatorError, Engine, UsageError
 
 SOB = Kernel.sobolev()
 
-ZERO = Comparator.build(KernelExpansion.zero(SOB))
+ZERO = KernelExpansion.zero(SOB)
 
 
 def run_engine_random(game, n_rounds, seed, kernel=SOB):
@@ -128,7 +128,7 @@ def test_custom_kernel_on_float_vector_points_runs_a_report():
         engine.observe(int(rng.integers(0, 2)))
     f = KernelExpansion.build([np.array([0.2, -0.1]), np.array([-0.5, 0.4])],
                               [0.6, -0.6], kernel)
-    report = engine.regret_report([Comparator.build(f)])
+    report = engine.regret_report([f])
     want = [f(x) for x in points]
     assert engine.forecaster.at_x(f).tolist() == want
     assert report["rounds"] == 12
@@ -157,7 +157,7 @@ def test_custom_kernel_on_object_array_points_takes_each_as_one_point():
     assert all(type(v) is float for v in want)
     assert engine.forecaster.at_x(f).tolist() == want
     game = Game.square()
-    assert engine.comparator_round_losses(Comparator.build(f)) == [
+    assert engine.comparator_round_losses(f) == [
         game.loss(y, game.decision_from_exposure(v)) for y, v in zip(ys, want)]
     lhs, _ = engine.forecaster.resolution_certificate(f)
     assert lhs == abs(ordered_dot(engine.forecaster.column("residual"),
@@ -176,7 +176,7 @@ def test_record_kernel_with_a_declared_c_f_runs_a_report():
         engine.decide(x)
         engine.observe(int(rng.integers(0, 2)))
     f = KernelExpansion.build(points[:2], [0.6, -0.6], kernel)
-    report = engine.regret_report([Comparator.build(f)])
+    report = engine.regret_report([f])
     assert engine.clambda == Game.square().clambda(math.sqrt(0.5))
     row, = report["comparators"]
     assert report["rounds"] == 20
@@ -291,14 +291,12 @@ def test_informed_comparator_beats_constant_on_deterministic_data():
     f = KernelExpansion.build([-0.5, 0.5], [0.9, -0.9], SOB)
     vals = [abs(float(f(r.x))) for r in engine.round_log]
     assert max(vals) <= 1.0  # admissible for the square game
-    informed = Comparator.build(f)
-    assert engine.comparator_loss(informed) < engine.comparator_loss(ZERO)
+    assert engine.comparator_loss(f) < engine.comparator_loss(ZERO)
 
 
 def test_out_of_range_comparator_rejected():
     engine = run_engine_random(Game.square(), 10, seed=5)
-    too_big = Comparator.build(
-        KernelExpansion.build([0.0], [4.0], SOB))  # exposure up to 2
+    too_big = KernelExpansion.build([0.0], [4.0], SOB)  # exposure up to 2
     with pytest.raises(ComparatorError):
         engine.comparator_loss(too_big)
     # the same rule for polylines, absolute loss included
@@ -312,7 +310,7 @@ def test_out_of_range_comparator_rejected():
 
 def test_comparator_exposures_refresh_after_each_round():
     engine = run_engine_random(Game.square(), 20, seed=21)
-    c = Comparator.build(KernelExpansion.build([0.3], [0.7], SOB))
+    c = KernelExpansion.build([0.3], [0.7], SOB)
     before = engine.comparator_round_losses(c)
     assert engine.comparator_round_losses(c) == before  # cached, same values
     engine.decide(0.25)
@@ -382,7 +380,7 @@ def test_report_zero_comparator_passes():
 
 def test_duplicate_comparators_identical_rows():
     engine = run_engine_random(Game.square(), 40, seed=13)
-    c = Comparator.build(KernelExpansion.build([0.2, -0.4], [0.5, -0.3], SOB))
+    c = KernelExpansion.build([0.2, -0.4], [0.5, -0.3], SOB)
     report = engine.regret_report([c, c])
     assert report["comparators"][0] == report["comparators"][1]
 
@@ -399,8 +397,7 @@ def test_regret_inequality_random_comparators():
             if scale > 1.0:  # keep exposures admissible for [0,1] games
                 f = KernelExpansion.build(f.centers,
                                           np.asarray(f.weights) / scale, SOB)
-            c = Comparator.build(f)
-            row = engine.regret_report([c])["comparators"][0]
+            row = engine.regret_report([f])["comparators"][0]
             assert row["pass"], row
 
 
@@ -413,8 +410,7 @@ def in_round_order(values) -> float:
 
 def test_curve_and_report_rows_read_one_record():
     engine = run_engine_random(Game.square(), 64, seed=31)
-    comparators = [ZERO, Comparator.build(
-        KernelExpansion.build([-0.5, 0.5], [0.6, -0.6], SOB))]
+    comparators = [ZERO, KernelExpansion.build([-0.5, 0.5], [0.6, -0.6], SOB)]
     report = engine.regret_report(comparators)
     curve = engine.regret_curve(comparators)
     assert [pt["n"] for pt in curve] == [1, 2, 4, 8, 16, 32, 64]
