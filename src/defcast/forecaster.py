@@ -367,38 +367,24 @@ class Forecaster:
         """1 where lo > 0, -1 where hi < 0, else 0 (NaN included); lo <= hi."""
         return (lo > 0.0).view(np.int8) - (hi < 0.0).view(np.int8)
 
-    @staticmethod
-    def _face_sign(a, A, c, e_hi, e_lo) -> int:
-        """Sign of a*e^2 + A*e + c over [e_lo, e_hi] by _ranges_on's rule."""
+    def _s_at(self, p: float, A: float, B: float, C: float, exposures=None):
+        """(sign, value) of S at a scalar p on the face with exposures
+        (e_hi, e_lo), p's own face by default, in the scan's arithmetic; on
+        a wide face, the sign of its value range by _ranges_on's rule and
+        the value NaN."""
+        e_hi, e_lo = exposures or self.game.exposure_interval_arrays(p)
+        if e_hi == e_lo:
+            v = 0.5 * (1.0 - 2.0 * p) * e_hi * e_hi + A * e_hi + (B + C * p)
+            return (v > 0.0) - (v < 0.0), v  # NaN: sign 0
+        a, c = 0.5 * (1.0 - 2.0 * p), B + C * p
         vals = [a * e_hi * e_hi + A * e_hi + c, a * e_lo * e_lo + A * e_lo + c]
         if a != 0.0:
             ev = -A / (2.0 * a)
             if e_hi > e_lo and math.isfinite(ev) and e_lo < ev < e_hi:
                 vals.append(a * ev * ev + A * ev + c)
         if any(map(math.isnan, vals)):
-            return 0  # np.minimum/np.maximum propagate NaN: neither side
-        return (min(vals) > 0.0) - (max(vals) < 0.0)
-
-    def _s_at(self, p: float, A: float, B: float, C: float):
-        """(sign, value) of S at a scalar p: _s_on at p's own face, with a
-        point face's value inline in _s_on's order."""
-        e_hi, e_lo = self.game.exposure_interval_arrays(p)
-        if e_hi != e_lo:
-            return self._s_on(p, A, B, C, (e_hi, e_lo))
-        v = 0.5 * (1.0 - 2.0 * p) * e_hi * e_hi + A * e_hi + (B + C * p)
-        return (v > 0.0) - (v < 0.0), v  # NaN: sign 0
-
-    def _s_on(self, p, A, B, C, exposures):
-        """(sign, value) of S at p on the face with exposures (e_hi, e_lo),
-        in the scan's arithmetic; on a wide face, the sign of its value
-        range and the value NaN."""
-        e_hi, e_lo = exposures
-        a = 0.5 * (1.0 - 2.0 * p)
-        c = B + C * p
-        if e_hi != e_lo:
-            return self._face_sign(a, A, c, e_hi, e_lo), math.nan
-        v = a * e_hi * e_hi + A * e_hi + c
-        return (v > 0.0) - (v < 0.0), v  # NaN: sign 0
+            return 0, math.nan  # np.minimum/np.maximum propagate NaN
+        return (min(vals) > 0.0) - (max(vals) < 0.0), math.nan
 
     def next_forecast(self, x) -> RootReport:
         """Forecast for datum x: a root of S, or the endpoint rule."""
@@ -437,7 +423,7 @@ class Forecaster:
         crosses zero before the end face; else the end face is signed.
         """
         path = self._path
-        s0 = self._s_on(0.0, A, B, C, path[0][1])[0]
+        s0 = self._s_at(0.0, A, B, C, path[0][1])[0]
         if s0 == 0:
             return self._solve_at(0.0, A, B, C)
         for lo, hi in zip(path, path[1:]):
@@ -447,7 +433,7 @@ class Forecaster:
                 root = (0.5 * e * e + A * e + B) / den
                 if root < hi[0]:
                     return self._refine_cell(root, lo, hi, s0, A, B, C)
-            if self._s_on(hi[0], A, B, C, hi[1])[0] != s0:
+            if self._s_at(hi[0], A, B, C, hi[1])[0] != s0:
                 return self._solve_at(hi[0], A, B, C)
         return self._endpoint(s0)
 
@@ -462,8 +448,8 @@ class Forecaster:
         j = bisect.bisect_left(_GRID, root)  # _GRID[j - 1] < root <= _GRID[j]
         pa, pb = max(_GRID[j - 1], lo[0]), min(_GRID[j], hi[0])
         inside = (lo[1][1],) * 2  # the segment's exposure
-        sa, fa = self._s_on(pa, A, B, C, lo[1] if pa == lo[0] else inside)
-        sb, fb = self._s_on(pb, A, B, C, hi[1] if pb == hi[0] else inside)
+        sa, fa = self._s_at(pa, A, B, C, lo[1] if pa == lo[0] else inside)
+        sb, fb = self._s_at(pb, A, B, C, hi[1] if pb == hi[0] else inside)
         if sb == 0 and fb == fb:  # a zero at a point, not a wide face
             return self._solve_at(pb, A, B, C)
         if sa != s0 or sb == s0:

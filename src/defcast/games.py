@@ -146,6 +146,8 @@ class Game:
 
     def loss(self, y: int, gamma: float) -> float:
         """Loss of decision gamma on outcome y."""
+        if y not in (0, 1):
+            raise DomainError(f"observation must be binary, got {y}")
         self._check_gamma(gamma)
         if self.kind is GameKind.SQUARE:
             return (y - gamma) ** 2

@@ -133,9 +133,10 @@ class Kernel:
             raise KernelError("linear offset must be nonnegative")
         if range is not None:
             range = json_float("range", range)
-            if not (range > 0 and math.isfinite(range * range)):
-                raise KernelError(f"range must be > 0 with a finite square, "
-                                  f"got {range!r}")
+            if not (range > 0 and math.isfinite(range * range + offset)):
+                raise KernelError(f"range must be > 0 with range^2 + offset "
+                                  f"finite, got range={range!r}, "
+                                  f"offset={offset!r}")
         c_f = math.inf if range is None else math.sqrt(range * range + offset)
         return Kernel(KernelKind.LINEAR, c_f, offset=offset, data_range=range)
 
@@ -321,10 +322,13 @@ class KernelExpansion:
 
     @functools.cached_property
     def _norm(self) -> float:
-        quad = self.kernel.quad_form(self.centers, self.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = self.kernel.quad_form(self.centers, self.weights)
         if quad < PSD_TOL:
             raise KernelError(
                 f"negative quadratic form {quad}: kernel is not PSD")
+        if not quad < math.inf:  # NaN too
+            raise KernelError(f"squared norm {quad} is not finite")
         return math.sqrt(max(quad, 0.0))
 
     def __call__(self, x):

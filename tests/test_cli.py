@@ -314,8 +314,11 @@ def test_document_errors_exit_two(tmp_path, capsys, field, doc, key):
     ("--kernel", '{"kind": "linear", "range": -1}', "range"),
     ("--kernel", '{"kind": "linear", "range": 0}', "range"),
     ("--kernel", '{"kind": "linear"}', "needs a kernel range"),
+    ("--kernel", '{"kind": "linear", "offset": 1e308, "range": 1.3e154}',
+     "offset"),
 ], ids=["game-list", "kernel-list", "game-number", "custom-no-boundary",
-        "range-square-overflows", "negative-range", "zero-range", "no-range"])
+        "range-square-overflows", "negative-range", "zero-range", "no-range",
+        "c-f-square-overflows"])
 def test_document_errors_in_a_flag_exit_two(capsys, flag, doc, key):
     argv = {"--game": "square", "--kernel": "sobolev", flag: doc}
     with warnings.catch_warnings():

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import defcast
+from defcast.cli import main
 from defcast.experiments import (AdversarialAntiForecast, ConfigError,
                                  Deterministic, ExperimentConfig, IidLogistic,
                                  Replay, certify_log, generator_from_json,
@@ -171,6 +173,26 @@ def test_a_comparator_on_a_broken_kernel_fails_with_the_config():
     with pytest.raises(KernelError, match="not PSD"):
         ExperimentConfig(Game.square(), bad, IidLogistic(), horizon=1, seed=0,
                          comparators=(f,))
+
+
+@pytest.mark.parametrize("comparator", [
+    {"centers": [0.5], "weights": [1e308]},  # w'Gw overflows to inf
+    {"centers": [0.0, 1.0], "weights": [1e300, -1e300]},  # inf - inf: NaN
+], ids=["inf", "nan"])
+def test_a_comparator_with_no_finite_norm_fails_with_the_config(
+        tmp_path, capsys, comparator):
+    doc = config_doc(game="log", comparators=[comparator])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning first
+        with pytest.raises(KernelError, match="not finite"):
+            ExperimentConfig.from_json(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- running --------------------------------------------------------------

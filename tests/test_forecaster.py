@@ -140,6 +140,11 @@ def test_scalar_sign_equals_array_sign(p, A, B, C):
                 assert math.isnan(v)
             elif s:
                 assert (v > 0.0) - (v < 0.0) == s
+        # the walk signs each special p's face as the path holds it
+        for q, face in (fc._path or ())[1:-1]:
+            s, v = fc._s_at(q, A, B, C, face)
+            assert s == fc._s_at(q, A, B, C)[0]
+            assert math.isnan(v) == (face[0] != face[1])
 
 
 @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
@@ -173,8 +178,9 @@ def test_scalar_sign_is_zero_on_nan():
 class ArraySignForecaster(Forecaster):
     """Refines with the one-element array sign the scan uses."""
 
-    def _s_at(self, p, A, B, C):
-        return array_sign(self, p, A, B, C), super()._s_at(p, A, B, C)[1]
+    def _s_at(self, p, A, B, C, exposures=None):
+        return (array_sign(self, p, A, B, C),
+                super()._s_at(p, A, B, C, exposures)[1])
 
 
 @pytest.mark.parametrize("game", PARITY_GAMES, ids=PARITY_IDS)
@@ -347,9 +353,9 @@ class StepCounter(Forecaster):
 
     steps = 0
 
-    def _s_at(self, p, A, B, C):
+    def _s_at(self, p, A, B, C, exposures=None):
         self.steps += 1
-        return super()._s_at(p, A, B, C)
+        return super()._s_at(p, A, B, C, exposures)
 
 
 @pytest.mark.parametrize("game", [Game.square(), Game.log()],

@@ -51,6 +51,10 @@ def test_loss_rejects_out_of_domain_gamma():
         LG.loss(0, 1.0)
     with pytest.raises(DomainError):
         POLY.loss(0, 3.5)
+    # an outcome other than 0 or 1, with update's message
+    for game, y in ((SQ, 2), (SQ, 0.5), (LG, 2), (POLY, -1), (POLY, 0.5)):
+        with pytest.raises(DomainError, match="observation must be binary"):
+            game.loss(y, 0.5)
 
 
 def test_log_loss_clamp_keeps_losses_finite():
