@@ -26,7 +26,7 @@ _DOT_SLICE = 8192  # OpenBLAS threads a ddot of more than 10,000 entries
 
 
 class KernelError(ValueError):
-    """Broken kernel: bad parameters or a negative quadratic form."""
+    """Broken kernel: bad parameters, or a negative or non-finite form."""
 
 
 def check_keys(doc, *keys: str) -> None:
@@ -328,7 +328,7 @@ class KernelExpansion:
             raise KernelError(
                 f"negative quadratic form {quad}: kernel is not PSD")
         if not quad < math.inf:  # NaN too
-            raise KernelError(f"squared norm {quad} is not finite")
+            raise KernelError(f"squared norm w'Gw = {quad} is not finite")
         return math.sqrt(max(quad, 0.0))
 
     def __call__(self, x):

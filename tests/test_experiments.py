@@ -181,18 +181,16 @@ def test_a_comparator_on_a_broken_kernel_fails_with_the_config():
 ], ids=["inf", "nan"])
 def test_a_comparator_with_no_finite_norm_fails_with_the_config(
         tmp_path, capsys, comparator):
-    doc = config_doc(game="log", comparators=[comparator])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_doc(game="log",
+                                            comparators=[comparator])))
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning first
-        with pytest.raises(KernelError, match="not finite"):
-            ExperimentConfig.from_json(doc)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert not out.exists()
+    assert "not finite" in err and not out.exists()
 
 
 # -- running --------------------------------------------------------------
