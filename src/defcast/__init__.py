@@ -8,7 +8,7 @@ regret certificates.
 
 from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelError, KernelExpansion
-from defcast.forecaster import Branch, Forecaster, RootFinderError, RootReport
+from defcast.forecaster import Branch, Forecaster, RootReport
 from defcast.protocol import ComparatorError, Engine, UsageError
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Kernel",
     "KernelError",
     "KernelExpansion",
-    "RootFinderError",
     "RootReport",
     "UsageError",
 ]

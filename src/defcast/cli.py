@@ -17,7 +17,6 @@ import sys
 
 from defcast.experiments import (ConfigError, ExperimentConfig, certify_log,
                                  document_errors, run)
-from defcast.forecaster import RootFinderError
 from defcast.games import Game
 from defcast.kernels import Kernel
 
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, RootFinderError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,10 @@ above beta.  On square, a first value below -2*beta or a last above
 to the scan, the reference: S on the whole grid, whose first sign change
 one pass finds: the sign s0 of the first value, in Python, picks one
 comparison (v > 0 or v < 0), and its argmin is the first point whose
-sign is not s0, NaN counting as sign 0.  A polyline's exposure is
+sign is not s0, NaN counting as sign 0.  Where log's delta = 1e-6 grid
+has none, a grid from 2^-1022 to 1 - 2^-53 is scanned; where that has
+none either, the round plays its end float on s0's side, with |S| there
+as its s_residual.  A polyline's exposure is
 constant between special ps, so S is linear in p there: stage 1 walks
 the path in O(vertices), solving each segment's line in closed form and
 signing each special p's face over its value range, and brackets a root
@@ -53,8 +56,8 @@ numpy scalars, whose repr under numpy 2 is not the shortest round-trip
 decimal.
 
 The grid, its exposure interval and its quadratic coefficient do not
-depend on the history, so the scan takes them from a cache keyed by the
-stripped-domain width delta, filled on first use; each round computes only
+depend on the history, so the scan takes them from a cache of the (one
+or two) grids, each filled on first use; each round computes only
 the constant term B + C*p, the values and the first sign change.  The
 falling-S bracket reads the delta = 1e-6 scan's terms as Python lists,
 with beta's coefficients, cached beside them.  A polyline's path faces
@@ -80,14 +83,13 @@ from defcast.kernels import Kernel, KernelExpansion, KernelKind, ordered_dot
 _P_GRID = 1024
 _GRID = tuple(np.linspace(0.0, 1.0, _P_GRID).tolist())
 
-# stripped-domain bracketing starts here and halves until a sign change
-# is bracketed; exposure diverges at the stripped edges, so this terminates
-_DELTA_START = 1e-6
-_DELTA_MIN = 1e-15
-
 # unit roundoff and least normal number of a float64
 _U = 2.0 ** -53
 _NORMAL_MIN = 2.0 ** -1022
+
+# the stripped domain's stage-1 grid spans [delta, 1 - max(delta, 2^-53)],
+# first at this delta, then at _NORMAL_MIN (e overflows below 5.6e-309)
+_DELTA_START = 1e-6
 
 # rows the history columns hold before their first doubling
 _INITIAL_CAPACITY = 64
@@ -127,11 +129,6 @@ def check_datum(x, kernel: Kernel) -> None:
     if kernel.data_range is not None and abs(x) > kernel.data_range:
         raise DomainError(f"datum {x} outside the kernel's range "
                           f"|x| <= {kernel.data_range}")
-
-
-class RootFinderError(RuntimeError):
-    """No sign change of S on the stripped grid down to _DELTA_MIN: where
-    K(x, x) >= about 1e18, the root lies nearer 0 or 1 than 1e-15."""
 
 
 class Branch(Enum):
@@ -216,9 +213,10 @@ class Forecaster:
     # -- root finding -----------------------------------------------------
 
     def _p_grid(self, delta: float) -> np.ndarray:
-        if self.game.stripped:
-            half = np.geomspace(delta, 0.5, _P_GRID // 2)
-            return np.concatenate([half, 1.0 - half[::-1][1:]])
+        if self.game.stripped:  # no float lies in (1 - 2^-53, 1)
+            top = np.geomspace(max(delta, _U), 0.5, _P_GRID // 2)
+            return np.concatenate([np.geomspace(delta, 0.5, _P_GRID // 2),
+                                   1.0 - top[::-1][1:]])
         return np.array(_GRID)
 
     def _scan_terms(self, delta: float) -> tuple:
@@ -305,7 +303,7 @@ class Forecaster:
         n = len(g)
         if stripped:
             # where the grid shows no sign change the search ends in a cell
-            # the check below declines, and the scan halves delta
+            # the check below declines, and next_forecast scans on
             j, hi = 0, n - 1
             va = quad[j] + A * e[j] + (B + C * g[j])
             vb = quad[hi] + A * e[hi] + (B + C * g[hi])
@@ -394,25 +392,20 @@ class Forecaster:
         report = self._falling(A, B, C)
         if report is not None:
             return report
-        delta = _DELTA_START
-        while True:
-            grid, v, s0, i = self._scan(delta, A, B, C)
-            if s0 == 0:
-                return self._solve_at(float(grid[0]), A, B, C)
-            if i:
-                vi = float(v[i])
-                if not (vi > 0.0 or vi < 0.0):  # a zero or NaN: sign 0
-                    return self._solve_at(float(grid[i]), A, B, C)
-                return self._refine(float(grid[i - 1]), float(v[i - 1]),
-                                    float(grid[i]), vi, s0, A, B, C)
-            # no sign change visible on this grid
-            if not self.game.stripped:
-                return self._endpoint(s0)
-            delta *= 0.5
-            if delta < _DELTA_MIN:
-                raise RootFinderError(
-                    f"no bracket found down to delta={_DELTA_MIN} "
-                    f"(A={A}, B={B}, C={C}, sign={s0})")
+        grid, v, s0, i = self._scan(_DELTA_START, A, B, C)
+        if s0 and not i and self.game.stripped:  # no sign change visible
+            grid, v, s0, i = self._scan(_NORMAL_MIN, A, B, C)
+        if s0 == 0:
+            return self._solve_at(float(grid[0]), A, B, C)
+        if i:
+            vi = float(v[i])
+            if not (vi > 0.0 or vi < 0.0):  # a zero or NaN: sign 0
+                return self._solve_at(float(grid[i]), A, B, C)
+            return self._refine(float(grid[i - 1]), float(v[i - 1]),
+                                float(grid[i]), vi, s0, A, B, C)
+        if self.game.stripped:  # the root lies beyond s0's end float
+            return self._solve_at(float(grid[-1 if s0 > 0 else 0]), A, B, C)
+        return self._endpoint(s0)
 
     def _walk(self, A: float, B: float, C: float) -> RootReport:
         """Stage 1 for a polyline: the first sign change along its path.

@@ -16,8 +16,8 @@ import numpy as np
 
 from defcast.kernels import from_doc, json_float
 
-# Log-loss decisions are clamped at evaluation time so losses stay finite
-# in floating point; the decision set (0, 1) is open.
+# a comparator's log-loss decision, from an unbounded exposure, is clamped;
+# a forecast p is not: at floats, -log(p) <= 744.5 and -log1p(-p) <= 36.8
 LOG_CLAMP = 1e-12
 
 # p-grid size for the numeric sup defining the game/kernel constant.
@@ -152,8 +152,7 @@ class Game:
         if self.kind is GameKind.SQUARE:
             return (y - gamma) ** 2
         if self.kind is GameKind.LOG:
-            g = min(max(gamma, LOG_CLAMP), 1.0 - LOG_CLAMP)
-            return -math.log(g) if y else -math.log1p(-g)
+            return -math.log(gamma) if y else -math.log1p(-gamma)
         a, b = self._boundary_pair(gamma)
         return b if y else a
 
@@ -209,8 +208,7 @@ class Game:
         if self.kind is GameKind.SQUARE:
             return Decision(p, (0 - p) ** 2, (1 - p) ** 2)
         if self.kind is GameKind.LOG:
-            g = min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP)
-            return Decision(p, -math.log1p(-g), -math.log(g))
+            return Decision(p, -math.log1p(-p), -math.log(p))
         return self._face_choice(self._custom_face(p), q)
 
     def _face_choice(self, face: tuple[int, int], q: float) -> Decision:
@@ -241,9 +239,8 @@ class Game:
             return p, *(np.array([v ** 2 for v in (y - p).tolist()])
                         for y in (0, 1))
         if self.kind is GameKind.LOG:  # math.log and math.log1p, as loss
-            g = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
-            return p, -np.array(list(map(math.log1p, (-g).tolist()))), \
-                -np.array(list(map(math.log, g.tolist())))
+            return p, -np.array(list(map(math.log1p, (-p).tolist()))), \
+                -np.array(list(map(math.log, p.tolist())))
         a, b = np.array(self.boundary).T
         m = len(a) - 1
         scores = np.outer(1.0 - p, a) + np.outer(p, b)

@@ -156,8 +156,6 @@ ADVERSARIAL = {"game": "square", "generator": {"kind": "adversarial"},
     (dict(ADVERSARIAL, game={"kind": "custom",
                              "boundary": [[0, 1e160], [1e160, 0]]}),
      "boundary"),
-    (dict(ADVERSARIAL, game="log", kernel={"kind": "linear", "offset": 1e160}),
-     "no bracket"),
 ], ids=["no-game", "no-horizon", "generator-without-kind", "list",
         "stale-epsilon-root", "typo-seeds", "kernel-typo-widht",
         "generator-typo-weight", "square-with-boundary",
@@ -165,7 +163,7 @@ ADVERSARIAL = {"game": "square", "generator": {"kind": "adversarial"},
         "negative-seed", "range-square-overflows", "negative-range",
         "comparators-without-range", "data-outside-range",
         "width-square-overflows", "width-square-underflows",
-        "exposure-square-overflows", "no-root-bracket"])
+        "exposure-square-overflows"])
 def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -176,19 +174,31 @@ def test_malformed_config_exits_two(tmp_path, capsys, doc, key):
     assert key in err
 
 
-def test_root_finder_failure_exits_two(tmp_path, capsys):
-    # K(x, x) = 1e18 puts log loss's root nearer 0 or 1 than the cascade's
-    # last stripped-domain width, 1e-15
+@pytest.mark.parametrize("kernel, generator, horizon", [
+    ({"kind": "linear", "offset": 1e160}, {"kind": "adversarial"}, 10),
+    ({"kind": "linear", "range": 1e10}, {"kind": "replay"}, 3),
+], ids=["offset-1e160", "replay-x-1e9"])
+def test_log_roots_nearer_an_end_than_1e_15_run_and_certify(
+        tmp_path, capsys, kernel, generator, horizon):
+    # K(x, x) = 1e160, or 1e18 at x = 1e9, puts log loss's root nearer 0
+    # or 1 than 1e-15: the round roots S on the second grid, or plays its
+    # end float, and the run reaches a verdict that certify reproduces
     replay = tmp_path / "xy.csv"
     replay.write_text("x,y\n1e9,1\n-1e9,0\n1e9,0\n")
-    config = write_config(
-        tmp_path, game="log", kernel={"kind": "linear", "range": 1e10},
-        generator={"kind": "replay", "path": str(replay)}, horizon=3,
-        comparators=[])
-    assert main(["run", "--config", str(config),
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: no bracket found") and err.count("\n") == 1
+    if generator["kind"] == "replay":
+        generator = dict(generator, path=str(replay))
+    config = write_config(tmp_path, game="log", kernel=kernel,
+                          generator=generator, horizon=horizon,
+                          comparators=[])
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code in (0, 1) and not capsys.readouterr().err
+    report = json.loads((out / "regret_report.json").read_text())
+    want = report["large_numbers_certificate"]
+    assert main(["certify", "--log", str(out / "round_log.csv"),
+                 "--game", "log", "--kernel", json.dumps(kernel)]) == code
+    cert = json.loads(capsys.readouterr().out)
+    assert cert == {"rounds": horizon, "large_numbers_certificate": want}
 
 
 def extreme_parameters():
@@ -207,13 +217,20 @@ def extreme_parameters():
 def test_extreme_parameters_end_in_an_exit_code(tmp_path, capsys, game,
                                                 kernel):
     # a parameter near the float limits gives a verdict or one error line,
-    # never a traceback
-    config = write_config(tmp_path, game=game, kernel=kernel, horizon=8,
-                          comparators=[])
-    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    # never a traceback; a log game exits 2 only where square loss does on
+    # the same kernel, which is then refused: log roots at every scale
+    def code_of(game):
+        config = write_config(tmp_path, game=game, kernel=kernel, horizon=8,
+                              comparators=[])
+        return main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+
+    code = code_of(game)
     assert code in (0, 1, 2)
     err = capsys.readouterr().err
     assert code != 2 or (err.startswith("error:") and err.count("\n") == 1)
+    if game == "log" and code == 2:
+        assert code_of("square") == 2 and capsys.readouterr().err == err
 
 
 CUSTOM = {"kind": "custom", "boundary": [[0, 1], [1, 0]]}

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import defcast
-from defcast.experiments import ExperimentConfig, run_engine
-from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _P_GRID,
-                                Branch, Forecaster, RootFinderError)
+from defcast.experiments import ExperimentConfig, certify_log, run_engine
+from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _NORMAL_MIN,
+                                _P_GRID, Branch, Forecaster)
 from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Engine
@@ -742,7 +742,7 @@ def test_cached_scan_equals_uncached_ranges(game):
     fc = Forecaster(game, SOB)
     rng = np.random.default_rng(79)
     coeffs = rng.normal(scale=5.0, size=(20, 3)).tolist()
-    for delta in (_DELTA_START, _DELTA_START / 2.0, _DELTA_START / 64.0):
+    for delta in (_DELTA_START, _NORMAL_MIN):
         grid, e_hi, quad = fc._scan_terms(delta)
         assert np.array_equal(grid, fc._p_grid(delta))
         # no grid point is a special p: every face on the grid is a point
@@ -753,7 +753,7 @@ def test_cached_scan_equals_uncached_ranges(game):
                 v = fc._scan(delta, A, B, C)[1]
                 assert np.array_equal(
                     fc._sgn(v, v), fc._sgn(*fc._ranges_on(grid, A, B, C)))
-        assert fc._scan_terms(delta)[0] is grid  # filled once per delta
+        assert fc._scan_terms(delta)[0] is grid  # filled once per grid
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -761,7 +761,7 @@ COEFFICIENT = st.one_of(SPECIAL, st.floats(-1e3, 1e3))
 
 
 @given(st.sampled_from(["square", "log"]),
-       st.sampled_from([_DELTA_START, _DELTA_START / 64.0]),
+       st.sampled_from([_DELTA_START, _NORMAL_MIN]),
        COEFFICIENT, COEFFICIENT, COEFFICIENT,
        st.one_of(st.none(), st.integers(0, _P_GRID - 1)))
 @example("square", _DELTA_START, math.inf, math.inf, 0.0, None)  # inf, NaN
@@ -802,17 +802,12 @@ class ScanOnly(BracketRecorder):
 
 def falling_report(name, A, B, C):
     """_falling's report at (A, B, C), or None, after checking that any
-    report it gives is the scan's to the bit, and next_forecast too (where
-    the scan finds no bracket at any delta, _falling must decline)."""
+    report it gives is the scan's to the bit, and next_forecast too."""
     game = Game.from_json(name)
     fc = BracketRecorder(game, SOB, (A, B, C))
     with np.errstate(all="ignore"):
         got = fc._falling(A, B, C)
-        try:
-            want = repr(ScanOnly(game, SOB, (A, B, C)).next_forecast(0.0))
-        except RootFinderError:
-            assert got is None
-            return None
+        want = repr(ScanOnly(game, SOB, (A, B, C)).next_forecast(0.0))
         assert repr(fc.next_forecast(0.0)) == want
     assert got is None or repr(got) == want
     return got
@@ -968,9 +963,21 @@ def small_root_history():
         + [(0.0, Forecast(0.5, 0.5), 0)] * 200
 
 
-def test_scan_cache_across_delta_halvings():
+class GridCounter(Forecaster):
+    """Counts the grid fills, per delta."""
+
+    def __init__(self, game, kernel):
+        super().__init__(game, kernel)
+        self.fills = []
+
+    def _p_grid(self, delta):
+        self.fills.append(delta)
+        return super()._p_grid(delta)
+
+
+def test_scan_cache_fills_the_second_grid_once():
     game = Game.log()
-    played = Forecaster(game, SOB)
+    played = GridCounter(game, SOB)
     for x, f, y in small_root_history():
         played.next_forecast(x)
         played.update(x, f, y)
@@ -981,8 +988,55 @@ def test_scan_cache_across_delta_halvings():
         reports.append(rep)
         played.update(0.0, rep.forecast, 0, s_residual=rep.s_residual,
                       branch=rep.branch)
-    assert reports[0].forecast.p < _DELTA_START  # found after halvings
+    assert played.fills == [_DELTA_START, _NORMAL_MIN]
+    assert reports[0].forecast.p < _DELTA_START  # on the second grid
     assert sum(r.forecast.p < _DELTA_START for r in reports) > 1
+
+
+@pytest.mark.parametrize("p, y, end", [(0.25, 1, 1.0 - 2.0 ** -53),
+                                       (0.75, 0, _NORMAL_MIN)],
+                         ids=["above", "below"])
+def test_a_root_beyond_the_last_float_plays_that_float(p, y, end):
+    # after one round with residual r = +-3/4, S at x = 0 under K = 1e20 is
+    # about ((1 - 2p)/2 + r) * 1e20, of r's sign at every grid float: the
+    # root lies beyond 1 - 2^-53, the last float below 1, or below 2^-1022
+    fc = Forecaster(Game.log(), Kernel.linear(offset=1e20))
+    fc.update(0.0, Forecast(p, 0.5), y)
+    rep = fc.next_forecast(0.0)
+    assert rep.branch is Branch.ROOT and rep.forecast == Forecast(end, 0.5)
+    assert rep.s_residual == pytest.approx(
+        abs(fc.s_value(end, 0.5, 0.0)), rel=1e-15)
+    assert rep.s_residual > 1e19
+
+
+@pytest.mark.parametrize("k", [1e17, 1e18, 1e160, 1e300])
+def test_log_loss_runs_at_every_kernel_scale(tmp_path, k):
+    # K(x, x) = k at x = 0 puts log loss's roots as near 0 and 1 as floats
+    # go: every round plays, stores the exposure S was rooted at, and the
+    # run's certificate holds exactly, with a margin of the slack's order
+    replay = tmp_path / "xy.csv"
+    replay.write_text("".join(f"0.0,{n % 2}\n" for n in range(30)))
+    kernel = Kernel.linear(offset=k)
+    config = ExperimentConfig.from_json({
+        "game": "log", "kernel": {"kind": "linear", "offset": k},
+        "generator": {"kind": "replay", "path": str(replay)},
+        "horizon": 30, "comparators": []})
+    engine = run_engine(config)
+    fc = engine.forecaster
+    assert fc.round == 30
+    for p, e in zip(fc.column("p").tolist(), fc.column("e").tolist()):
+        want = float(np.log((1.0 - p) / p))
+        assert abs(e - want) <= 4.0 * math.ulp(want)
+    exact = exact_certificate(
+        *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
+        kernel.gram(fc.column("x")).tolist())
+    assert 0 <= exact["margin"] <= 10 * exact["slack"]
+    log = tmp_path / "round_log.csv"
+    log.write_text("\n".join(engine.round_log_rows()) + "\n")
+    cert = certify_log(log, Game.log(), kernel)["large_numbers_certificate"]
+    shipped = fc.large_numbers_certificate()
+    assert [cert[key] for key in ("lhs", "rhs", "slack")] == [
+        shipped[key] for key in ("lhs", "rhs", "slack")]
 
 
 # -- invariants -----------------------------------------------------------
