@@ -7,9 +7,10 @@ each row go the run's certificate margins and the SHA-256 of its round log
 and regret report; both are written to summary.json, so two checkouts can
 be compared for byte-identical artifacts with one diff of their
 summary.json files, and a verdict that rests on a rounding-sized margin
-shows up.  The large-number margin is rhs + slack - lhs; the resolution
-margin is the smallest bound + slack - lhs over the comparators other than
-the zero rule.  Each run's round log is then certified again, as
+shows up.  The large-number margin is the report's `margin`, rhs + slack -
+lhs as the certificate computes it (exactly, for the Sobolev kernel); the
+resolution margin is the smallest bound + slack - lhs over the comparators
+other than the zero rule.  Each run's round log is then certified again, as
 `defcast certify` does; a certificate that differs from the run's in any
 bit is printed and makes the exit code 1.
 
@@ -54,7 +55,7 @@ def margins(report) -> dict:
     rows = [r for r in report["comparators"] if r["norm"] > 0.0] \
         or report["comparators"]
     return {
-        "large_numbers": cert["rhs"] + cert["slack"] - cert["lhs"],
+        "large_numbers": cert["margin"],
         # the zero rule's certificate is 0 <= 0 exactly, whatever the run
         "resolution_min": min((r["resolution"]["bound"]
                                + r["resolution"]["slack"]

@@ -76,7 +76,8 @@ from enum import Enum
 import numpy as np
 
 from defcast.games import Decision, DomainError, Forecast, Game, GameKind
-from defcast.kernels import Kernel, KernelExpansion, KernelKind, ordered_dot
+from defcast.kernels import (Kernel, KernelExpansion, KernelKind, ordered_dot,
+                             rounded_sum, two_sum)
 
 # points of the stage-1 p-grid; on [0, 1], a polyline's bracket is one of
 # its cells
@@ -90,6 +91,9 @@ _NORMAL_MIN = 2.0 ** -1022
 # the stripped domain's stage-1 grid spans [delta, 1 - max(delta, 2^-53)],
 # first at this delta, then at _NORMAL_MIN (e overflows below 5.6e-309)
 _DELTA_START = 1e-6
+
+# the merged kernel's exposure part, e e', as a kernel on the exposures
+_EXPOSURES = Kernel.linear()
 
 # rows the history columns hold before their first doubling
 _INITIAL_CAPACITY = 64
@@ -644,25 +648,42 @@ class Forecaster:
         return float(np.sum(ps * (1.0 - ps) * (es * es + diag)))
 
     def k29_certificate(self) -> tuple[float, float]:
-        """Large-number certificate under the merged kernel.
+        """Large-number certificate under the merged kernel
+        K29((x, e), (x', e')) = e e' + K(x, x').
 
         lhs is the squared norm of the residual-weighted feature sum; rhs
         the accumulated variance term.  lhs <= rhs + 2*sum|s_residual|.
-        Its kernel part is one Kernel.quad_form pass: O(N) memory, the
-        Gram's bits (README: why not a running sum in update).
+        For a kernel with a closed form (Sobolev, linear), lhs is the
+        double-double value of both parts at the exact residuals y - p,
+        rounded once; its exposure part, (sum e r)^2, is the linear form
+        on e.  Gaussian and custom kernels run one Kernel.quad_form slab
+        pass on the rounded residuals: O(N) memory, the Gram's bits
+        (README: why not a running sum in update).
         """
-        resid = self._cols["residual"][:self._n]
-        es = self._cols["e"][:self._n]
-        lhs = ordered_dot(es, resid) ** 2 + self.kernel.quad_form(
-            self._cols["x"][:self._n], resid)
+        n, cols = self._n, self._cols
+        xs, resid, es = cols["x"][:n], cols["residual"][:n], cols["e"][:n]
+        if self.kernel.closed_form:
+            # resid is y - p rounded; resid + r_lo is y - p exactly
+            _, r_lo = two_sum(cols["y"][:n].astype(float), -cols["p"][:n])
+            lhs = rounded_sum(_EXPOSURES.quad_parts(es, resid, r_lo)
+                              + self.kernel.quad_parts(xs, resid, r_lo))
+        else:
+            lhs = ordered_dot(es, resid) ** 2 + self.kernel.quad_form(
+                xs, resid)
         return lhs, self._variance()
 
     def large_numbers_certificate(self) -> dict:
-        """k29_certificate's verdict, with slack 2*sum|s_residual|."""
+        """k29_certificate's verdict, with slack 2*sum|s_residual|, and its
+        margin rhs + slack - lhs.  A closed form's margin is the exact one
+        of these three floats, rounded once, so `pass`, its sign, is
+        lhs <= rhs + slack in exact arithmetic; the slab pass's margin is
+        (rhs + slack) - lhs in floats, whose sign is the float test's."""
         lhs, rhs = self.k29_certificate()
         slack = 2.0 * self.residual_total
-        return {"lhs": lhs, "rhs": rhs, "slack": slack,
-                "pass": lhs <= rhs + slack}
+        margin = rounded_sum((rhs, slack, -lhs)) if self.kernel.closed_form \
+            else (rhs + slack) - lhs
+        return {"lhs": lhs, "rhs": rhs, "slack": slack, "margin": margin,
+                "pass": margin >= 0.0}
 
     def resolution_certificate(self, f: KernelExpansion,
                                fx=None) -> tuple[float, float]:

@@ -88,6 +88,145 @@ def ordered_dot(a, b):
     return float(total) if a.ndim == 1 else total[:, 0, 0]
 
 
+# -- double-double arithmetic ---------------------------------------------
+# A value is held as floats whose exact sum it is.  The helpers take floats
+# or numpy arrays alike.
+
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double in halves
+
+
+def two_sum(a, b):
+    """(s, t) with s = fl(a + b) and s + t = a + b exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def two_prod(a, b):
+    """(p, t) with p = fl(a * b) and p + t = a * b exactly, by Veltkamp's
+    split and Dekker's product: exact for |a|, |b| < 2^995 and a t that
+    does not underflow."""
+    p = a * b
+    c, d = _SPLITTER * a, _SPLITTER * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def dd_cumsum(a, a_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi[i] + lo[i] = sum_{j<i} (a_j + a_lo_j), i = 0..N, to
+    about N u^2 sum|a|: np.cumsum's running sum of a, and the running sum of
+    a_lo plus the TwoSum error of each of cumsum's steps (Ogita, Rump &
+    Oishi's Sum2; add.accumulate adds in order).  a_lo is overwritten."""
+    hi, lo = np.zeros(len(a) + 1), np.zeros(len(a) + 1)
+    np.cumsum(a, out=hi[1:])
+    z = hi[2:] - hi[1:-1]
+    a_lo[1:] += (hi[1:-1] - (hi[2:] - z)) + (a[1:] - z)
+    np.cumsum(a_lo, out=lo[1:])
+    return hi, lo
+
+
+def dd_total(a, a_lo) -> tuple[float, float]:
+    """sum_j (a_j + a_lo_j) as a normalized pair (dd_cumsum)."""
+    hi, lo = dd_cumsum(a, a_lo)
+    return two_sum(float(hi[-1]), float(lo[-1]))
+
+
+def rounded_sum(parts) -> float:
+    """The exact sum of the floats `parts`, rounded once (math.fsum); a sum
+    past the float range is inf, where fsum raises."""
+    try:
+        return math.fsum(parts)
+    except OverflowError:  # an intermediate sum is past the range
+        return float(sum(parts))
+
+
+def _scale(v) -> int:
+    """k with max|v| * 2^-k in [0.5, 1), 0 for an empty or zero v: scaling
+    by 2^-k is exact and keeps two_prod's splits finite."""
+    top = float(np.max(np.abs(v), initial=0.0))
+    return math.frexp(top)[1] if 0.0 < top < math.inf else 0
+
+
+def _unscaled(hi: float, lo: float, k: int) -> tuple[float, float]:
+    """(hi, lo) * 2^k; (inf, 0.0) past the float range."""
+    try:
+        return math.ldexp(hi, k), math.ldexp(lo, k)
+    except OverflowError:
+        return math.copysign(math.inf, hi), 0.0
+
+
+def _square(hi: float, lo: float) -> tuple[float, float]:
+    """(hi + lo)^2 to double-double precision."""
+    p, t = two_prod(hi, hi)
+    return p, t + 2.0 * hi * lo
+
+
+def _sobolev_form(x, w, w_lo) -> tuple[float, float]:
+    """sum_ij w_i w_j exp(-|x_i - x_j|) / 2 for weights w + w_lo with
+    max|w| < 1, in O(N log N): x sorted, it is sum_i w_i (w_i / 2 + L_i)
+    with L_i = sum_{j<i} w_j exp(-(x_i - x_j)) (celerite's semiseparable
+    recursion).  Points with one floor(x) form a block anchored at that c:
+    L_i is exp(-(x_i - c)) times the block's carry plus its sum of
+    w_j exp(x_j - c) over j < i.  Each exponent x - c lies in [0, 1), so
+    neither overflows nor takes more than u of absolute error from x - c.
+    The carry into the next block is exp(-(c' - c)) times the carry plus
+    the block's sum.  Arrays are dropped as soon as they are used, to keep
+    the peak near 16 floats per point."""
+    order = np.argsort(x, kind="stable")
+    x, w, w_lo = x[order], w[order], w_lo[order]
+    del order
+    c = np.floor(x)
+    new = np.empty(len(x), bool)
+    new[0], new[1:] = True, c[1:] != c[:-1]
+    first, block = np.flatnonzero(new), np.cumsum(new)
+    block -= 1
+    d, c = np.subtract(x, c, out=x), c[first]
+    del new, x
+    g = np.exp(d)
+    a, a_lo = two_prod(w, g)
+    a_lo += w_lo * g
+    del g
+    hi, lo = dd_cumsum(a, a_lo)  # E[i] = sum_{j<i} w_j exp(x_j - c_j)
+    del a, a_lo
+    # each block's sum, E at the next block's first point less E at its own
+    ends = np.append(first[1:], len(d))
+    sums, sums_lo = two_sum(hi[ends], -hi[first])
+    sums_lo += lo[ends] - lo[first]
+    with np.errstate(over="ignore"):  # c' - c past the range: exp is 0
+        factors = np.exp(-np.diff(c))
+    carry, carry_lo = [0.0], [0.0]
+    for f, b, b_lo in zip(factors.tolist(), sums.tolist(), sums_lo.tolist()):
+        s, e = two_sum(carry[-1], b)
+        p, t = two_prod(s, f)
+        carry.append(p)
+        carry_lo.append(t + (e + carry_lo[-1] + b_lo) * f)
+    # S_i = the carry into i's block plus E[i] - E[block start]
+    carry, carry_lo = np.asarray(carry)[block], np.asarray(carry_lo)[block]
+    k = first[block]
+    del block
+    s, e = two_sum(hi[:-1], -hi[k])
+    e += lo[:-1] - lo[k]
+    del hi, lo, k
+    s, t = two_sum(carry, s)
+    e += t + carry_lo
+    del carry, carry_lo, t
+    # L_i = exp(-(x_i - c)) S_i; then the terms w_i L_i and w_i^2 / 2
+    h = np.exp(np.negative(d, out=d))
+    del d
+    s, t = two_prod(s, h)
+    t += e * h
+    del e, h
+    p, q = two_prod(w, s)
+    q += w * t + w_lo * s
+    del s, t
+    sq, sq_lo = two_prod(w, w)
+    sq_lo += 2.0 * w * w_lo
+    parts = (*dd_total(p, q), *dd_total(0.5 * sq, 0.5 * sq_lo))
+    hi = math.fsum(parts)
+    return hi, math.fsum((*parts, -hi))
+
+
 class KernelKind(Enum):
     SOBOLEV = "sobolev"
     GAUSSIAN = "gaussian"
@@ -213,27 +352,58 @@ class Kernel:
 
     def _slab(self, pts, j, k, out):
         """Gram columns j:k, written into `out`.  A custom entry is gram's,
-        func(pts[min(i, c)], pts[max(i, c)]).  Built-in points come as rows
+        func(pts[min(i, c)], pts[max(i, c)]).  Gaussian points come as rows
         [x_i, 1], and one k = 2 GEMM fills the slab: [x_i, 1] @ [1, -x_c] is
-        x_i - x_c rounded once, as subtract rounds it, and [x_i, 1] @ [x_c, 0]
-        is x_i * x_c, as multiply rounds it.  Only the sign of a zero can
-        differ, and |d|, d*d and +offset drop it."""
+        x_i - x_c rounded once, as subtract rounds it.  Only the sign of a
+        zero can differ, and d*d drops it."""
         if self.kind is KernelKind.CUSTOM:
             out[:] = [[float(self.func(pts[min(i, c)], pts[max(i, c)]))
                        for c in range(j, k)] for i in range(len(pts))]
             return out
         xc = pts[j:k, 0]
-        if self.kind is KernelKind.LINEAR:
-            prod = np.matmul(pts, np.stack((xc, np.zeros(k - j))), out=out)
-            return np.add(prod, self.offset, out=out)
         d = np.matmul(pts, np.stack((np.ones(k - j), np.negative(xc))), out=out)
         return self.of_difference(d, out=out)
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether quad_form runs a closed form (Sobolev, linear), in place
+        of the slab pass of the Gaussian and custom kernels."""
+        return self.kind in (KernelKind.SOBOLEV, KernelKind.LINEAR)
+
+    def quad_parts(self, points, w, w_lo=None) -> tuple:
+        """Floats whose exact sum is w @ gram(points) @ w, for the weights
+        w + w_lo (w_lo: zeros), to double-double precision; for a kernel
+        with a closed form.  Linear is (sum w x)^2 + offset (sum w)^2 by
+        TwoProduct and Sum2; Sobolev is _sobolev_form.  O(N log N) time,
+        O(N) memory and no BLAS call.  w, w_lo and the linear x and offset
+        are scaled by powers of two, exactly, so that no split overflows;
+        a form past the float range is inf."""
+        x, w = np.asarray(points, dtype=float), np.asarray(w, dtype=float)
+        w_lo = np.zeros(len(w)) if w_lo is None else np.asarray(w_lo, float)
+        if not len(w):
+            return ()
+        kw = _scale(w)
+        if self.kind is KernelKind.SOBOLEV:
+            return _unscaled(*_sobolev_form(x, np.ldexp(w, -kw),
+                                            np.ldexp(w_lo, -kw)), 2 * kw)
+        w, w_lo = np.ldexp(w, -kw), np.ldexp(w_lo, -kw)
+        kx, ko = _scale(x), _scale(self.offset)
+        x = np.ldexp(x, -kx)
+        p, t = two_prod(w, x)
+        wx = _square(*dd_total(p, t + w_lo * x))
+        hi, lo = _square(*dd_total(w, w_lo))
+        offset = math.ldexp(self.offset, -ko)
+        p, t = two_prod(hi, offset)
+        return (*_unscaled(*wx, 2 * (kw + kx)),
+                *_unscaled(p, t + lo * offset, 2 * kw + ko))
+
     def quad_form(self, points, w) -> float:
-        """w @ gram(points) @ w in O(N) memory, one Gram column slab at a time.
+        """w @ gram(points) @ w in O(N) memory: quad_parts, rounded once,
+        for a kernel with a closed form; else one Gram column slab at a
+        time.
 
         Each slab is written in place, as a C-contiguous (n, m) view of one
-        buffer allocated here: a fresh slab's layout.  A built-in kernel's
+        buffer allocated here: a fresh slab's layout.  A Gaussian kernel's
         full slabs run on two workers, this thread and one other; each takes
         every other half-width slab into its own half of the buffer, so the
         memory is one slab's.  Custom kernels, which hold the GIL and need
@@ -244,13 +414,15 @@ class Kernel:
         by ordered_dot); otherwise the last bits can differ.  Half and full
         widths are multiples of 4, so the two workers give the bits of one.
         """
+        if self.closed_form:
+            return rounded_sum(self.quad_parts(points, w))
         w, n = np.asarray(w, dtype=float), len(points)
         # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
         width = 32 * max(1, 4096 // max(n, 1))
         buf, v = np.empty(n * min(width, n)), np.empty(n)
         if self.kind is KernelKind.CUSTOM:
             pts, full = list(points), 0
-        else:  # full: the columns in full slabs, which two workers share
+        else:  # Gaussian; full: the columns in full slabs, which two share
             pts = np.column_stack((np.asarray(points, float), np.ones(n)))
             full = n - n % width
         if full:

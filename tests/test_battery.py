@@ -11,7 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defcast.experiments import ExperimentConfig, run
+from defcast.experiments import ExperimentConfig, read_round_log, run
+from defcast.forecaster import Forecaster
+from defcast.games import Game
+from defcast.kernels import Kernel
+from exact_margin import exact_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "battery_summary.json"
@@ -40,9 +44,40 @@ def test_battery_reproduces_recorded_summary(tmp_path):
     assert "every certify reproduces its run" in proc.stdout
 
 
+def exact_margins(out: Path) -> dict:
+    """Per battery run: its exact large-number margin (tests/exact_margin.py
+    on the float Gram), from its round log, and its report's lhs and
+    verdict."""
+    margins = {}
+    for run_dir in sorted(p for p in out.iterdir() if p.is_dir()):
+        kernel = Kernel.sobolev()
+        fc = Forecaster(Game.from_json(run_dir.name.split("_")[0]), kernel)
+        fc.load(*read_round_log(run_dir / "round_log.csv", (
+            "x", "p", "q", "y", "s_residual", "branch"))[1])
+        exact = exact_certificate(
+            *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
+            kernel.gram(fc.column("x")).tolist())
+        cert = json.loads((run_dir / "regret_report.json").read_text())[
+            "large_numbers_certificate"]
+        margins[run_dir.name] = exact["margin"], cert["lhs"], cert["pass"]
+    return margins
+
+
+# Runs at H = 32, seed 77 whose verdict is not their exact margin's sign.
+# absolute_adversarial's exact margin is +4.4e-16 (+3.4e-16 with a 50-digit
+# kernel), half an ulp of its lhs: its rhs, a float sum, is 0.69 ulp below
+# the exact one, and its verdict is a fail
+SUB_ULP_DISAGREEMENTS = ["absolute_adversarial"]
+
+
 @pytest.mark.parametrize("bits_off", [0, 1])
 def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
                                                       capsys, bits_off):
+    # H = 32, seed 77.  With bits_off = 0 nothing differs, and main() fails
+    # exactly when some run's exact margin is negative, as it is on
+    # absolute_iid_logistic (-1.95e-16 against a slack of 5.8e-16: the
+    # slack undercounts 2 sum r_n S_n).  Each run's verdict is its exact
+    # margin's sign, except where that margin is below an ulp of lhs
     spec = importlib.util.spec_from_file_location("run_battery", SCRIPT)
     battery = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(battery)
@@ -58,9 +93,19 @@ def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
     monkeypatch.setattr(battery, "certify_log", certify_off)
     monkeypatch.setattr(sys, "argv", ["run_battery.py", "--horizon", "32",
                                       "--out", str(tmp_path)])
-    assert battery.main() == bits_off
+    code = battery.main()
     out = capsys.readouterr().out
     assert out.count("CERTIFY MISMATCH") == 13 * bits_off
+    margins = exact_margins(tmp_path)
+    assert len(margins) == 12
+    disagree = [name for name, (margin, _, passed) in margins.items()
+                if passed != (margin >= 0)]
+    assert disagree == SUB_ULP_DISAGREEMENTS
+    for name in disagree:
+        margin, lhs, _ = margins[name]
+        assert abs(margin) < math.ulp(lhs), name
+    negative = any(margin < 0 for margin, _, _ in margins.values())
+    assert code == int(bool(bits_off) or negative)
 
 
 # the configs of perfbench/run.py's three workloads, and the SHA-256 of

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from defcast.games import DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Engine
 from exact_margin import exact_certificate
+import quad_reference
 from oracle import oracle_forecast
 from test_games import convex_polylines
 
@@ -1186,8 +1188,11 @@ def test_k29_holds_on_random_runs(game_name):
 
 
 def test_k29_equals_the_gram_formulas():
-    # one slab (N = 300 is below the slab width), so the bits agree for any
-    # BLAS thread count; rhs takes the diagonal from Kernel.diags
+    # Gaussian and custom: one slab (N = 300 is below the slab width), so
+    # the bits agree for any BLAS thread count; rhs takes the diagonal from
+    # Kernel.diags.  Sobolev's closed form has the formula's rhs bits, and
+    # its lhs is within 2 u of sum |terms| of the exact value at the exact
+    # residuals y - p (tests/quad_reference.py)
     tagged = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a[1] - b[1])))
     for game, kernel, opaque in ((Game.log(), SOB, False),
                                  (POLY, Kernel.gaussian(0.5), False),
@@ -1202,7 +1207,49 @@ def test_k29_equals_the_gram_formulas():
         gram = kernel.gram(fc.column("x"))
         lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
         rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
-        assert fc.k29_certificate() == (lhs, rhs)
+        if kernel is not SOB:
+            assert fc.k29_certificate() == (lhs, rhs)
+            continue
+        got, got_rhs = fc.k29_certificate()
+        assert got_rhs == rhs
+        exact = [y - Fraction(p) for y, p in
+                 zip(fc.column("y").tolist(), ps.tolist())]
+        cross = sum(r * Fraction(e) for r, e in zip(exact, es.tolist()))
+        cross_scale = sum(abs(r * Fraction(e))
+                          for r, e in zip(exact, es.tolist()))
+        quad, scale = (Fraction(v) for v in quad_reference.sobolev(
+            fc.column("x").tolist(), exact))
+        assert abs(Fraction(got) - cross * cross - quad) \
+            <= 2 * Fraction(2.0 ** -53) * (cross_scale ** 2 + scale)
+
+
+def certificate_json(kernel: str, n: int) -> str:
+    """The large-number certificate of n synthetic log-loss rounds under the
+    named kernel, as JSON, for a process of its own."""
+    rng = np.random.default_rng(n)
+    fc = Forecaster(Game.log(), Kernel.from_json(kernel))
+    p = rng.uniform(0.02, 0.98, n)
+    fc.load(rng.normal(size=n), p, p, (rng.uniform(size=n) < p).astype(int),
+            np.zeros(n), np.full(n, Branch.ROOT))
+    return json.dumps(fc.large_numbers_certificate())
+
+
+@pytest.mark.parametrize("kernel", ["sobolev", "linear"])
+def test_closed_form_certificate_keeps_its_bits_across_blas_threads(kernel):
+    # N = 20,000 is past both OpenBLAS's threaded dot (10,000 entries) and
+    # ordered_dot's slices; the closed forms call no BLAS routine
+    code = ("import test_forecaster as t; "
+            f"print(t.certificate_json({kernel!r}, 20_000))")
+    paths = [str(Path(defcast.__file__).parents[1]), str(Path(__file__).parent)]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
+        outs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    one, two = (json.loads(out) for out in outs)
+    assert one == two  # lhs, rhs, slack, margin and pass
 
 
 @pytest.mark.parametrize("seed", [401, 402, 403])

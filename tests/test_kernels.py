@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import defcast
 from defcast.kernels import Kernel, KernelError, KernelExpansion, ordered_dot
+import quad_reference
 
 SOB = Kernel.sobolev()
 LN2 = math.log(2)
+U = 2.0 ** -53  # the unit roundoff
 
 points_strategy = st.lists(
     st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=64)
@@ -293,6 +296,7 @@ def test_norm_runs_its_quadratic_form_once():
 ORDERED = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a - b)) + 1e-6 * a)
 QUAD_KERNELS = {"sobolev": SOB, "gaussian": Kernel.gaussian(0.5),
                 "linear": Kernel.linear(offset=0.7), "custom": ORDERED}
+GAUSS = QUAD_KERNELS["gaussian"]
 # N = 1 and 40 fit one slab; the others cross slab boundaries (slabs are 32
 # to 320 columns wide at these N) and end on a partial slab, except 4128
 QUAD_SIZES = {name: [1, 40, 1000, 1004, 4100, 4128]
@@ -327,20 +331,39 @@ def slab_reference(kernel, xs, w) -> float:
     return float(v @ w)
 
 
+def reference_error(kernel, xs, w) -> float:
+    """|quad_form - reference| in units of u * the reference's scale,
+    sum_ij |w_i| |K_ij| |w_j| (tests/quad_reference.py)."""
+    got = kernel.quad_form(xs, w)
+    if kernel.kind.value == "sobolev":
+        ref, scale = quad_reference.sobolev(xs, w)
+        ref, scale = Fraction(ref), Fraction(scale)
+    else:
+        ref, scale = quad_reference.linear(xs, w, kernel.offset)
+    if ref >= 2 ** 1024:  # past the float range
+        return 0.0 if got == math.inf else math.inf
+    if not scale:  # all weights 0
+        return abs(got) / U
+    return float(abs(Fraction(got) - ref) / (scale * Fraction(U)))
+
+
 def quad_form_at_benchmark_sizes(sizes) -> dict:
-    """Per (kernel, N): whether quad_form has the reference's bits, and the
-    peak of the memory numpy allocated during the quad_form call."""
+    """Per (kernel, N): whether quad_form is right (the slab loop's bits for
+    the Gaussian, within REFERENCE_BOUND for a closed form), and the peak of
+    the memory numpy allocated during the quad_form call."""
     import tracemalloc
     out = {}
     for name in ("sobolev", "gaussian", "linear"):
         for n in sizes:
             kernel, xs, w = quad_case(name, n)
-            ref = slab_reference(kernel, xs, w)
             tracemalloc.start()
             got = kernel.quad_form(xs, w)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            out[f"{name}-{n}"] = [got == ref, peak]
+            ok = reference_error(kernel, xs.tolist(), w.tolist()) \
+                <= REFERENCE_BOUND if kernel.closed_form \
+                else got == slab_reference(kernel, xs, w)
+            out[f"{name}-{n}"] = [ok, peak]
     return out
 
 
@@ -357,7 +380,8 @@ def run_single_threaded(expr: str):
 
 def test_quad_form_has_the_slab_loop_bits_at_benchmark_sizes():
     # N = 4000 and 6000 are benchmark horizons; 6001 ends on a 17-wide slab.
-    # The in-place slabs must not move a bit, and the pass stays O(N): one
+    # The Gaussian's in-place slabs must not move a bit, the closed forms
+    # stay within their reference bound, and every pass stays O(N): one
     # 32-column slab buffer (1.5 MB at N = 6001, where the Gram is 288 MB)
     # plus O(1) per point, not a fresh slab for each step of the formula
     sizes = [4000, 6001]
@@ -372,8 +396,10 @@ def test_quad_form_has_the_slab_loop_bits_at_benchmark_sizes():
 
 def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
     # the bits agree when N is a multiple of 4 per BLAS thread, so check
-    # with one thread, as the benchmark runs, in a process of its own
-    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes]
+    # with one thread, as the benchmark runs, in a process of its own; the
+    # closed forms are held to the reference instead
+    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes
+             if not QUAD_KERNELS[name].closed_form]
     assert run_single_threaded(f"t.quad_form_mismatches({cases!r})") == []
 
 
@@ -389,6 +415,53 @@ def test_quad_form_matches_gram_to_rounding(name):
         scale = float(np.abs(w) @ np.abs(g) @ np.abs(w))
         assert abs(kernel.quad_form(xs, w) - float(w @ g @ w)) \
             <= 4 * np.spacing(scale), (name, n)
+
+
+# The closed forms' bound, in units of u * sum_ij |w_i| |K_ij| |w_j|: the
+# final rounding is at most 1/2 of it, and numpy's exp and the sums add
+# the rest.  The cases below reach 0.78.
+REFERENCE_BOUND = 2.0
+
+
+def reference_cases():
+    """(id, xs, ws) lists for the closed forms' reference test."""
+    rng = np.random.default_rng(29)
+    yield "n0", [], []
+    yield "n1", [0.3], [-1.7]
+    yield "n2", [-0.25, 2.0], [0.5, 0.75]
+    yield "n2-cancel", [1.0, 1.0], [1.0, -1.0]
+    yield "ties", np.round(rng.uniform(-2, 2, 200), 1).tolist(), \
+        rng.normal(size=200).tolist()
+    yield "n1000", rng.uniform(-3, 3, 1000).tolist(), \
+        rng.normal(size=1000).tolist()
+    yield "residuals", rng.uniform(-1, 1, 1000).tolist(), \
+        rng.uniform(-1, 1, 1000).tolist()
+    yield "gaps-over-709", [0.0, 709.5, 1500.25, 0.5, 2300.0], \
+        [1.0, -1.0, 2.0, 0.5, -3.0]
+    yield "x-1e300", [1e300, -1e300, 5.0, 5.5, -1e300, 1.5e300], \
+        [1.0, 2.0, 3.0, -4.0, 0.5, 1.0]
+    yield "zero-weights", [0.0, 1.0, 2.0, 3.5], [0.0, 0.0, 0.0, 0.0]
+    yield "some-zero-weights", [0.0, 1.0, 2.0, 3.5], [1.0, 0.0, -1.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["sobolev", "linear"])
+def test_closed_forms_match_the_reference(name):
+    # the linear x-1e300 case is past the float range: quad_form is inf;
+    # the same points with weights near 1e-150 are not
+    kernel = QUAD_KERNELS[name]
+    cases = list(reference_cases()) + [
+        ("x-1e300-small-weights", [1e300, -1e300, 3e299],
+         [1e-150, 2e-150, -3e-150])]
+    errors = {case: reference_error(kernel, xs, ws)
+              for case, xs, ws in cases}
+    assert max(errors.values()) <= REFERENCE_BOUND, errors
+
+
+def test_closed_form_references_agree_with_their_terms():
+    # the Sobolev reference's recursion against its N^2 terms
+    for _, xs, ws in list(reference_cases())[:4]:
+        fast = quad_reference.sobolev(xs, ws)[0]
+        assert abs(fast - quad_reference.sobolev_direct(xs, ws)) <= 1e-45
 
 
 # N = 1 and 40: one slab, run serially; 352: one full slab, i.e. exactly
@@ -412,10 +485,10 @@ class InlineThread:
 
 
 def two_worker_mismatches(sizes) -> list:
-    """The (kernel, N) cases where quad_form on two workers differs from a
+    """The N where the Gaussian's quad_form on two workers differs from a
     serial run of its slabs or from the slab loop with allocating calls."""
     bad = []
-    for name in ("sobolev", "gaussian", "linear"):
+    for name in ("gaussian",):
         for n in sizes:
             kernel, xs, w = quad_case(name, n)
             got = kernel.quad_form(xs, w)
@@ -437,9 +510,10 @@ def test_two_workers_have_the_serial_bits():
 
 @pytest.mark.parametrize("name, n, threads", [
     ("sobolev", 1, 0), ("sobolev", 40, 0), ("gaussian", 352, 1),
-    ("linear", 1001, 1), ("custom", 404, 0)])
+    ("linear", 1001, 0), ("custom", 404, 0)])
 def test_quad_form_starts_one_thread_at_most(monkeypatch, name, n, threads):
-    # custom kernels and inputs of less than one full slab run serially
+    # closed forms, custom kernels and inputs of less than one full slab
+    # run serially
     started = []
 
     class Counted(threading.Thread):
@@ -467,7 +541,7 @@ def test_a_slab_that_raises_makes_quad_form_raise(monkeypatch, failing):
     monkeypatch.setattr(Kernel, "_slab", broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=failing):
-        SOB.quad_form(*quad_case("sobolev", 1001)[1:])
+        GAUSS.quad_form(*quad_case("gaussian", 1001)[1:])
     assert threading.active_count() == before
 
 
@@ -477,13 +551,15 @@ def test_a_slab_that_raises_makes_quad_form_raise(monkeypatch, failing):
                          ids=["caller", "worker", "partial", "both"])
 def test_overflow_raises_whichever_worker_owns_its_slab(a, b):
     xs, w = np.zeros(1001), np.ones(1001)
-    xs[a], xs[b] = 1e308, -1e308  # only columns a and b overflow
+    # only entries (a, b) and (b, a) overflow: d^2 / -(2 w^2) is -2.88e308
+    # there and -7.2e307 between a or b and a zero
+    xs[a], xs[b] = 0.6e154, -0.6e154
     before = threading.active_count()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        SOB.quad_form(xs, w)
+        GAUSS.quad_form(xs, w)
     assert threading.active_count() == before
-    with np.errstate(over="ignore"):  # K is 0 where d overflows to +-inf
-        assert SOB.quad_form(xs, w) == slab_reference(SOB, xs, w)
+    with np.errstate(over="ignore"):  # K is 0 where d^2 / -(2 w^2) is -inf
+        assert GAUSS.quad_form(xs, w) == slab_reference(GAUSS, xs, w)
 
 
 def test_concurrent_quad_forms_keep_their_bits():
