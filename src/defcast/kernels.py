@@ -102,7 +102,7 @@ def two_sum(a, b):
     return s, (a - (s - z)) + (b - z)
 
 
-def two_prod(a, b):
+def _two_prod(a, b):
     """(p, t) with p = fl(a * b) and p + t = a * b exactly, by Veltkamp's
     split and Dekker's product: exact for |a|, |b| < 2^995 and a t that
     does not underflow."""
@@ -113,7 +113,7 @@ def two_prod(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def dd_cumsum(a, a_lo) -> tuple[np.ndarray, np.ndarray]:
+def _dd_cumsum(a, a_lo) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) with hi[i] + lo[i] = sum_{j<i} (a_j + a_lo_j), i = 0..N, to
     about N u^2 sum|a|: np.cumsum's running sum of a, and the running sum of
     a_lo plus the TwoSum error of each of cumsum's steps (Ogita, Rump &
@@ -126,9 +126,9 @@ def dd_cumsum(a, a_lo) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def dd_total(a, a_lo) -> tuple[float, float]:
-    """sum_j (a_j + a_lo_j) as a normalized pair (dd_cumsum)."""
-    hi, lo = dd_cumsum(a, a_lo)
+def _dd_total(a, a_lo) -> tuple[float, float]:
+    """sum_j (a_j + a_lo_j) as a normalized pair (_dd_cumsum)."""
+    hi, lo = _dd_cumsum(a, a_lo)
     return two_sum(float(hi[-1]), float(lo[-1]))
 
 
@@ -143,7 +143,7 @@ def rounded_sum(parts) -> float:
 
 def _scale(v) -> int:
     """k with max|v| * 2^-k in [0.5, 1), 0 for an empty or zero v: scaling
-    by 2^-k is exact and keeps two_prod's splits finite."""
+    by 2^-k is exact and keeps _two_prod's splits finite."""
     top = float(np.max(np.abs(v), initial=0.0))
     return math.frexp(top)[1] if 0.0 < top < math.inf else 0
 
@@ -158,7 +158,7 @@ def _unscaled(hi: float, lo: float, k: int) -> tuple[float, float]:
 
 def _square(hi: float, lo: float) -> tuple[float, float]:
     """(hi + lo)^2 to double-double precision."""
-    p, t = two_prod(hi, hi)
+    p, t = _two_prod(hi, hi)
     return p, t + 2.0 * hi * lo
 
 
@@ -184,10 +184,10 @@ def _sobolev_form(x, w, w_lo) -> tuple[float, float]:
     d, c = np.subtract(x, c, out=x), c[first]
     del new, x
     g = np.exp(d)
-    a, a_lo = two_prod(w, g)
+    a, a_lo = _two_prod(w, g)
     a_lo += w_lo * g
     del g
-    hi, lo = dd_cumsum(a, a_lo)  # E[i] = sum_{j<i} w_j exp(x_j - c_j)
+    hi, lo = _dd_cumsum(a, a_lo)  # E[i] = sum_{j<i} w_j exp(x_j - c_j)
     del a, a_lo
     # each block's sum, E at the next block's first point less E at its own
     ends = np.append(first[1:], len(d))
@@ -198,7 +198,7 @@ def _sobolev_form(x, w, w_lo) -> tuple[float, float]:
     carry, carry_lo = [0.0], [0.0]
     for f, b, b_lo in zip(factors.tolist(), sums.tolist(), sums_lo.tolist()):
         s, e = two_sum(carry[-1], b)
-        p, t = two_prod(s, f)
+        p, t = _two_prod(s, f)
         carry.append(p)
         carry_lo.append(t + (e + carry_lo[-1] + b_lo) * f)
     # S_i = the carry into i's block plus E[i] - E[block start]
@@ -214,15 +214,15 @@ def _sobolev_form(x, w, w_lo) -> tuple[float, float]:
     # L_i = exp(-(x_i - c)) S_i; then the terms w_i L_i and w_i^2 / 2
     h = np.exp(np.negative(d, out=d))
     del d
-    s, t = two_prod(s, h)
+    s, t = _two_prod(s, h)
     t += e * h
     del e, h
-    p, q = two_prod(w, s)
+    p, q = _two_prod(w, s)
     q += w * t + w_lo * s
     del s, t
-    sq, sq_lo = two_prod(w, w)
+    sq, sq_lo = _two_prod(w, w)
     sq_lo += 2.0 * w * w_lo
-    parts = (*dd_total(p, q), *dd_total(0.5 * sq, 0.5 * sq_lo))
+    parts = (*_dd_total(p, q), *_dd_total(0.5 * sq, 0.5 * sq_lo))
     hi = math.fsum(parts)
     return hi, math.fsum((*parts, -hi))
 
@@ -389,11 +389,11 @@ class Kernel:
         w, w_lo = np.ldexp(w, -kw), np.ldexp(w_lo, -kw)
         kx, ko = _scale(x), _scale(self.offset)
         x = np.ldexp(x, -kx)
-        p, t = two_prod(w, x)
-        wx = _square(*dd_total(p, t + w_lo * x))
-        hi, lo = _square(*dd_total(w, w_lo))
+        p, t = _two_prod(w, x)
+        wx = _square(*_dd_total(p, t + w_lo * x))
+        hi, lo = _square(*_dd_total(w, w_lo))
         offset = math.ldexp(self.offset, -ko)
-        p, t = two_prod(hi, offset)
+        p, t = _two_prod(hi, offset)
         return (*_unscaled(*wx, 2 * (kw + kx)),
                 *_unscaled(p, t + lo * offset, 2 * kw + ko))
 

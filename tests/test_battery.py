@@ -48,9 +48,8 @@ def exact_margins(out: Path) -> dict:
     """Per battery run: its exact large-number margin (tests/exact_margin.py
     on the float Gram), from its round log, and its report's lhs and
     verdict."""
-    margins = {}
+    margins, kernel = {}, Kernel.sobolev()
     for run_dir in sorted(p for p in out.iterdir() if p.is_dir()):
-        kernel = Kernel.sobolev()
         fc = Forecaster(Game.from_json(run_dir.name.split("_")[0]), kernel)
         fc.load(*read_round_log(run_dir / "round_log.csv", (
             "x", "p", "q", "y", "s_residual", "branch"))[1])
@@ -65,8 +64,9 @@ def exact_margins(out: Path) -> dict:
 
 # Runs at H = 32, seed 77 whose verdict is not their exact margin's sign.
 # absolute_adversarial's exact margin is +4.4e-16 (+3.4e-16 with a 50-digit
-# kernel), half an ulp of its lhs: its rhs, a float sum, is 0.69 ulp below
-# the exact one, and its verdict is a fail
+# kernel), half an ulp of its lhs, and its verdict is a fail: its rhs, a
+# float sum, is 0.69 ulp below the exact one, and the closed form's lhs is
+# 3.4e-16 above the 50-digit one, from numpy's exp in the kernel factors
 SUB_ULP_DISAGREEMENTS = ["absolute_adversarial"]
 
 

@@ -1240,7 +1240,8 @@ def test_closed_form_certificate_keeps_its_bits_across_blas_threads(kernel):
     # ordered_dot's slices; the closed forms call no BLAS routine
     code = ("import test_forecaster as t; "
             f"print(t.certificate_json({kernel!r}, 20_000))")
-    paths = [str(Path(defcast.__file__).parents[1]), str(Path(__file__).parent)]
+    paths = [str(Path(defcast.__file__).parents[1]),
+             str(Path(__file__).parent)]
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -459,9 +459,11 @@ def test_closed_forms_match_the_reference(name):
 
 def test_closed_form_references_agree_with_their_terms():
     # the Sobolev reference's recursion against its N^2 terms
-    for _, xs, ws in list(reference_cases())[:4]:
-        fast = quad_reference.sobolev(xs, ws)[0]
-        assert abs(fast - quad_reference.sobolev_direct(xs, ws)) <= 1e-45
+    for case, xs, ws in reference_cases():
+        if len(xs) <= 10:
+            fast = quad_reference.sobolev(xs, ws)[0]
+            assert abs(fast - quad_reference.sobolev_direct(xs, ws)) \
+                <= 1e-45, case
 
 
 # N = 1 and 40: one slab, run serially; 352: one full slab, i.e. exactly
