@@ -105,8 +105,9 @@ _COLUMNS = {"x": None, "p": float, "q": float, "y": int, "e": float,
 
 def running_totals(values, start: float = 0.0) -> np.ndarray:
     """Totals after 0, 1, ..., len(values) rounds, added left to right in
-    round order as a running sum (sum() compensates since Python 3.12)."""
-    return np.concatenate(([start], values)).cumsum()
+    round order (sum() compensates since Python 3.12); inf past the range."""
+    with np.errstate(over="ignore"):
+        return np.concatenate(([start], values)).cumsum()
 
 
 def check_datum(x, kernel: Kernel) -> None:
@@ -649,39 +650,28 @@ class Forecaster:
 
     def k29_certificate(self) -> tuple[float, float]:
         """Large-number certificate under the merged kernel
-        K29((x, e), (x', e')) = e e' + K(x, x').
-
-        lhs is the squared norm of the residual-weighted feature sum; rhs
-        the accumulated variance term.  lhs <= rhs + 2*sum|s_residual|.
-        For a kernel with a closed form (Sobolev, linear), lhs is the
-        double-double value of both parts at the exact residuals y - p,
-        rounded once; its exposure part, (sum e r)^2, is the linear form
-        on e.  Gaussian and custom kernels run one Kernel.quad_form slab
-        pass on the rounded residuals: O(N) memory, the Gram's bits
-        (README: why not a running sum in update).
-        """
+        K29((x, e), (x', e')) = e e' + K(x, x'): lhs, the squared norm of
+        the residual-weighted feature sum, and rhs, the accumulated variance
+        term; lhs <= rhs + 2*sum|s_residual|.  lhs is the exact sum of the
+        Kernel.quad_parts of both parts at the exact residuals y - p, rounded
+        once; the exposure part, (sum e r)^2, is the linear form on e
+        (README: why not a running sum in update)."""
         n, cols = self._n, self._cols
         xs, resid, es = cols["x"][:n], cols["residual"][:n], cols["e"][:n]
-        if self.kernel.closed_form:
-            # resid is y - p rounded; resid + r_lo is y - p exactly
-            _, r_lo = two_sum(cols["y"][:n].astype(float), -cols["p"][:n])
-            lhs = rounded_sum(_EXPOSURES.quad_parts(es, resid, r_lo)
-                              + self.kernel.quad_parts(xs, resid, r_lo))
-        else:
-            lhs = ordered_dot(es, resid) ** 2 + self.kernel.quad_form(
-                xs, resid)
+        # resid is y - p rounded; resid + r_lo is y - p exactly
+        _, r_lo = two_sum(cols["y"][:n].astype(float), -cols["p"][:n])
+        lhs = rounded_sum(_EXPOSURES.quad_parts(es, resid, r_lo)
+                          + self.kernel.quad_parts(xs, resid, r_lo))
         return lhs, self._variance()
 
     def large_numbers_certificate(self) -> dict:
         """k29_certificate's verdict, with slack 2*sum|s_residual|, and its
-        margin rhs + slack - lhs.  A closed form's margin is the exact one
-        of these three floats, rounded once, so `pass`, its sign, is
-        lhs <= rhs + slack in exact arithmetic; the slab pass's margin is
-        (rhs + slack) - lhs in floats, whose sign is the float test's."""
+        margin rhs + slack - lhs: the exact sum of these three floats,
+        rounded once, so `pass`, its sign, is lhs <= rhs + slack in exact
+        arithmetic for every kernel (NaN, from inf - inf, fails)."""
         lhs, rhs = self.k29_certificate()
         slack = 2.0 * self.residual_total
-        margin = rounded_sum((rhs, slack, -lhs)) if self.kernel.closed_form \
-            else (rhs + slack) - lhs
+        margin = rounded_sum((rhs, slack, -lhs))
         return {"lhs": lhs, "rhs": rhs, "slack": slack, "margin": margin,
                 "pass": margin >= 0.0}
 

@@ -15,6 +15,7 @@ import numbers
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -133,12 +134,21 @@ def _dd_total(a, a_lo) -> tuple[float, float]:
 
 
 def rounded_sum(parts) -> float:
-    """The exact sum of the floats `parts`, rounded once (math.fsum); a sum
-    past the float range is inf, where fsum raises."""
+    """The exact sum of the float tuple `parts`, rounded once (math.fsum);
+    +-inf past the float range.  Non-finite parts sum as in IEEE addition
+    (inf - inf is NaN), and where one of fsum's partial sums overflows, the
+    finite parts sum in Fractions."""
     try:
         return math.fsum(parts)
-    except OverflowError:  # an intermediate sum is past the range
-        return float(sum(parts))
+    except ValueError:  # -inf + inf
+        return math.nan
+    except OverflowError:  # a partial sum is past the range; the sum may not be
+        special = [v for v in parts if not math.isfinite(v)]
+        exact = sum(special) if special else sum(map(Fraction, parts))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 def _scale(v) -> int:
@@ -364,24 +374,23 @@ class Kernel:
         d = np.matmul(pts, np.stack((np.ones(k - j), np.negative(xc))), out=out)
         return self.of_difference(d, out=out)
 
-    @property
-    def closed_form(self) -> bool:
-        """Whether quad_form runs a closed form (Sobolev, linear), in place
-        of the slab pass of the Gaussian and custom kernels."""
-        return self.kind in (KernelKind.SOBOLEV, KernelKind.LINEAR)
-
     def quad_parts(self, points, w, w_lo=None) -> tuple:
-        """Floats whose exact sum is w @ gram(points) @ w, for the weights
-        w + w_lo (w_lo: zeros), to double-double precision; for a kernel
-        with a closed form.  Linear is (sum w x)^2 + offset (sum w)^2 by
-        TwoProduct and Sum2; Sobolev is _sobolev_form.  O(N log N) time,
-        O(N) memory and no BLAS call.  w, w_lo and the linear x and offset
-        are scaled by powers of two, exactly, so that no split overflows;
-        a form past the float range is inf."""
-        x, w = np.asarray(points, dtype=float), np.asarray(w, dtype=float)
-        w_lo = np.zeros(len(w)) if w_lo is None else np.asarray(w_lo, float)
+        """Floats whose exact sum is w @ gram(points) @ w for the weights
+        w + w_lo (w_lo: zeros); () for no points.  Sobolev and linear are
+        closed forms to double-double precision, in O(N log N) time, O(N)
+        memory and no BLAS call: linear is (sum w x)^2 + offset (sum w)^2 by
+        TwoProduct and Sum2, Sobolev is _sobolev_form.  w, w_lo and the
+        linear x and offset are scaled by powers of two, exactly, so that no
+        split overflows; a form past the float range is inf.  Gaussian and
+        custom kernels give one float, _slab_pass on w alone: w_lo, at most
+        half an ulp of each w, is below the pass's own rounding error."""
+        w = np.asarray(w, dtype=float)
         if not len(w):
             return ()
+        if self.kind in (KernelKind.GAUSSIAN, KernelKind.CUSTOM):
+            return (self._slab_pass(points, w),)
+        x = np.asarray(points, dtype=float)
+        w_lo = np.zeros(len(w)) if w_lo is None else np.asarray(w_lo, float)
         kw = _scale(w)
         if self.kind is KernelKind.SOBOLEV:
             return _unscaled(*_sobolev_form(x, np.ldexp(w, -kw),
@@ -398,27 +407,26 @@ class Kernel:
                 *_unscaled(p, t + lo * offset, 2 * kw + ko))
 
     def quad_form(self, points, w) -> float:
-        """w @ gram(points) @ w in O(N) memory: quad_parts, rounded once,
-        for a kernel with a closed form; else one Gram column slab at a
-        time.
+        """w @ gram(points) @ w: quad_parts, rounded once."""
+        return rounded_sum(self.quad_parts(points, w))
 
-        Each slab is written in place, as a C-contiguous (n, m) view of one
-        buffer allocated here: a fresh slab's layout.  A Gaussian kernel's
-        full slabs run on two workers, this thread and one other; each takes
-        every other half-width slab into its own half of the buffer, so the
-        memory is one slab's.  Custom kernels, which hold the GIL and need
-        not be thread-safe, run here alone, as does a final partial slab, in
-        the whole buffer.  OpenBLAS sums the last (width mod 4) entries of
-        each thread's share of w @ slab another way, so the bits are gram's
-        when N <= 8192 is a multiple of 4 per BLAS thread (v @ w is summed
-        by ordered_dot); otherwise the last bits can differ.  Half and full
-        widths are multiples of 4, so the two workers give the bits of one.
-        """
-        if self.closed_form:
-            return rounded_sum(self.quad_parts(points, w))
-        w, n = np.asarray(w, dtype=float), len(points)
+    def _slab_pass(self, points, w) -> float:
+        """w @ gram(points) @ w for a nonempty float array w, in O(N) memory:
+        one Gram column slab at a time, written in place as a C-contiguous
+        (n, m) view of one buffer allocated here, a fresh slab's layout.  A
+        Gaussian kernel's full slabs run on two workers, this thread and one
+        other; each takes every other half-width slab into its own half of
+        the buffer, so the memory is one slab's.  Custom kernels, which hold
+        the GIL and need not be thread-safe, run here alone, as does a final
+        partial slab, in the whole buffer.  OpenBLAS sums the last (width
+        mod 4) entries of each thread's share of w @ slab another way, so
+        the bits are gram's when N <= 8192 is a multiple of 4 per BLAS
+        thread (v @ w is summed by ordered_dot); otherwise the last bits can
+        differ.  Half and full widths are multiples of 4, so the two workers
+        give the bits of one."""
+        n = len(points)
         # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
-        width = 32 * max(1, 4096 // max(n, 1))
+        width = 32 * max(1, 4096 // n)
         buf, v = np.empty(n * min(width, n)), np.empty(n)
         if self.kind is KernelKind.CUSTOM:
             pts, full = list(points), 0

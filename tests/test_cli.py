@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,59 @@ def test_certify_names_a_polyline_and_a_gaussian_kernel(tmp_path, capsys):
     want = report["large_numbers_certificate"]
     for key in ("lhs", "rhs", "slack"):
         assert cert[key] == want[key]
+
+
+# a polyline whose exposures, about 1e154, square past the float range
+HUGE_POLYLINE = {"kind": "custom", "boundary": [[0, 1e154], [1e154, 0]]}
+KERNELS = {"sobolev": "sobolev", "gaussian": json.dumps(GAUSSIAN)}
+
+
+def certify_huge(tmp_path, capsys, kernel, rows):
+    """certify's exit code and certificate for the rows (p, q, y,
+    s_residual) at x = 0.25, 0.5, ... under HUGE_POLYLINE, with every
+    warning an error."""
+    log = tmp_path / "round_log.csv"
+    log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n" + "".join(
+        f"{i},{0.25 * i!r},{p!r},{q!r},0.0,{y},0.0,{s!r},root\n"
+        for i, (p, q, y, s) in enumerate(rows, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["certify", "--log", str(log), "--game",
+                     json.dumps(HUGE_POLYLINE), "--kernel", KERNELS[kernel]])
+    return code, json.loads(capsys.readouterr().out)[
+        "large_numbers_certificate"]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_certify_reports_an_lhs_past_the_float_range(tmp_path, capsys,
+                                                     kernel):
+    # (sum e r)^2 is about 4e308: a failed verdict, not a traceback
+    code, cert = certify_huge(tmp_path, capsys, kernel,
+                              [(0.0, 0.0, 1, 0.0)] * 2)
+    assert code == 1 and not cert["pass"]
+    assert cert["lhs"] == math.inf and cert["margin"] == -math.inf
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_certify_margin_of_an_infinite_lhs_and_slack_is_nan(tmp_path, capsys,
+                                                            kernel):
+    code, cert = certify_huge(tmp_path, capsys, kernel,
+                              [(0.0, 0.0, 1, 1e308)] * 2)
+    assert cert["lhs"] == cert["slack"] == math.inf
+    assert math.isnan(cert["margin"]) and not cert["pass"] and code == 1
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_certify_margin_is_exact_past_a_midway_overflow(tmp_path, capsys,
+                                                        kernel):
+    # rhs + slack is past the float range, rhs + slack - lhs is not
+    code, cert = certify_huge(tmp_path, capsys, kernel,
+                              [(0.0, 0.0, 1, 8.5e307), (0.5, 0.0, 0, 0.0)])
+    exact = sum(Fraction(cert[k]) for k in ("rhs", "slack")) \
+        - Fraction(cert["lhs"])
+    assert cert["rhs"] + cert["slack"] == math.inf
+    assert cert["margin"] == float(exact) > 1e308
+    assert cert["pass"] and code == 0
 
 
 def test_constants_output(capsys):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import defcast
+from defcast.cli import main
 from defcast.experiments import ExperimentConfig, certify_log, run_engine
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _NORMAL_MIN,
                                 _P_GRID, Branch, Forecaster)
@@ -1182,9 +1183,9 @@ def test_k29_single_round():
 
 @pytest.mark.parametrize("game_name", ["square", "absolute", "log"])
 def test_k29_holds_on_random_runs(game_name):
+    # the reported verdict, exact for its floats, not a float re-check
     fc, _ = run_random(Game.from_json(game_name), SOB, 120, seed=23)
-    lhs, rhs = fc.k29_certificate()
-    assert lhs <= rhs + 2.0 * fc.residual_total
+    assert fc.large_numbers_certificate()["pass"]
 
 
 def test_k29_equals_the_gram_formulas():
@@ -1270,6 +1271,42 @@ def test_large_numbers_verdict_is_the_exact_one(seed):
     for key in ("lhs", "rhs", "slack"):
         assert shipped[key] == pytest.approx(float(exact[key]), rel=1e-12)
     assert shipped["pass"] == (exact["margin"] >= 0)
+
+
+SLAB_KERNELS = {"gaussian": Kernel.gaussian(0.5),
+                "custom": Kernel.custom(lambda a, b: math.exp(-2 * (a - b) ** 2))}
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_KERNELS))
+def test_slab_kernel_verdict_is_exact_where_the_float_test_ties(
+        tmp_path, capsys, name):
+    # two square-loss rounds with lhs > rhs; one s_residual makes
+    # fl(rhs + slack) = lhs while rhs + slack - lhs < 0 exactly.  The
+    # float test (rhs + slack) - lhs would read 0.0 and pass
+    kernel, x, p = SLAB_KERNELS[name], [0.0, 3.0], [0.45, 0.45]
+    fc = Forecaster(Game.square(), kernel)
+    fc.load(x, p, p, [1, 1], [0.0, 0.0], [Branch.ROOT] * 2)
+    lhs, rhs = fc.k29_certificate()
+    gap = Fraction(lhs) - Fraction(rhs)
+    slack = float(gap)
+    if Fraction(slack) >= gap:
+        slack = math.nextafter(slack, 0.0)
+    assert rhs + slack == lhs and Fraction(rhs) + Fraction(slack) < lhs
+    log = tmp_path / "round_log.csv"
+    log.write_text("n,x,p,q,gamma,y,loss,s_residual,branch\n"
+                   f"1,0.0,0.45,0.45,0.45,1,0.3025,{slack / 2!r},root\n"
+                   "2,3.0,0.45,0.45,0.45,1,0.3025,0.0,root\n")
+    certs = [certify_log(log, Game.square(), kernel)
+             ["large_numbers_certificate"]]
+    if name == "gaussian":
+        assert main(["certify", "--log", str(log), "--game", "square",
+                     "--kernel", '{"kind": "gaussian", "width": 0.5}']) == 1
+        certs.append(json.loads(capsys.readouterr().out)
+                     ["large_numbers_certificate"])
+    exact = Fraction(rhs) + Fraction(slack) - Fraction(lhs)
+    for cert in certs:
+        assert (cert["lhs"], cert["rhs"], cert["slack"]) == (lhs, rhs, slack)
+        assert cert["margin"] == float(exact) < 0.0 and not cert["pass"]
 
 
 def test_k29_certificate_memory_is_linear_in_rounds():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import defcast
-from defcast.kernels import Kernel, KernelError, KernelExpansion, ordered_dot
+from defcast.kernels import (Kernel, KernelError, KernelExpansion, ordered_dot,
+                             rounded_sum)
 import quad_reference
 
 SOB = Kernel.sobolev()
@@ -297,6 +298,8 @@ ORDERED = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a - b)) + 1e-6 * a)
 QUAD_KERNELS = {"sobolev": SOB, "gaussian": Kernel.gaussian(0.5),
                 "linear": Kernel.linear(offset=0.7), "custom": ORDERED}
 GAUSS = QUAD_KERNELS["gaussian"]
+# the kinds whose quad_parts is a closed form, not the slab pass
+CLOSED_FORMS = {"sobolev", "linear"}
 # N = 1 and 40 fit one slab; the others cross slab boundaries (slabs are 32
 # to 320 columns wide at these N) and end on a partial slab, except 4128
 QUAD_SIZES = {name: [1, 40, 1000, 1004, 4100, 4128]
@@ -361,7 +364,7 @@ def quad_form_at_benchmark_sizes(sizes) -> dict:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             ok = reference_error(kernel, xs.tolist(), w.tolist()) \
-                <= REFERENCE_BOUND if kernel.closed_form \
+                <= REFERENCE_BOUND if name in CLOSED_FORMS \
                 else got == slab_reference(kernel, xs, w)
             out[f"{name}-{n}"] = [ok, peak]
     return out
@@ -399,7 +402,7 @@ def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
     # with one thread, as the benchmark runs, in a process of its own; the
     # closed forms are held to the reference instead
     cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes
-             if not QUAD_KERNELS[name].closed_form]
+             if name not in CLOSED_FORMS]
     assert run_single_threaded(f"t.quad_form_mismatches({cases!r})") == []
 
 
@@ -599,6 +602,33 @@ def test_quad_form_takes_opaque_points_and_empty_input():
     w = np.array([1.0, -2.0, 0.5])
     assert k.quad_form(pts, w) == float(w @ k.gram(pts) @ w)
     assert SOB.quad_form([], []) == 0.0
+
+
+MAX = sys.float_info.max  # its ulp is 2^971
+
+
+@pytest.mark.parametrize("parts, want", [
+    ((math.inf, -math.inf), math.nan),
+    ((1.0, math.nan), math.nan),
+    ((1.0, -math.inf), -math.inf),
+    # fsum overflows midway; the exact sum is in range or past it
+    ((1e308, 1e308, -1e308), 1e308),
+    ((MAX, MAX, -MAX, -MAX, 5e-324), 5e-324),
+    ((MAX, MAX, -MAX, 2.0 ** 969), MAX),  # below MAX + ulp/2: rounds down
+    ((MAX, MAX, -MAX, 2.0 ** 970), math.inf),  # the tie rounds to 2^1024
+    ((MAX, MAX), math.inf),
+    ((-MAX, -MAX), -math.inf),
+    # and a non-finite part decides, as in IEEE addition
+    ((1e308, 1e308, -math.inf), -math.inf),
+    ((1e308, 1e308, math.inf, -math.inf), math.nan),
+], ids=["inf-inf", "nan", "-inf", "midway", "midway-subnormal",
+        "midway-to-max", "midway-tie-to-inf", "past-range", "past-range-neg",
+        "midway-and-inf", "midway-and-inf-inf"])
+def test_rounded_sum_of_non_finite_and_overflowing_parts(parts, want):
+    got = rounded_sum(parts)
+    assert got == want or math.isnan(got) and math.isnan(want)
+    if all(map(math.isfinite, parts)) and math.isfinite(want):
+        assert got == float(sum(map(Fraction, parts)))
 
 
 BUILT_INS = {name: QUAD_KERNELS[name] for name in ("sobolev", "gaussian",
