@@ -69,9 +69,7 @@ def test_certify_names_a_polyline_and_a_gaussian_kernel(tmp_path, capsys):
                  "--kernel", json.dumps(GAUSSIAN)]) == 0
     cert = json.loads(capsys.readouterr().out)["large_numbers_certificate"]
     report = json.loads((out / "regret_report.json").read_text())
-    want = report["large_numbers_certificate"]
-    for key in ("lhs", "rhs", "slack"):
-        assert cert[key] == want[key]
+    assert cert == report["large_numbers_certificate"]  # margin too
 
 
 # a polyline whose exposures, about 1e154, square past the float range
