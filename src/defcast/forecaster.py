@@ -472,7 +472,7 @@ class Forecaster:
         """
         nextafter, s_at = math.nextafter, self._s_at
         side = 0  # -1 after pa was replaced, 1 after pb was
-        for _ in range(200):
+        for step in range(200):
             pm = 0.5 * (pa + pb)
             if pm <= pa or pm >= pb:
                 break
@@ -480,6 +480,9 @@ class Forecaster:
             # a product below the normal range has lost the secant's digits
             ps = pa - (t / (fb - fa) if abs(t) >= _NORMAL_MIN
                        else (pb - pa) * (fa / (fb - fa)))
+            if step >= 100:  # a stall, an ulp a step: halve the floats
+                k = np.array([pa + 0.0, pb]).view(np.int64) // 2
+                ps = float((k[0] + k[1]).view(np.float64))
             if ps == ps:  # else NaN: an end has no value
                 lo, hi = nextafter(pa, pb), nextafter(pb, pa)
                 pm = lo if ps < lo else hi if ps > hi else ps
@@ -654,7 +657,9 @@ class Forecaster:
         the residual-weighted feature sum, and rhs, the accumulated variance
         term; lhs <= rhs + 2*sum|s_residual|.  lhs is the exact sum of the
         Kernel.quad_parts of both parts at the exact residuals y - p, rounded
-        once; the exposure part, (sum e r)^2, is the linear form on e
+        once: the exposure part, (sum e r)^2, is the linear form on e, and a
+        Gaussian or custom kernel part is sum_i r_i f(x_i) for the residual
+        expansion f = sum_j r_j K(x_j, .), a point sum like a comparator's
         (README: why not a running sum in update)."""
         n, cols = self._n, self._cols
         xs, resid, es = cols["x"][:n], cols["residual"][:n], cols["e"][:n]

@@ -12,7 +12,6 @@ import inspect
 import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -332,6 +331,21 @@ class Kernel:
             return np.array([float(self(x, p)) for p in points])
         return np.asarray(self(x, points))
 
+    def sums(self, xs, points, w) -> np.ndarray:
+        """ordered_dot(row(x, points), w) for each x in xs, with the bits of
+        a call at that x alone.  A custom kernel takes each x as one opaque
+        point; a built-in kernel's rows go to the 2-D ordered_dot in blocks
+        of about 2^17 entries (1 MiB), so memory stays O(len(points))."""
+        if self.kind is KernelKind.CUSTOM:
+            return np.array([ordered_dot(self.row(x, points), w) for x in xs])
+        col = np.asarray(xs, dtype=float).reshape(-1, 1)
+        points = np.asarray(points, dtype=float)
+        step = max(1, (1 << 17) // max(len(points), 1))
+        out = np.empty(len(col))
+        for i in range(0, len(col), step):
+            out[i:i + step] = ordered_dot(self.row(col[i:i + step], points), w)
+        return out
+
     def diag(self, x):
         """K(x, x); the stationary kernels' is their value at 0, exactly."""
         if self.kind in (KernelKind.SOBOLEV, KernelKind.GAUSSIAN):
@@ -360,20 +374,6 @@ class Kernel:
         xs = np.asarray(pts, dtype=float)
         return np.asarray(self(xs[:, None], xs[None, :]))
 
-    def _slab(self, pts, j, k, out):
-        """Gram columns j:k, written into `out`.  A custom entry is gram's,
-        func(pts[min(i, c)], pts[max(i, c)]).  Gaussian points come as rows
-        [x_i, 1], and one k = 2 GEMM fills the slab: [x_i, 1] @ [1, -x_c] is
-        x_i - x_c rounded once, as subtract rounds it.  Only the sign of a
-        zero can differ, and d*d drops it."""
-        if self.kind is KernelKind.CUSTOM:
-            out[:] = [[float(self.func(pts[min(i, c)], pts[max(i, c)]))
-                       for c in range(j, k)] for i in range(len(pts))]
-            return out
-        xc = pts[j:k, 0]
-        d = np.matmul(pts, np.stack((np.ones(k - j), np.negative(xc))), out=out)
-        return self.of_difference(d, out=out)
-
     def quad_parts(self, points, w, w_lo=None) -> tuple:
         """Floats whose exact sum is w @ gram(points) @ w for the weights
         w + w_lo (w_lo: zeros); () for no points.  Sobolev and linear are
@@ -382,13 +382,14 @@ class Kernel:
         TwoProduct and Sum2, Sobolev is _sobolev_form.  w, w_lo and the
         linear x and offset are scaled by powers of two, exactly, so that no
         split overflows; a form past the float range is inf.  Gaussian and
-        custom kernels give one float, _slab_pass on w alone: w_lo, at most
-        half an ulp of each w, is below the pass's own rounding error."""
+        custom kernels give sum_i w_i f(x_i), f = sum_j w_j K(x_j, .) at its
+        centres: ordered_dot of w and sums(points, points, w), on w alone
+        (w_lo, at most half an ulp of each w, is below its rounding)."""
         w = np.asarray(w, dtype=float)
         if not len(w):
             return ()
         if self.kind in (KernelKind.GAUSSIAN, KernelKind.CUSTOM):
-            return (self._slab_pass(points, w),)
+            return (ordered_dot(self.sums(points, points, w), w),)
         x = np.asarray(points, dtype=float)
         w_lo = np.zeros(len(w)) if w_lo is None else np.asarray(w_lo, float)
         kw = _scale(w)
@@ -409,58 +410,6 @@ class Kernel:
     def quad_form(self, points, w) -> float:
         """w @ gram(points) @ w: quad_parts, rounded once."""
         return rounded_sum(self.quad_parts(points, w))
-
-    def _slab_pass(self, points, w) -> float:
-        """w @ gram(points) @ w for a nonempty float array w, in O(N) memory:
-        one Gram column slab at a time, written in place as a C-contiguous
-        (n, m) view of one buffer allocated here, a fresh slab's layout.  A
-        Gaussian kernel's full slabs run on two workers, this thread and one
-        other; each takes every other half-width slab into its own half of
-        the buffer, so the memory is one slab's.  Custom kernels, which hold
-        the GIL and need not be thread-safe, run here alone, as does a final
-        partial slab, in the whole buffer.  OpenBLAS sums the last (width
-        mod 4) entries of each thread's share of w @ slab another way, so
-        the bits are gram's when N <= 8192 is a multiple of 4 per BLAS
-        thread (v @ w is summed by ordered_dot); otherwise the last bits can
-        differ.  Half and full widths are multiples of 4, so the two workers
-        give the bits of one."""
-        n = len(points)
-        # about 1 MiB, in multiples of 32 columns: 4 per thread, up to 8 threads
-        width = 32 * max(1, 4096 // n)
-        buf, v = np.empty(n * min(width, n)), np.empty(n)
-        if self.kind is KernelKind.CUSTOM:
-            pts, full = list(points), 0
-        else:  # Gaussian; full: the columns in full slabs, which two share
-            pts = np.column_stack((np.asarray(points, float), np.ones(n)))
-            full = n - n % width
-        if full:
-            half, halves = width // 2, buf.reshape(2, n, width // 2)
-            errors, err, call = [], np.geterr(), np.geterrcall()
-
-            def fill(first, out):
-                for j in range(first, full, width):
-                    v[j:j + half] = w @ self._slab(pts, j, j + half, out)
-
-            def worker():
-                try:  # numpy's error state is per thread: take the caller's
-                    with np.errstate(call=call, **err):
-                        fill(half, halves[1])
-                except BaseException as exc:
-                    errors.append(exc)
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            try:
-                fill(0, halves[0])
-            finally:
-                thread.join()
-            if errors:
-                raise errors[0]
-        for j in range(full, n, width):
-            k = min(j + width, n)
-            v[j:k] = w @ self._slab(pts, j, k, buf[:n * (k - j)]
-                                    .reshape(n, k - j))
-        return ordered_dot(v, w)
 
 
 @dataclass(frozen=True)
@@ -514,18 +463,13 @@ class KernelExpansion:
     def __call__(self, x):
         """f(x) = ordered_dot(Kernel.row(x, centers), weights).  A custom
         kernel's x is one opaque point.  At a float array, a built-in
-        kernel's rows go to ordered_dot in 1 MiB blocks, so each entry has
-        the bits of a call at that x alone."""
+        kernel's entries are Kernel.sums, each with the bits of a call at
+        that x alone."""
         zs, w = self._arrays
         if self.kernel.kind is KernelKind.CUSTOM or np.ndim(x) == 0:
             return ordered_dot(self.kernel.row(x, zs), w)
         xs = np.asarray(x, dtype=float)
-        col, step = xs.reshape(-1, 1), max(1, (1 << 17) // max(len(zs), 1))
-        out = np.empty(len(col))
-        for i in range(0, len(col), step):  # blocks of about 2^17 entries
-            rows = self.kernel.row(col[i:i + step], zs)
-            out[i:i + step] = ordered_dot(rows, w)
-        return out.reshape(xs.shape)
+        return self.kernel.sums(xs, zs, w).reshape(xs.shape)
 
     def norm(self) -> float:
         """RKHS norm sqrt(w' G w) of the expansion, computed once."""

@@ -22,7 +22,7 @@ from defcast.experiments import ExperimentConfig, certify_log, run_engine
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _NORMAL_MIN,
                                 _P_GRID, Branch, Forecaster)
 from defcast.games import DomainError, Forecast, Game, GameKind
-from defcast.kernels import Kernel, KernelExpansion
+from defcast.kernels import Kernel, KernelExpansion, ordered_dot
 from defcast.protocol import Engine
 from exact_margin import exact_certificate
 import quad_reference
@@ -432,6 +432,8 @@ def test_walk_takes_the_first_sign_change(game, A, B, C):
 @pytest.mark.parametrize("game", [FLAT_SEGMENT, SINGLE_VERTEX],
                          ids=["flat-segment", "single-vertex"])
 @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+# a root near 1e-82 in the cell [0, 1/1023]: Illinois creeps an ulp a step
+@example(-0.75, 2.8945361835041232e-142)
 def test_walk_takes_the_first_sign_change_where_k_vanishes(game, A, B):
     # K(0, 0) = 0 for the linear kernel with offset 0, so C = -0.0 and a
     # segment's slope is -e^2: zero on the flat segment
@@ -1189,11 +1191,12 @@ def test_k29_holds_on_random_runs(game_name):
 
 
 def test_k29_equals_the_gram_formulas():
-    # Gaussian and custom: one slab (N = 300 is below the slab width), so
-    # the bits agree for any BLAS thread count; rhs takes the diagonal from
-    # Kernel.diags.  Sobolev's closed form has the formula's rhs bits, and
-    # its lhs is within 2 u of sum |terms| of the exact value at the exact
-    # residuals y - p (tests/quad_reference.py)
+    # rhs takes the diagonal from Kernel.diags.  Gaussian and custom: lhs is
+    # the exposure part, exact at the exact residuals y - p, plus the kernel
+    # part, the point sum: the residuals' ordered_dot with ordered_dot of
+    # each row of func(x_i, x_j) (gram's rows for the Gaussian), rounded
+    # once; its bits agree for any BLAS thread count.  Sobolev's lhs is
+    # within 2 u of sum |terms| of the exact value (tests/quad_reference.py)
     tagged = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a[1] - b[1])))
     for game, kernel, opaque in ((Game.log(), SOB, False),
                                  (POLY, Kernel.gaussian(0.5), False),
@@ -1204,22 +1207,23 @@ def test_k29_equals_the_gram_formulas():
             fc = Forecaster(game, kernel)
             for i, (x, p, q, y) in enumerate(rows):
                 fc.update((i, x) if opaque else x, Forecast(p, q), y)
-        resid, es, ps = (fc.column(c) for c in ("residual", "e", "p"))
-        gram = kernel.gram(fc.column("x"))
-        lhs = float(es @ resid) ** 2 + float(resid @ gram @ resid)
+        resid, es, ps, xs = (fc.column(c) for c in ("residual", "e", "p", "x"))
+        gram = kernel.gram(xs)
         rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
-        if kernel is not SOB:
-            assert fc.k29_certificate() == (lhs, rhs)
-            continue
         got, got_rhs = fc.k29_certificate()
         assert got_rhs == rhs
         exact = [y - Fraction(p) for y, p in
                  zip(fc.column("y").tolist(), ps.tolist())]
         cross = sum(r * Fraction(e) for r, e in zip(exact, es.tolist()))
+        if kernel is not SOB:
+            rows = np.array([[float(kernel(a, b)) for b in xs] for a in xs])
+            quad = ordered_dot(ordered_dot(rows, resid), resid)
+            assert got == float(cross * cross + Fraction(quad))
+            continue
         cross_scale = sum(abs(r * Fraction(e))
                           for r, e in zip(exact, es.tolist()))
         quad, scale = (Fraction(v) for v in quad_reference.sobolev(
-            fc.column("x").tolist(), exact))
+            xs.tolist(), exact))
         assert abs(Fraction(got) - cross * cross - quad) \
             <= 2 * Fraction(2.0 ** -53) * (cross_scale ** 2 + scale)
 
@@ -1235,10 +1239,13 @@ def certificate_json(kernel: str, n: int) -> str:
     return json.dumps(fc.large_numbers_certificate())
 
 
-@pytest.mark.parametrize("kernel", ["sobolev", "linear"])
+@pytest.mark.parametrize("kernel", [
+    "sobolev", "linear",
+    pytest.param('{"kind": "gaussian", "width": 0.5}', id="gaussian")])
 def test_closed_form_certificate_keeps_its_bits_across_blas_threads(kernel):
     # N = 20,000 is past both OpenBLAS's threaded dot (10,000 entries) and
-    # ordered_dot's slices; the closed forms call no BLAS routine
+    # ordered_dot's slices; the closed forms call no BLAS routine, and the
+    # Gaussian's point sums run every dot in slices of one BLAS thread
     code = ("import test_forecaster as t; "
             f"print(t.certificate_json({kernel!r}, 20_000))")
     paths = [str(Path(defcast.__file__).parents[1]),
@@ -1273,17 +1280,17 @@ def test_large_numbers_verdict_is_the_exact_one(seed):
     assert shipped["pass"] == (exact["margin"] >= 0)
 
 
-SLAB_KERNELS = {"gaussian": Kernel.gaussian(0.5),
+POINT_SUM_KERNELS = {"gaussian": Kernel.gaussian(0.5),
                 "custom": Kernel.custom(lambda a, b: math.exp(-2 * (a - b) ** 2))}
 
 
-@pytest.mark.parametrize("name", sorted(SLAB_KERNELS))
+@pytest.mark.parametrize("name", sorted(POINT_SUM_KERNELS))
 def test_slab_kernel_verdict_is_exact_where_the_float_test_ties(
         tmp_path, capsys, name):
     # two square-loss rounds with lhs > rhs; one s_residual makes
     # fl(rhs + slack) = lhs while rhs + slack - lhs < 0 exactly.  The
     # float test (rhs + slack) - lhs would read 0.0 and pass
-    kernel, x, p = SLAB_KERNELS[name], [0.0, 3.0], [0.45, 0.45]
+    kernel, x, p = POINT_SUM_KERNELS[name], [0.0, 3.0], [0.45, 0.45]
     fc = Forecaster(Game.square(), kernel)
     fc.load(x, p, p, [1, 1], [0.0, 0.0], [Branch.ROOT] * 2)
     lhs, rhs = fc.k29_certificate()
@@ -1311,7 +1318,8 @@ def test_slab_kernel_verdict_is_exact_where_the_float_test_ties(
 
 def test_k29_certificate_memory_is_linear_in_rounds():
     # 12,000 rounds: the Gram path needs about 16 N^2 bytes (the Gram and
-    # a ufunc temporary), 2.3 GB here; column slabs keep the process small
+    # a ufunc temporary), 2.3 GB here; the closed form keeps the process
+    # small
     code = textwrap.dedent("""
         import json, resource
         import numpy as np

@@ -9,7 +9,6 @@ import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,21 +290,23 @@ def test_norm_runs_its_quadratic_form_once():
 # -- quadratic form -------------------------------------------------------
 
 # A custom evaluator whose value depends on argument order, so that an
-# entry evaluated as func(x_j, x_i) instead of the Gram's func(x_i, x_j),
-# i <= j, shows.  quad_form only has to reproduce the Gram here, so the
+# entry evaluated as func(x_j, x_i) instead of the point sum's func(x_i, x_j)
+# shows.  quad_form only has to reproduce the point sum here, so the
 # evaluator need not be a kernel.
 ORDERED = Kernel.custom(lambda a, b: 0.5 * math.exp(-abs(a - b)) + 1e-6 * a)
 QUAD_KERNELS = {"sobolev": SOB, "gaussian": Kernel.gaussian(0.5),
                 "linear": Kernel.linear(offset=0.7), "custom": ORDERED}
 GAUSS = QUAD_KERNELS["gaussian"]
-# the kinds whose quad_parts is a closed form, not the slab pass
+# the kinds whose quad_parts is a closed form, not the point sum
 CLOSED_FORMS = {"sobolev", "linear"}
-# N = 1 and 40 fit one slab; the others cross slab boundaries (slabs are 32
-# to 320 columns wide at these N) and end on a partial slab, except 4128
+# N = 1 and 40 fit one block of rows of Kernel.sums (about 2^17 entries);
+# the built-in kernels' other N take 31 to 131 rows a block and end on a
+# partial one
 QUAD_SIZES = {name: [1, 40, 1000, 1004, 4100, 4128]
               for name in ("sobolev", "gaussian", "linear")}
 QUAD_SIZES["custom"] = [1, 40, 400, 404]
 UNALIGNED_SIZES = [3, 999, 1001, 1003, 4099]
+CUSTOM_UNALIGNED_SIZES = [3, 401, 403]
 
 
 def quad_case(name, n):
@@ -313,25 +314,28 @@ def quad_case(name, n):
     return QUAD_KERNELS[name], rng.uniform(-2, 2, n), rng.normal(size=n)
 
 
+def point_sum_matrix(kernel, xs) -> np.ndarray:
+    """The matrix whose rows the point sum reads: gram for a stationary
+    kernel, whose rows have Kernel.row's bits, and func(x_i, x_j), in that
+    order, for every (i, j) for a custom one (gram evaluates i <= j)."""
+    if kernel.kind.value != "custom":
+        return kernel.gram(xs)
+    return np.array([[float(kernel.func(a, b)) for b in xs] for a in xs])
+
+
+def point_sum_reference(kernel, xs, w) -> float:
+    """w @ G @ w by the point-sum rule: ordered_dot(ordered_dot(G, w), w)."""
+    return ordered_dot(ordered_dot(point_sum_matrix(kernel, xs), w), w)
+
+
 def quad_form_mismatches(cases) -> list:
-    """The (kernel, N) cases where quad_form differs from w @ gram @ w."""
+    """The (kernel, N) cases where quad_form differs from the point sum."""
     bad = []
     for name, n in cases:
         kernel, xs, w = quad_case(name, n)
-        if kernel.quad_form(xs, w) != float(w @ kernel.gram(xs) @ w):
+        if kernel.quad_form(xs, w) != point_sum_reference(kernel, xs, w):
             bad.append([name, n])
     return bad
-
-
-def slab_reference(kernel, xs, w) -> float:
-    """quad_form's slab loop with an allocating kernel call per slab."""
-    n = len(xs)
-    width = 32 * max(1, 4096 // n)
-    v = np.empty(n)
-    for j in range(0, n, width):
-        k = min(j + width, n)
-        v[j:k] = w @ kernel(xs[:, None], xs[None, j:k])
-    return float(v @ w)
 
 
 def reference_error(kernel, xs, w) -> float:
@@ -351,9 +355,10 @@ def reference_error(kernel, xs, w) -> float:
 
 
 def quad_form_at_benchmark_sizes(sizes) -> dict:
-    """Per (kernel, N): whether quad_form is right (the slab loop's bits for
-    the Gaussian, within REFERENCE_BOUND for a closed form), and the peak of
-    the memory numpy allocated during the quad_form call."""
+    """Per (kernel, N): whether quad_form is right (the point sum's bits for
+    the Gaussian, its rows summed one at a time so that the reference needs
+    no Gram; within REFERENCE_BOUND for a closed form), and the peak of the
+    memory numpy allocated during the quad_form call."""
     import tracemalloc
     out = {}
     for name in ("sobolev", "gaussian", "linear"):
@@ -365,7 +370,8 @@ def quad_form_at_benchmark_sizes(sizes) -> dict:
             tracemalloc.stop()
             ok = reference_error(kernel, xs.tolist(), w.tolist()) \
                 <= REFERENCE_BOUND if name in CLOSED_FORMS \
-                else got == slab_reference(kernel, xs, w)
+                else got == ordered_dot(np.array(
+                    [ordered_dot(kernel(x, xs), w) for x in xs]), w)
             out[f"{name}-{n}"] = [ok, peak]
     return out
 
@@ -382,11 +388,12 @@ def run_single_threaded(expr: str):
 
 
 def test_quad_form_has_the_slab_loop_bits_at_benchmark_sizes():
-    # N = 4000 and 6000 are benchmark horizons; 6001 ends on a 17-wide slab.
-    # The Gaussian's in-place slabs must not move a bit, the closed forms
-    # stay within their reference bound, and every pass stays O(N): one
-    # 32-column slab buffer (1.5 MB at N = 6001, where the Gram is 288 MB)
-    # plus O(1) per point, not a fresh slab for each step of the formula
+    # N = 4000 and 6000 are benchmark horizons; 4000 ends on a full block of
+    # rows, 6001 on a 16-row one.  The Gaussian's blocks must not move a bit
+    # of the point sum, the closed forms stay within their reference bound,
+    # and every pass stays O(N), below 8 * 32 * N + 128 * N bytes: one block
+    # of rows (at most 1 MiB; the Gram is 288 MB at N = 6001) plus O(1) per
+    # point
     sizes = [4000, 6001]
     result = run_single_threaded(f"t.quad_form_at_benchmark_sizes({sizes})")
     assert {case: same for case, (same, _) in result.items()} == {
@@ -398,12 +405,13 @@ def test_quad_form_has_the_slab_loop_bits_at_benchmark_sizes():
 
 
 def test_quad_form_has_the_gram_bits_when_n_is_a_multiple_of_4():
-    # the bits agree when N is a multiple of 4 per BLAS thread, so check
-    # with one thread, as the benchmark runs, in a process of its own; the
-    # closed forms are held to the reference instead
-    cases = [(name, n) for name, sizes in QUAD_SIZES.items() for n in sizes
-             if name not in CLOSED_FORMS]
-    assert run_single_threaded(f"t.quad_form_mismatches({cases!r})") == []
+    # the point sum's bits at any N (the multiples of 4 and the others)
+    # and under the default BLAS thread count: ordered_dot's slices run on
+    # one BLAS thread.  The closed forms are held to the reference instead
+    cases = [(name, n) for name in ("gaussian", "custom")
+             for n in QUAD_SIZES[name] + (UNALIGNED_SIZES if name != "custom"
+                                          else CUSTOM_UNALIGNED_SIZES)]
+    assert quad_form_mismatches(cases) == []
 
 
 @pytest.mark.parametrize("name", sorted(QUAD_KERNELS))
@@ -411,10 +419,10 @@ def test_quad_form_matches_gram_to_rounding(name):
     # any N and BLAS thread count: within 4 ulps of sum |w_i K_ij w_j|, the
     # size rounding errors of the quadratic form scale with
     sizes = QUAD_SIZES[name] + (UNALIGNED_SIZES if name != "custom"
-                                else [3, 401, 403])
+                                else CUSTOM_UNALIGNED_SIZES)
     for n in sizes:
         kernel, xs, w = quad_case(name, n)
-        g = kernel.gram(xs)
+        g = point_sum_matrix(kernel, xs)
         scale = float(np.abs(w) @ np.abs(g) @ np.abs(w))
         assert abs(kernel.quad_form(xs, w) - float(w @ g @ w)) \
             <= 4 * np.spacing(scale), (name, n)
@@ -469,56 +477,10 @@ def test_closed_form_references_agree_with_their_terms():
                 <= 1e-45, case
 
 
-# N = 1 and 40: one slab, run serially; 352: one full slab, i.e. exactly
-# two half slabs, one per worker; 1056: 11 full slabs, 22 half slabs;
-# 1001: 7 full slabs and a partial one, 15 slabs in all
-WORKER_SIZES = [1, 40, 352, 1056] + UNALIGNED_SIZES
-
-
-class InlineThread:
-    """A stand-in for threading.Thread that runs its target at start():
-    quad_form's two workers' slabs, one after the other, on one thread."""
-
-    def __init__(self, target):
-        self.target = target
-
-    def start(self):
-        self.target()
-
-    def join(self):
-        pass
-
-
-def two_worker_mismatches(sizes) -> list:
-    """The N where the Gaussian's quad_form on two workers differs from a
-    serial run of its slabs or from the slab loop with allocating calls."""
-    bad = []
-    for name in ("gaussian",):
-        for n in sizes:
-            kernel, xs, w = quad_case(name, n)
-            got = kernel.quad_form(xs, w)
-            with mock.patch.object(threading, "Thread", InlineThread):
-                serial = kernel.quad_form(xs, w)
-            if not got == serial == slab_reference(kernel, xs, w):
-                bad.append([name, n])
-    return bad
-
-
-def test_two_workers_have_the_serial_bits_with_one_blas_thread():
-    assert run_single_threaded(
-        f"t.two_worker_mismatches({WORKER_SIZES})") == []
-
-
-def test_two_workers_have_the_serial_bits():
-    assert two_worker_mismatches(WORKER_SIZES) == []
-
-
-@pytest.mark.parametrize("name, n, threads", [
-    ("sobolev", 1, 0), ("sobolev", 40, 0), ("gaussian", 352, 1),
-    ("linear", 1001, 0), ("custom", 404, 0)])
-def test_quad_form_starts_one_thread_at_most(monkeypatch, name, n, threads):
-    # closed forms, custom kernels and inputs of less than one full slab
-    # run serially
+@pytest.mark.parametrize("name, n", [
+    ("sobolev", 1), ("sobolev", 40), ("gaussian", 352), ("linear", 1001),
+    ("custom", 404)])
+def test_quad_form_starts_no_thread(monkeypatch, name, n):
     started = []
 
     class Counted(threading.Thread):
@@ -527,50 +489,29 @@ def test_quad_form_starts_one_thread_at_most(monkeypatch, name, n, threads):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)
-    before = threading.active_count()
     QUAD_KERNELS[name].quad_form(*quad_case(name, n)[1:])
-    assert len(started) == threads
-    assert threading.active_count() == before
+    assert started == []
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_a_slab_that_raises_makes_quad_form_raise(monkeypatch, failing):
-    caller, slab = threading.current_thread(), Kernel._slab
-
-    def broken(self, *args):
-        in_worker = threading.current_thread() is not caller
-        if in_worker == (failing == "worker"):
-            raise RuntimeError(f"slab failed in the {failing}")
-        return slab(self, *args)
-
-    monkeypatch.setattr(Kernel, "_slab", broken)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=failing):
-        GAUSS.quad_form(*quad_case("gaussian", 1001)[1:])
-    assert threading.active_count() == before
-
-
-# N = 1001 has 128-column slabs: the caller fills columns 0-63 of each full
-# slab, the worker columns 64-127, and the caller the partial one, 896-1000
-@pytest.mark.parametrize("a, b", [(0, 1), (64, 65), (900, 1000), (0, 127)],
-                         ids=["caller", "worker", "partial", "both"])
-def test_overflow_raises_whichever_worker_owns_its_slab(a, b):
+# N = 1001 takes blocks of 130 rows: rows 0-129 are the first, 910-1000 the
+# last, a partial one
+@pytest.mark.parametrize("a, b", [(0, 1), (200, 201), (950, 1000), (0, 1000)],
+                         ids=["first", "middle", "last", "first-and-last"])
+def test_overflow_raises_in_any_block_of_rows(a, b):
     xs, w = np.zeros(1001), np.ones(1001)
     # only entries (a, b) and (b, a) overflow: d^2 / -(2 w^2) is -2.88e308
     # there and -7.2e307 between a or b and a zero
     xs[a], xs[b] = 0.6e154, -0.6e154
-    before = threading.active_count()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         GAUSS.quad_form(xs, w)
-    assert threading.active_count() == before
     with np.errstate(over="ignore"):  # K is 0 where d^2 / -(2 w^2) is -inf
-        assert GAUSS.quad_form(xs, w) == slab_reference(GAUSS, xs, w)
+        assert GAUSS.quad_form(xs, w) == point_sum_reference(GAUSS, xs, w)
 
 
 def test_concurrent_quad_forms_keep_their_bits():
-    # more callers than cores, with a short switch interval: each call's two
-    # workers share only that call's v and buffer.  These N end on a full
-    # slab, so the bits do not depend on the BLAS thread count either
+    # more callers than cores, with a short switch interval: each call's
+    # blocks of rows are its own, and no bit depends on the BLAS thread
+    # count
     cases = [quad_case(name, n) for name, n in (
         ("sobolev", 352), ("gaussian", 1056), ("linear", 2048),
         ("sobolev", 2048))]
