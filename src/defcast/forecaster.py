@@ -38,9 +38,10 @@ is continuous in p inside the bracket, so a safeguarded Illinois regula
 falsi steps to the secant point, or bisects where an end has no value (a
 wide face at a segment's end, or within the face tolerance of a special
 p).  Its evaluations run in plain Python floats with the scan's
-arithmetic: the same expressions in the same order, and np.log.  On a
-polyline, stage 3 finds the face at p once, for its exposures and for
-the canonical decision that the report carries to the engine.
+arithmetic: the same expressions in the same order, and np.log.  Stage 3
+solves at the closed bracket's end with the smaller |S|: once on square
+and log, whose faces are points; at both ends on a polyline, which finds
+the face at p once, for its exposures and the decision the report carries.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -70,8 +71,8 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +143,7 @@ class Branch(Enum):
     ENDPOINT_NEGATIVE = "endpoint_negative"
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     forecast: Forecast
     s_residual: float
     branch: Branch
@@ -469,9 +469,12 @@ class Forecaster:
         rounds onto an end moves to the next float inside, so a root within
         an ulp of one end is closed in a step or two, not by halving.  No
         special p sits strictly inside, so S is continuous on (pa, pb).
+        Stage 3 solves at the end with the smaller |S|, pa on a tie, by the
+        ends' values on square and log; a polyline or a NaN end solves both.
         """
         nextafter, s_at = math.nextafter, self._s_at
         side = 0  # -1 after pa was replaced, 1 after pb was
+        va, vb = fa, fb  # the ends' values, which Illinois does not halve
         for step in range(200):
             pm = 0.5 * (pa + pb)
             if pm <= pa or pm >= pb:
@@ -484,19 +487,21 @@ class Forecaster:
                 k = np.array([pa + 0.0, pb]).view(np.int64) // 2
                 ps = float((k[0] + k[1]).view(np.float64))
             if ps == ps:  # else NaN: an end has no value
-                lo, hi = nextafter(pa, pb), nextafter(pb, pa)
-                pm = lo if ps < lo else hi if ps > hi else ps
+                pm = ps if pa < ps < pb else nextafter(pa, pb) if ps <= pa \
+                    else nextafter(pb, pa)
             s, f = s_at(pm, A, B, C)
             if s == 0:
                 return self._solve_at(pm, A, B, C)
             if s == s0:
                 if side < 0:
                     fb *= 0.5
-                pa, fa, side = pm, f, -1
+                pa, fa, va, side = pm, f, f, -1
             else:
                 if side > 0:
                     fa *= 0.5
-                pb, fb, side = pm, f, 1
+                pb, fb, vb, side = pm, f, f, 1
+        if self._path is None and va == va and vb == vb:
+            return self._solve_at(pb if abs(vb) < abs(va) else pa, A, B, C)
         ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
         return rb if rb.s_residual < ra.s_residual else ra  # a tie: pa's
 
@@ -571,22 +576,23 @@ class Forecaster:
             raise DomainError(f"observation must be binary, got {y}")
         check_datum(x, self.kernel)
         # decision, when the caller has it, is the canonical choice at forecast
-        d = decision or self.game.canonical_choice(forecast)
+        gamma, loss0, loss1 = decision or self.game.canonical_choice(forecast)
+        p, q = forecast
         y = int(y)
-        e = d.exposure
-        resid = float(y) - forecast.p
+        e = loss1 - loss0  # Decision.exposure
+        resid = float(y) - p
         n = self._n
         if n == len(self._cols["p"]):  # full
             self._double()
         cols = self._cols
         cols["x"][n] = x
-        cols["p"][n] = forecast.p
-        cols["q"][n] = forecast.q
+        cols["p"][n] = p
+        cols["q"][n] = q
         cols["y"][n] = y
         cols["e"][n] = e
         cols["residual"][n] = resid
-        cols["gamma"][n] = d.gamma
-        cols["loss"][n] = d.loss1 if y else d.loss0
+        cols["gamma"][n] = gamma
+        cols["loss"][n] = loss1 if y else loss0
         cols["s_residual"][n] = s_residual
         cols["branch"][n] = branch
         self._n = n + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ class GameKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A decision together with its loss pair (loss on y=0, loss on y=1)."""
 
     gamma: float
@@ -51,8 +51,7 @@ class Decision:
         return self.loss1 - self.loss0
 
 
-@dataclass(frozen=True)
-class Forecast:
+class Forecast(NamedTuple):
     """A point of the lexicographic square: probability p plus tie-breaker q."""
 
     p: float

@@ -20,8 +20,8 @@ import defcast
 from defcast.cli import main
 from defcast.experiments import ExperimentConfig, certify_log, run_engine
 from defcast.forecaster import (_DELTA_START, _INITIAL_CAPACITY, _NORMAL_MIN,
-                                _P_GRID, Branch, Forecaster)
-from defcast.games import DomainError, Forecast, Game, GameKind
+                                _P_GRID, Branch, Forecaster, RootReport)
+from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import Kernel, KernelExpansion, ordered_dot
 from defcast.protocol import Engine
 from exact_margin import exact_certificate
@@ -202,7 +202,7 @@ def test_scalar_bisection_reproduces_array_forecasts(game):
 
 
 class BracketRecorder(Forecaster):
-    """Records each stage-2 bracket and the points stage 3 then solves at.
+    """Records each stage-2 bracket and the p that stage 3 returns for it.
 
     With coefficients given, every forecast uses those (A, B, C).
     """
@@ -210,31 +210,27 @@ class BracketRecorder(Forecaster):
     def __init__(self, game, kernel, coefficients=None):
         super().__init__(game, kernel)
         self.fixed = coefficients
-        self.brackets = []  # [s0, (A, B, C), [solved p, ...]] per bracket
+        self.brackets = []  # (s0, (A, B, C), returned p) per bracket
 
     def coefficients(self, x):
         return self.fixed or super().coefficients(x)
 
     def _refine(self, pa, fa, pb, fb, s0, A, B, C):
-        self.brackets.append([s0, (A, B, C), []])
-        return super()._refine(pa, fa, pb, fb, s0, A, B, C)
-
-    def _solve_at(self, p, A, B, C):
-        if self.brackets:
-            self.brackets[-1][2].append(p)
-        return super()._solve_at(p, A, B, C)
+        rep = super()._refine(pa, fa, pb, fb, s0, A, B, C)
+        self.brackets.append((s0, (A, B, C), rep.forecast.p))
+        return rep
 
 
 def assert_brackets_closed(fc):
-    """Stage 2 stopped at an exact zero, or on adjacent floats of sign
-    s0 and -s0."""
+    """Stage 2 stopped at an exact zero at the returned p, or p and its
+    neighbour are adjacent floats of sign s0 and -s0: the bracket's left
+    end and the float above it, or the float below and its right end."""
     assert fc.brackets
-    for s0, abc, solved in fc.brackets:
-        if len(solved) == 1:
-            assert fc._s_at(solved[0], *abc)[0] == 0
-        else:
-            pa, pb = solved
-            assert math.nextafter(pa, 1.0) == pb
+    for s0, abc, p in fc.brackets:
+        s = fc._s_at(p, *abc)[0]
+        if s:
+            pa, pb = (p, math.nextafter(p, 1.0)) if s == s0 else \
+                (math.nextafter(p, 0.0), p)
             assert fc._s_at(pa, *abc)[0] == s0 == -fc._s_at(pb, *abc)[0]
 
 
@@ -377,6 +373,117 @@ def test_each_stage_2_step_reads_its_exposures_once(game, monkeypatch):
     assert fc.steps > 60 and len(calls) == fc.steps
 
 
+class TwoSolveAudit(Forecaster):
+    """Checks each stage-2 report against the two-solve rule: _solve_at at
+    both ends of the closed bracket, keeping the smaller s_residual, pa's
+    on a tie.  The closed bracket comes from stage 2's own steps: pa is
+    the last p of sign s0, pb the last of sign -s0."""
+
+    def __init__(self, game, kernel):
+        super().__init__(game, kernel)
+        self.steps = None  # (p, sign) of each step on the open bracket
+        self.solved = []  # p of each _solve_at on the open bracket
+        # (closed on adjacent floats, not at a zero; solved) per bracket
+        self.brackets = []
+
+    def _s_at(self, p, A, B, C, exposures=None):
+        s, v = super()._s_at(p, A, B, C, exposures)
+        if self.steps is not None:
+            self.steps.append((p, s))
+        return s, v
+
+    def _solve_at(self, p, A, B, C):
+        if self.steps is not None:
+            self.solved.append(p)
+        return super()._solve_at(p, A, B, C)
+
+    def _refine(self, pa, fa, pb, fb, s0, A, B, C):
+        self.steps, self.solved = [], []
+        rep = super()._refine(pa, fa, pb, fb, s0, A, B, C)
+        steps, self.steps = self.steps, None
+        closed = not (steps and steps[-1][1] == 0)
+        if not closed:  # an exact zero, solved alone
+            expected = self._solve_at(steps[-1][0], A, B, C)
+        else:
+            for p, s in steps:
+                pa, pb = (p, pb) if s == s0 else (pa, p)
+            ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
+            expected = rb if rb.s_residual < ra.s_residual else ra
+        self.brackets.append((closed, self.solved))
+        assert rep == expected
+        assert rep.forecast.p.hex() == expected.forecast.p.hex()
+        assert rep.s_residual.hex() == expected.s_residual.hex()
+        return rep
+
+
+@pytest.mark.parametrize("game", [Game.square(), Game.log()],
+                         ids=["square", "log"])
+def test_stage_3_solves_once_with_the_two_solve_rule_bits(game):
+    fc = TwoSolveAudit(game, SOB)
+    rng = np.random.default_rng(59)
+    for _ in range(300):
+        # S with a root at r (B cancels S(r) at B = 0), bracketed around r
+        r = float(rng.uniform(0.01, 0.99))
+        A, C = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        B = -fc._s_at(r, A, 0.0, C)[1]
+        pa, pb = (float(r + s * 10.0 ** rng.uniform(-15, -1)) for s in (-1, 1))
+        pa, pb = max(pa, 1e-9), min(pb, 1.0 - 1e-9)
+        (sa, fa), (sb, fb) = fc._s_at(pa, A, B, C), fc._s_at(pb, A, B, C)
+        if sa == -sb != 0:
+            fc._refine(pa, fa, pb, fb, sa, A, B, C)
+    # and the brackets of played rounds, from the scan or the falling bracket
+    for _ in range(200):
+        x = float(rng.uniform(-1, 1))
+        rep = fc.next_forecast(x)
+        fc.update(x, rep.forecast, int(rng.integers(0, 2)),
+                  s_residual=rep.s_residual, branch=rep.branch)
+    assert all(len(solved) == 1 for _, solved in fc.brackets)
+    assert sum(closed for closed, _ in fc.brackets) >= 200
+
+
+def adjacent_bracket(fc, k):
+    """(pa, fa, pb, fb, B) at pa = 3/4 and the float above it, for square
+    loss with A = C = 0 and B = 1/16 + k 2^-56: the computed S is k 2^-56 at
+    pa and (k - 6) 2^-56 at pb, so k = 3 ties and k = 4 favours pb."""
+    pa, B = 0.75, 0.0625 + k * 2.0 ** -56
+    pb = math.nextafter(pa, 1.0)
+    (sa, fa), (sb, fb) = fc._s_at(pa, 0.0, B, 0.0), fc._s_at(pb, 0.0, B, 0.0)
+    assert sa == 1 and sb == -1
+    return pa, fa, pb, fb, B
+
+
+def test_stage_3_keeps_pa_on_a_tie():
+    fc = TwoSolveAudit(Game.square(), SOB)
+    pa, fa, pb, fb, B = adjacent_bracket(fc, 3)
+    assert fa == -fb
+    assert fc._refine(pa, fa, pb, fb, 1, 0.0, B, 0.0).forecast.p == pa
+    assert fc.brackets[-1] == (True, [pa])
+    pa, fa, pb, fb, B = adjacent_bracket(fc, 4)
+    assert abs(fb) < abs(fa)
+    assert fc._refine(pa, fa, pb, fb, 1, 0.0, B, 0.0).forecast.p == pb
+    assert fc.brackets[-1] == (True, [pb])
+
+
+def test_stage_3_solves_both_ends_where_an_end_has_no_value():
+    # with fa NaN the smaller |S| cannot be read from the values
+    fc = TwoSolveAudit(Game.square(), SOB)
+    pa, _, pb, fb, B = adjacent_bracket(fc, 4)
+    rep = fc._refine(pa, math.nan, pb, fb, 1, 0.0, B, 0.0)
+    assert rep.forecast.p == pb and fc.brackets == [(True, [pa, pb])]
+
+
+def test_stage_3_solves_both_ends_of_a_polyline_bracket():
+    # the walk signs a cell's ends with the segment's exposure, _solve_at
+    # finds p's face again: a polyline keeps both solves
+    fc = TwoSolveAudit(POLY, SOB)
+    rng = np.random.default_rng(97)
+    for _ in range(300):
+        A, B, C = rng.uniform(-1.0, 1.0, 3)
+        fc._walk(float(A), float(B), -abs(float(C)))
+    assert all(len(solved) == 1 + closed for closed, solved in fc.brackets)
+    assert sum(closed for closed, _ in fc.brackets) >= 30
+
+
 # -- stage 1: the polyline walk and the square/log scan --------------------
 
 # vertices 1e-13 apart in one loss: the faces within about 1e-12 of p = 0
@@ -474,6 +581,18 @@ def test_polyline_rounds_fill_no_grid(monkeypatch):
     for game in (Game.absolute(), POLY):
         run_random(game, SOB, 50, seed=3)
     assert sizes and set(sizes) == {1}  # stage-2 steps only
+
+
+def test_records_are_immutable_and_keep_their_fields():
+    d, f = Decision(0.25, 0.0625, 0.5625), Forecast(0.25, 0.5)
+    rep = RootReport(f, 0.0, Branch.ROOT)
+    assert rep.decision is None and rep.forecast is f
+    assert d.exposure == d.loss1 - d.loss0 == 0.5
+    for record, name in ((d, "gamma"), (d, "exposure"), (f, "p"), (f, "r"),
+                         (rep, "decision")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    assert {"Decision", "Forecast", "RootReport"} <= set(defcast.__all__)
 
 
 @pytest.mark.parametrize("game", PARITY_GAMES, ids=PARITY_IDS)
