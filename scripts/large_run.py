@@ -2,7 +2,7 @@
 """Run and certify square and log loss at a large horizon (default 10^5).
 
 For square and log loss with the Sobolev kernel on iid_logistic data, the
-script writes a config at --horizon and --seed, runs `defcast run` on it and
+script writes a config at --horizon and seed 7, runs `defcast run` on it and
 then `defcast certify` on the run's round log.  Each of the four commands
 runs in a process of its own, which times its phases and reads its own peak
 RSS (ru_maxrss of RUSAGE_SELF; RUSAGE_CHILDREN would merge the children).
@@ -20,7 +20,7 @@ Per game it prints:
 The exit code is 0 when every verdict passes and each certify reproduces
 its run, else 1.
 
-Usage: python3 scripts/large_run.py [--horizon N] [--seed S] [--out DIR]
+Usage: python3 scripts/large_run.py [--horizon N] [--out DIR]
 """
 
 import argparse
@@ -36,6 +36,7 @@ SCRIPTS = Path(__file__).resolve().parent
 SRC = SCRIPTS.parent / "src"
 
 GAMES = ("square", "log")
+SEED = 7
 GENERATOR = {"kind": "iid_logistic", "weights": [0.0, 2.0]}
 COMPARATORS = [{"centers": [], "weights": []},
                {"centers": [-0.5, 0.5], "weights": [0.6, -0.6]}]
@@ -106,13 +107,12 @@ def times(record: dict) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--horizon", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default="large_run_out")
     args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    print(f"horizon {args.horizon}, seed {args.seed}, Sobolev kernel, "
+    print(f"horizon {args.horizon}, seed {SEED}, Sobolev kernel, "
           f"iid_logistic data")
     ok = True
     for game in GAMES:
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         config = out / f"{game}.config.json"
         config.write_text(json.dumps({
             "game": game, "kernel": "sobolev", "generator": GENERATOR,
-            "horizon": args.horizon, "seed": args.seed,
+            "horizon": args.horizon, "seed": SEED,
             "comparators": COMPARATORS}))
         ran, _ = step("run", "--config", str(config), "--out", str(run_dir))
         log = run_dir / "round_log.csv"

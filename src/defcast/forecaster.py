@@ -500,6 +500,7 @@ class Forecaster:
                 if side > 0:
                     fa *= 0.5
                 pb, fb, vb, side = pm, f, f, 1
+        # no end of a scanned bracket is NaN; this guards direct callers
         if self._path is None and va == va and vb == vb:
             return self._solve_at(pb if abs(vb) < abs(va) else pa, A, B, C)
         ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
@@ -576,23 +577,22 @@ class Forecaster:
             raise DomainError(f"observation must be binary, got {y}")
         check_datum(x, self.kernel)
         # decision, when the caller has it, is the canonical choice at forecast
-        gamma, loss0, loss1 = decision or self.game.canonical_choice(forecast)
-        p, q = forecast
+        d = decision or self.game.canonical_choice(forecast)
         y = int(y)
-        e = loss1 - loss0  # Decision.exposure
-        resid = float(y) - p
+        e = d.exposure
+        resid = float(y) - forecast.p
         n = self._n
         if n == len(self._cols["p"]):  # full
             self._double()
         cols = self._cols
         cols["x"][n] = x
-        cols["p"][n] = p
-        cols["q"][n] = q
+        cols["p"][n] = forecast.p
+        cols["q"][n] = forecast.q
         cols["y"][n] = y
         cols["e"][n] = e
         cols["residual"][n] = resid
-        cols["gamma"][n] = gamma
-        cols["loss"][n] = loss1 if y else loss0
+        cols["gamma"][n] = d.gamma
+        cols["loss"][n] = d.loss1 if y else d.loss0
         cols["s_residual"][n] = s_residual
         cols["branch"][n] = branch
         self._n = n + 1
