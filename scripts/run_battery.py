@@ -12,9 +12,9 @@ lhs as the certificate computes it (exactly, for the Sobolev kernel); the
 resolution margin is the smallest bound + slack - lhs over the comparators
 other than the zero rule.  Each run's round log is then certified again, as
 `defcast certify` does; a certificate that differs from the run's in any
-bit is printed and makes the exit code 1.
+bit is printed and makes the exit code 1.  Every run uses seed 77.
 
-Usage: python3 scripts/run_battery.py [--horizon N] [--seed S] [--out DIR]
+Usage: python3 scripts/run_battery.py [--horizon N] [--out DIR]
 """
 
 import argparse
@@ -39,6 +39,8 @@ GENERATORS = {
     "adversarial": {"kind": "adversarial"},
     "replay": {"kind": "replay", "path": str(FIXTURE)},
 }
+
+SEED = 77
 
 COMPARATORS = [
     {"centers": [], "weights": []},
@@ -66,7 +68,6 @@ def margins(report) -> dict:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizon", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=77)
     ap.add_argument("--out", default="battery_out")
     args = ap.parse_args()
 
@@ -84,7 +85,7 @@ def main():
                 "kernel": {"kind": "sobolev"},
                 "generator": gen_doc,
                 "horizon": args.horizon,
-                "seed": args.seed,
+                "seed": SEED,
                 "comparators": COMPARATORS,
             }
             name = f"{game}_{gen_name}"
@@ -123,7 +124,7 @@ def main():
     print("every certify reproduces its run" if certified
           else "CERTIFY MISMATCH")
     summary = {"all_pass": all_ok, "horizon": args.horizon,
-               "seed": args.seed, "margins": run_margins, "sha256": hashes}
+               "seed": SEED, "margins": run_margins, "sha256": hashes}
     (Path(args.out) / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
     return 0 if all_ok and certified else 1

@@ -31,17 +31,18 @@ has none, a grid from 2^-1022 to 1 - 2^-53 is scanned; where that has
 none either, the round plays its end float on s0's side, with |S| there
 as its s_residual.  A polyline's exposure is
 constant between special ps, so S is linear in p there: stage 1 walks
-the path in O(vertices), solving each segment's line in closed form and
-signing each special p's face over its value range, and brackets a root
-by the grid cell that holds it.  Stage 2 is one method for every game: S
-is continuous in p inside the bracket, so a safeguarded Illinois regula
-falsi steps to the secant point, or bisects where an end has no value (a
-wide face at a segment's end, or within the face tolerance of a special
-p).  Its evaluations run in plain Python floats with the scan's
-arithmetic: the same expressions in the same order, and np.log.  Stage 3
-solves at the closed bracket's end with the smaller |S|: once on square
-and log, whose faces are points; at both ends on a polyline, which finds
-the face at p once, for its exposures and the decision the report carries.
+the path in O(vertices), valuing each segment's line at its ends with
+the segment's exposure and signing each special p's face over its value
+range, and the first segment whose line turns negative is the bracket.
+Stage 2 is one method for every game: S is continuous in p inside the
+bracket, so a safeguarded Illinois regula falsi steps to the secant
+point, or bisects where a step lands within the face tolerance of a
+special p, whose wide face has no value.  Its evaluations run in plain
+Python floats with the scan's arithmetic: the same expressions in the
+same order, and np.log.  Stage 3 solves at the closed bracket's end with
+the smaller |S|: once on square and log, whose faces are points; at both
+ends on a polyline, which finds the face at p once, for its exposures
+and the decision the report carries.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -80,10 +81,8 @@ from defcast.games import Decision, DomainError, Forecast, Game, GameKind
 from defcast.kernels import (Kernel, KernelExpansion, KernelKind, ordered_dot,
                              rounded_sum, two_sum)
 
-# points of the stage-1 p-grid; on [0, 1], a polyline's bracket is one of
-# its cells
+# points of the stage-1 p-grid of square and log
 _P_GRID = 1024
-_GRID = tuple(np.linspace(0.0, 1.0, _P_GRID).tolist())
 
 # unit roundoff and least normal number of a float64
 _U = 2.0 ** -53
@@ -222,7 +221,7 @@ class Forecaster:
             top = np.geomspace(max(delta, _U), 0.5, _P_GRID // 2)
             return np.concatenate([np.geomspace(delta, 0.5, _P_GRID // 2),
                                    1.0 - top[::-1][1:]])
-        return np.array(_GRID)
+        return np.linspace(0.0, 1.0, _P_GRID)
 
     def _scan_terms(self, delta: float) -> tuple:
         """(grid, e_hi, a*e_hi^2) of the scan, cached per delta."""
@@ -417,42 +416,25 @@ class Forecaster:
 
         Between two faces of the path e is constant, so S is the line
         (e^2/2 + A*e + B) - p*(e^2 + K(x,x)), non-increasing as K(x,x) >= 0.
-        Entered with sign s0 > 0, a segment holds a root where its line
-        crosses zero before the end face; else the end face is signed.
+        Entered with sign s0 > 0, a segment holds a root where its line,
+        valued with the segment's exposure in the scan's arithmetic, is
+        negative at the end face; at the start it is positive, as the
+        start face's value range is.  The segment is stage 2's bracket.
+        Else the end face is signed.
         """
         path = self._path
         s0 = self._s_at(0.0, A, B, C, path[0][1])[0]
         if s0 == 0:
             return self._solve_at(0.0, A, B, C)
-        for lo, hi in zip(path, path[1:]):
-            e = lo[1][1]
-            den = e * e - C
-            if s0 > 0 and den > 0.0:
-                root = (0.5 * e * e + A * e + B) / den
-                if root < hi[0]:
-                    return self._refine_cell(root, lo, hi, s0, A, B, C)
-            if self._s_at(hi[0], A, B, C, hi[1])[0] != s0:
-                return self._solve_at(hi[0], A, B, C)
+        for (pa, (_, e)), (pb, face) in zip(path, path[1:]):
+            if s0 > 0:
+                vb = 0.5 * (1.0 - 2.0 * pb) * e * e + A * e + (B + C * pb)
+                if vb < 0.0:
+                    va = 0.5 * (1.0 - 2.0 * pa) * e * e + A * e + (B + C * pa)
+                    return self._refine(pa, va, pb, vb, s0, A, B, C)
+            if self._s_at(pb, A, B, C, face)[0] != s0:
+                return self._solve_at(pb, A, B, C)
         return self._endpoint(s0)
-
-    def _refine_cell(self, root, lo, hi, s0, A, B, C) -> RootReport:
-        """Stage 2 on the grid cell that holds a segment's root, cut at the
-        segment's end faces lo and hi: the bracket, with its end values,
-        that a scan of the grid refines, except that a scan would solve at
-        a wide end face whose value range holds zero.  Where rounding at a
-        grid point leaves no sign change in the cell, solve at the root.
-        """
-        root = max(root, math.nextafter(lo[0], hi[0]))
-        j = bisect.bisect_left(_GRID, root)  # _GRID[j - 1] < root <= _GRID[j]
-        pa, pb = max(_GRID[j - 1], lo[0]), min(_GRID[j], hi[0])
-        inside = (lo[1][1],) * 2  # the segment's exposure
-        sa, fa = self._s_at(pa, A, B, C, lo[1] if pa == lo[0] else inside)
-        sb, fb = self._s_at(pb, A, B, C, hi[1] if pb == hi[0] else inside)
-        if sb == 0 and fb == fb:  # a zero at a point, not a wide face
-            return self._solve_at(pb, A, B, C)
-        if sa != s0 or sb == s0:
-            return self._solve_at(root, A, B, C)
-        return self._refine(pa, fa, pb, fb, s0, A, B, C)
 
     def _endpoint(self, s: int) -> RootReport:
         p = (1.0 + s) / 2.0
@@ -464,13 +446,14 @@ class Forecaster:
         """Shrink the bracket [pa, pb] (signs s0, -s0) to adjacent floats.
 
         Illinois regula falsi on the values fa, fb: the secant point, or
-        the midpoint when a value is NaN; the retained end's value halves
+        the midpoint when the secant is NaN; the retained end's value halves
         when the same end is replaced twice in a row.  A secant point that
         rounds onto an end moves to the next float inside, so a root within
         an ulp of one end is closed in a step or two, not by halving.  No
         special p sits strictly inside, so S is continuous on (pa, pb).
         Stage 3 solves at the end with the smaller |S|, pa on a tie, by the
-        ends' values on square and log; a polyline or a NaN end solves both.
+        ends' values on square and log; a polyline solves both, as its
+        ends' values use the segment's exposure, not a special p's face.
         """
         nextafter, s_at = math.nextafter, self._s_at
         side = 0  # -1 after pa was replaced, 1 after pb was
@@ -500,8 +483,7 @@ class Forecaster:
                 if side > 0:
                     fa *= 0.5
                 pb, fb, vb, side = pm, f, f, 1
-        # no end of a scanned bracket is NaN; this guards direct callers
-        if self._path is None and va == va and vb == vb:
+        if self._path is None:
             return self._solve_at(pb if abs(vb) < abs(va) else pa, A, B, C)
         ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
         return rb if rb.s_residual < ra.s_residual else ra  # a tie: pa's

@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defcast.experiments import ExperimentConfig, read_round_log, run
-from defcast.forecaster import Forecaster
+from defcast.experiments import ExperimentConfig, run
 from defcast.games import Game
 from defcast.kernels import Kernel
-from exact_margin import exact_certificate
+from exact_margin import exact_margins
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "battery_summary.json"
@@ -29,7 +28,7 @@ RECORDED_NUMPY = "2.4.6"
 def test_battery_reproduces_recorded_summary(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT),
-         "--horizon", "1000", "--seed", "77", "--out", str(tmp_path)],
+         "--horizon", "1000", "--out", str(tmp_path)],
         capture_output=True, text=True)
     summary = tmp_path / "summary.json"
     assert summary.exists(), proc.stderr
@@ -44,30 +43,15 @@ def test_battery_reproduces_recorded_summary(tmp_path):
     assert "every certify reproduces its run" in proc.stdout
 
 
-def exact_margins(out: Path) -> dict:
-    """Per battery run: its exact large-number margin (tests/exact_margin.py
-    on the float Gram), from its round log, and its report's lhs and
-    verdict."""
-    margins, kernel = {}, Kernel.sobolev()
-    for run_dir in sorted(p for p in out.iterdir() if p.is_dir()):
-        fc = Forecaster(Game.from_json(run_dir.name.split("_")[0]), kernel)
-        fc.load(*read_round_log(run_dir / "round_log.csv", (
-            "x", "p", "q", "y", "s_residual", "branch"))[1])
-        exact = exact_certificate(
-            *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
-            kernel.gram(fc.column("x")).tolist())
-        cert = json.loads((run_dir / "regret_report.json").read_text())[
-            "large_numbers_certificate"]
-        margins[run_dir.name] = exact["margin"], cert["lhs"], cert["pass"]
-    return margins
-
-
-# Runs at H = 32, seed 77 whose verdict is not their exact margin's sign.
-# absolute_adversarial's exact margin is +4.4e-16 (+3.4e-16 with a 50-digit
-# kernel), half an ulp of its lhs, and its verdict is a fail: its rhs, a
-# float sum, is 0.69 ulp below the exact one, and the closed form's lhs is
-# 3.4e-16 above the 50-digit one, from numpy's exp in the kernel factors
-SUB_ULP_DISAGREEMENTS = ["absolute_adversarial"]
+# Runs at H = 32, seed 77 whose verdict is not their exact margin's sign;
+# each exact margin is below an ulp of its lhs, 8.9e-16.
+# absolute_adversarial's exact margin is +3.1e-16 (+2.0e-16 with a 50-digit
+# kernel), and its verdict is a fail: its rhs, a float sum, is 0.61 ulp
+# below the exact one, and its lhs 4.4e-16 above the 50-digit one, from
+# numpy's exp in the kernel factors.  absolute_iid_logistic's is -1.25e-16
+# (-2.3e-16), and its verdict is a pass: its lhs is 3.4e-16 below the
+# 50-digit one, and the slack undercounts 2 sum r_n S_n
+SUB_ULP_DISAGREEMENTS = ["absolute_adversarial", "absolute_iid_logistic"]
 
 
 @pytest.mark.parametrize("bits_off", [0, 1])
@@ -75,7 +59,7 @@ def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
                                                       capsys, bits_off):
     # H = 32, seed 77.  With bits_off = 0 nothing differs, and main() fails
     # exactly when some run's exact margin is negative, as it is on
-    # absolute_iid_logistic (-1.95e-16 against a slack of 5.8e-16: the
+    # absolute_iid_logistic (-1.25e-16 against a slack of 5.8e-16: the
     # slack undercounts 2 sum r_n S_n).  Each run's verdict is its exact
     # margin's sign, except where that margin is below an ulp of lhs
     spec = importlib.util.spec_from_file_location("run_battery", SCRIPT)
@@ -96,15 +80,17 @@ def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
     code = battery.main()
     out = capsys.readouterr().out
     assert out.count("CERTIFY MISMATCH") == 13 * bits_off
-    margins = exact_margins(tmp_path)
+    margins = {}
+    for game in ("square", "absolute", "log"):
+        margins.update(exact_margins(tmp_path.glob(f"{game}_*"),
+                                     Game.from_json(game), Kernel.sobolev()))
     assert len(margins) == 12
-    disagree = [name for name, (margin, _, passed) in margins.items()
-                if passed != (margin >= 0)]
+    disagree = sorted(name for name, m in margins.items()
+                      if m.passed != (m.exact >= 0))
     assert disagree == SUB_ULP_DISAGREEMENTS
     for name in disagree:
-        margin, lhs, _ = margins[name]
-        assert abs(margin) < math.ulp(lhs), name
-    negative = any(margin < 0 for margin, _, _ in margins.values())
+        assert abs(margins[name].exact) < math.ulp(margins[name].lhs), name
+    negative = any(m.exact < 0 for m in margins.values())
     assert code == int(bool(bits_off) or negative)
 
 
@@ -121,7 +107,7 @@ WORKLOAD_LOGS = {
                                                  [0.5, 0.2], [1.0, 0.0]]},
          "kernel": {"kind": "gaussian", "width": 0.5},
          "generator": {"kind": "adversarial"}},
-        "70e92349a46b2209b3dc785de5445d4884e854bd7af608dbe4b9ab0e847620e8"),
+        "de68891ee93867683afc32f172d8a1950ae789795b83c2299b30e76255e313d1"),
     "log-sobolev-audit": (
         {"game": "log", "kernel": {"kind": "sobolev"},
          "generator": {"kind": "deterministic", "threshold": 0.0,

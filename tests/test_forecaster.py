@@ -332,7 +332,7 @@ def test_refine_closes_log_roots_below_the_first_delta():
 def test_refine_takes_few_steps(game, kernel, monkeypatch):
     # bisection takes about 43 steps from a grid bracket to adjacent floats,
     # and a secant that falls back to the midpoint whenever it rounds onto
-    # an end about 9 to 11; this one takes about 5 (1.6 on the polyline)
+    # an end about 9 to 11; this one takes about 5 (1.4 on the polyline)
     calls = scalar_evaluations(monkeypatch)
     fc = BracketRecorder(game, kernel)
     rng = np.random.default_rng(97)
@@ -464,17 +464,9 @@ def test_stage_3_keeps_pa_on_a_tie():
     assert fc.brackets[-1] == (True, [pb])
 
 
-def test_stage_3_solves_both_ends_where_an_end_has_no_value():
-    # with fa NaN the smaller |S| cannot be read from the values
-    fc = TwoSolveAudit(Game.square(), SOB)
-    pa, _, pb, fb, B = adjacent_bracket(fc, 4)
-    rep = fc._refine(pa, math.nan, pb, fb, 1, 0.0, B, 0.0)
-    assert rep.forecast.p == pb and fc.brackets == [(True, [pa, pb])]
-
-
 def test_stage_3_solves_both_ends_of_a_polyline_bracket():
-    # the walk signs a cell's ends with the segment's exposure, _solve_at
-    # finds p's face again: a polyline keeps both solves
+    # the walk values a segment's ends with its exposure, _solve_at finds
+    # p's face again: a polyline keeps both solves
     fc = TwoSolveAudit(POLY, SOB)
     rng = np.random.default_rng(97)
     for _ in range(300):
@@ -525,9 +517,9 @@ def assert_first_sign_change(game, kernel, A, B, C):
 # a root at a subnormal p: the secant's product fa * (pb - pa) underflows
 @example(Game.custom([(0.0, 0.0), (1.0, -1.0)]), 0.0, 2.225073858507e-311,
          -1.0)
-# the segment's root is grid point 1: _refine_cell solves at a zero there
+# the segment's root is within rounding of 1/1023, a point of the p-grid
 @example(Game.absolute(), 0.0, -0.49853372434017595, -0.5)
-# rounding at the cell's grid points leaves no sign change in it
+# a root within rounding of the p-grid point 145/1023
 @example(Game.absolute(), 0.0, -0.28739002932551316, -0.5)
 # a root one ulp below p = 1/2: no root of _solve_at's quadratic lies on
 # the wide face, which takes the end nearer zero
@@ -550,13 +542,40 @@ def test_walk_takes_the_first_sign_change_where_k_vanishes(game, A, B):
     assert_first_sign_change(game, kernel, A, B, C)
 
 
+class EntryRecorder(Forecaster):
+    """Records each stage-2 bracket as it is entered: (pa, fa, pb, fb)."""
+
+    def __init__(self, game, kernel):
+        super().__init__(game, kernel)
+        self.entries = []
+
+    def _refine(self, pa, fa, pb, fb, s0, A, B, C):
+        self.entries.append((pa, fa, pb, fb))
+        return super()._refine(pa, fa, pb, fb, s0, A, B, C)
+
+
+@given(convex_polylines(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(-5.0, 0.0))
+# roots in the segments [0, 1/2] and [1/2, 1] of absolute loss
+@example(Game.absolute(), 0.0, -0.28739002932551316, -0.5)
+@example(Game.absolute(), 0.0, 0.5, -0.5)
+def test_walk_brackets_a_root_by_its_segment(game, A, B, C):
+    # stage 2 starts from the segment whose line turns negative: its ends
+    # are consecutive points of the path, valued positive and negative
+    fc = EntryRecorder(game, SOB)
+    fc._walk(A, B, C)
+    ps = [p for p, _ in fc._path]
+    for pa, fa, pb, fb in fc.entries:
+        assert ps[ps.index(pa) + 1] == pb
+        assert fa > 0.0 > fb
+
+
 def test_walk_takes_the_root_before_a_straddling_face():
     # absolute loss with the Sobolev K(x, x) = 1/2: below p = 1/2 S is
-    # 1/2 + A + B - 3p/2, whose root sits 1e-4 below 1/2, inside the
-    # last grid cell before it.  The face at 1/2 runs from A + B - 1/4 < 0
-    # at e = 1 to -A + B - 1/4 > 0 at e = -1, so its value range holds
-    # zero; taking the first grid point whose sign is not S(0)'s solves on
-    # that face instead, at p = 1/2.
+    # 1/2 + A + B - 3p/2, whose root sits 1e-4 below 1/2.  The face at
+    # 1/2 runs from A + B - 1/4 < 0 at e = 1 to -A + B - 1/4 > 0 at
+    # e = -1, so its value range holds zero; a walk that signed only the
+    # faces would solve on that face instead, at p = 1/2.
     A, B, C = -0.5 - 1.5e-4, 0.75, -0.5
     fc = BracketRecorder(Game.absolute(), SOB, (A, B, C))
     rep = fc.next_forecast(0.0)
