@@ -95,7 +95,8 @@ def exact_margins(run_dirs, game, kernel) -> dict:
 def main(argv=None) -> int:
     from defcast.games import Game
     from defcast.kernels import Kernel
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = argparse.ArgumentParser(
+        description="shipped and exact large-number margins of runs")
     ap.add_argument("--game", required=True)
     ap.add_argument("--kernel", default="sobolev")
     ap.add_argument("run_dirs", nargs="+", metavar="RUN_DIR")
