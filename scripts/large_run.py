@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Run and certify square and log loss at a large horizon (default 10^5).
+"""Run and certify three fixed runs at a large horizon (default 10^5).
 
-For square and log loss with the Sobolev kernel on iid_logistic data, the
-script writes a config at --horizon and seed 7, runs `defcast run` on it and
-then `defcast certify` on the run's round log.  Each of the four commands
-runs in a process of its own, which times its phases and reads its own peak
-RSS (ru_maxrss of RUSAGE_SELF; RUSAGE_CHILDREN would merge the children).
-Per game it prints:
+The runs are square and log loss with the Sobolev kernel on iid_logistic
+data, and `polyline`: a four-vertex polyline game with the Gaussian kernel
+(width 0.5) on adversarial data, the perfbench polyline workload's config.
+For each, the script writes a config at --horizon and seed 7, runs
+`defcast run` on it and then `defcast certify` on the run's round log, with
+the run's game and kernel as JSON.  Each of the six commands runs in a
+process of its own, which times its phases and reads its own peak RSS
+(ru_maxrss of RUSAGE_SELF; RUSAGE_CHILDREN would merge the children).
+Per run it prints:
 
 - run: the process's wall time, and the time of its phases: the rounds, the
   data generator's share of them, the report and the round-log export;
@@ -35,9 +38,15 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent
 SRC = SCRIPTS.parent / "src"
 
-GAMES = ("square", "log")
 SEED = 7
-GENERATOR = {"kind": "iid_logistic", "weights": [0.0, 2.0]}
+IID = {"kind": "iid_logistic", "weights": [0.0, 2.0]}
+# name: (game, kernel, generator)
+RUNS = {"square": ("square", "sobolev", IID),
+        "log": ("log", "sobolev", IID),
+        "polyline": ({"kind": "custom",
+                      "boundary": [[0, 1], [0.2, 0.5], [0.5, 0.2], [1, 0]]},
+                     {"kind": "gaussian", "width": 0.5},
+                     {"kind": "adversarial"})}
 COMPARATORS = [{"centers": [], "weights": []},
                {"centers": [-0.5, 0.5], "weights": [0.6, -0.6]}]
 
@@ -54,6 +63,8 @@ def child(command: str, argv: list) -> None:
     phases = {"run": [(experiments, "run_engine", "rounds"),
                       (experiments.UniformData, "datum", "generator"),
                       (experiments.IidLogistic, "outcome", "generator"),
+                      (experiments.AdversarialAntiForecast, "outcome",
+                       "generator"),
                       (Engine, "regret_report", "report"),
                       (Engine, "regret_curve", "report"),
                       (Engine, "round_log_rows", "export")],
@@ -112,36 +123,38 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    print(f"horizon {args.horizon}, seed {SEED}, Sobolev kernel, "
-          f"iid_logistic data")
+    print(f"horizon {args.horizon}, seed {SEED}; square and log: Sobolev "
+          f"kernel, iid_logistic data; polyline: Gaussian kernel, "
+          f"adversarial data")
     ok = True
-    for game in GAMES:
-        run_dir = out / game
-        config = out / f"{game}.config.json"
+    for name, (game, kernel, generator) in RUNS.items():
+        run_dir = out / name
+        config = out / f"{name}.config.json"
         config.write_text(json.dumps({
-            "game": game, "kernel": "sobolev", "generator": GENERATOR,
+            "game": game, "kernel": kernel, "generator": generator,
             "horizon": args.horizon, "seed": SEED,
             "comparators": COMPARATORS}))
         ran, _ = step("run", "--config", str(config), "--out", str(run_dir))
         log = run_dir / "round_log.csv"
         certified, printed = step("certify", "--log", str(log),
-                                  "--game", game, "--kernel", "sobolev")
+                                  "--game", json.dumps(game),
+                                  "--kernel", json.dumps(kernel))
         report = json.loads((run_dir / "regret_report.json").read_text())
         cert = report["large_numbers_certificate"]
         again = json.loads(printed)["large_numbers_certificate"]
         same = again == cert
         ok = ok and ran["code"] == 0 and certified["code"] == 0 and same
-        for name, record in (("run", ran), ("certify", certified)):
-            print(f"{game:<6} {name:<7} {record['wall']:7.2f} s wall "
+        for command, record in (("run", ran), ("certify", certified)):
+            print(f"{name:<8} {command:<7} {record['wall']:7.2f} s wall "
                   f"({times(record)}); ru_maxrss "
                   f"{record['maxrss_kb'] / 1024:.1f} MB")
-        print(f"{game:<6} verdicts: run "
+        print(f"{name:<8} verdicts: run "
               f"{'pass' if ran['code'] == 0 else 'FAIL'}; large-number "
               f"margin {cert['margin']!r} (lhs {cert['lhs']!r}, rhs "
               f"{cert['rhs']!r}, slack {cert['slack']!r}); certify "
               f"{'pass' if again['pass'] else 'FAIL'}, "
               f"{'reproduces the run' if same else 'DIFFERS from the run'}")
-        print(f"{game:<6} round log sha256 "
+        print(f"{name:<8} round log sha256 "
               f"{hashlib.sha256(log.read_bytes()).hexdigest()}")
     return 0 if ok else 1
 

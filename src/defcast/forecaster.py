@@ -63,8 +63,8 @@ or two) grids, each filled on first use; each round computes only
 the constant term B + C*p, the values and the first sign change.  The
 falling-S bracket reads the delta = 1e-6 scan's terms as Python lists,
 with beta's coefficients, cached beside them.  A polyline's path faces
-are computed once per forecaster.  _ranges_on is the uncached reference
-whose signs the scan, the walk and _s_at must all match.
+are computed once per forecaster.  tests/reference.py's ranges_on is the
+uncached reference whose signs the scan, the walk and _s_at must match.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ class Forecaster:
         """(grid, values, s0, i) of S on the grid at delta, where every face
         is a point: s0 is the sign of the first value, and i the index of
         the first value whose sign is not s0, the first index of
-        np.nonzero(_sgn(v, v) != s0) (NaN has sign 0); i is 0 when s0 is 0
-        or no sign differs.  One comparison and one argmin find it."""
+        np.nonzero(sgn(v, v) != s0) for tests/reference.py's sgn (NaN has
+        sign 0), or 0 when s0 is 0 or no sign differs.  An argmin finds it."""
         grid, e_hi, quad = self._scan_terms(delta)
         v = quad + A * e_hi + (B + C * grid)
         v0 = float(v[0])
@@ -345,35 +345,11 @@ class Forecaster:
             return self._refine(g[j - 1], va, g[j], vb, 1, A, B, C)
         return self._solve_at(g[j], A, B, C)  # a zero or NaN: sign 0
 
-    def _ranges_on(self, ps: np.ndarray, A: float, B: float, C: float):
-        """Min and max of S over the face at each p (vectorized)."""
-        e_hi, e_lo = self.game.exposure_interval_arrays(ps)
-        a = 0.5 * (1.0 - 2.0 * ps)
-        c = B + C * ps
-        v1 = a * e_hi * e_hi + A * e_hi + c
-        v2 = a * e_lo * e_lo + A * e_lo + c
-        lo = np.minimum(v1, v2)
-        hi = np.maximum(v1, v2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ev = np.where(a != 0.0, -A / (2.0 * np.where(a == 0.0, 1.0, a)),
-                          np.nan)
-        inside = (e_hi > e_lo) & np.isfinite(ev) & (ev > e_lo) & (ev < e_hi)
-        if np.any(inside):
-            vv = a * ev * ev + A * ev + c
-            lo = np.where(inside, np.minimum(lo, vv), lo)
-            hi = np.where(inside, np.maximum(hi, vv), hi)
-        return lo, hi
-
-    @staticmethod
-    def _sgn(lo, hi):
-        """1 where lo > 0, -1 where hi < 0, else 0 (NaN included); lo <= hi."""
-        return (lo > 0.0).view(np.int8) - (hi < 0.0).view(np.int8)
-
     def _s_at(self, p: float, A: float, B: float, C: float, exposures=None):
         """(sign, value) of S at a scalar p on the face with exposures
         (e_hi, e_lo), p's own face by default, in the scan's arithmetic; on
-        a wide face, the sign of its value range by _ranges_on's rule and
-        the value NaN."""
+        a wide face, the sign of its value range by the rule of
+        tests/reference.py's ranges_on and the value NaN."""
         e_hi, e_lo = exposures or self.game.exposure_interval_arrays(p)
         if e_hi == e_lo:
             v = 0.5 * (1.0 - 2.0 * p) * e_hi * e_hi + A * e_hi + (B + C * p)

@@ -155,22 +155,6 @@ class Game:
         a, b = self._boundary_pair(gamma)
         return b if y else a
 
-    def expected_loss(self, p: float, gamma: float) -> float:
-        """Expected loss of gamma when the probability of outcome 1 is p."""
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"p={p} outside [0,1]")
-        return p * self.loss(1, gamma) + (1.0 - p) * self.loss(0, gamma)
-
-    def exposure(self, gamma: float) -> float:
-        """Sensitivity of the decision's loss to the outcome: loss1 - loss0."""
-        self._check_gamma(gamma)
-        if self.kind is GameKind.SQUARE:
-            return 1.0 - 2.0 * gamma
-        if self.kind is GameKind.LOG:
-            return math.log((1.0 - gamma) / gamma)
-        a, b = self._boundary_pair(gamma)
-        return b - a
-
     # -- choice function --------------------------------------------------
 
     def check_forecast(self, f: Forecast) -> None:

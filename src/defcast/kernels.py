@@ -359,24 +359,9 @@ class Kernel:
             return np.array([float(self.diag(x)) for x in points])
         return self.diag(np.asarray(points, dtype=float))
 
-    def gram(self, points) -> np.ndarray:
-        """Gram matrix of a nonempty point list."""
-        pts = list(points)
-        if not pts:
-            raise KernelError("gram needs at least one point")
-        if self.kind is KernelKind.CUSTOM:
-            n = len(pts)
-            g = np.empty((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    g[i, j] = g[j, i] = float(self.func(pts[i], pts[j]))
-            return g
-        xs = np.asarray(pts, dtype=float)
-        return np.asarray(self(xs[:, None], xs[None, :]))
-
     def quad_parts(self, points, w, w_lo=None) -> tuple:
-        """Floats whose exact sum is w @ gram(points) @ w for the weights
-        w + w_lo (w_lo: zeros); () for no points.  Sobolev and linear are
+        """Floats whose exact sum is w @ G @ w, G the Gram matrix of points,
+        for w + w_lo (w_lo: zeros); () for no points.  Sobolev and linear are
         closed forms to double-double precision, in O(N log N) time, O(N)
         memory and no BLAS call: linear is (sum w x)^2 + offset (sum w)^2 by
         TwoProduct and Sum2, Sobolev is _sobolev_form.  w, w_lo and the
@@ -408,7 +393,7 @@ class Kernel:
                 *_unscaled(p, t + lo * offset, 2 * kw + ko))
 
     def quad_form(self, points, w) -> float:
-        """w @ gram(points) @ w: quad_parts, rounded once."""
+        """w @ G @ w, G the points' Gram matrix: quad_parts, rounded once."""
         return rounded_sum(self.quad_parts(points, w))
 
 
@@ -428,10 +413,6 @@ class KernelExpansion:
         if len(centers) != len(weights):
             raise KernelError("centers and weights must have equal length")
         return KernelExpansion(centers, weights, kernel)
-
-    @staticmethod
-    def zero(kernel: Kernel) -> "KernelExpansion":
-        return KernelExpansion((), (), kernel)
 
     @staticmethod
     def from_json(doc, kernel: Kernel) -> "KernelExpansion":

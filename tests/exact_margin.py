@@ -77,6 +77,7 @@ def exact_margins(run_dirs, game, kernel) -> dict:
     its round_log.csv on kernel's float Gram, with e from game.choices as
     Forecaster.load takes it, and the large-number certificate of its
     regret_report.json."""
+    import reference
     from defcast.experiments import read_round_log
     margins = {}
     for run_dir in map(Path, run_dirs):
@@ -84,7 +85,7 @@ def exact_margins(run_dirs, game, kernel) -> dict:
             run_dir / "round_log.csv", ("x", "p", "q", "y", "s_residual"))[1]
         _, loss0, loss1 = game.choices(p, q)
         exact = exact_certificate(p, y, (loss1 - loss0).tolist(), s_residual,
-                                  kernel.gram(x).tolist())
+                                  reference.gram(kernel, x).tolist())
         cert = json.loads((run_dir / "regret_report.json").read_text())[
             "large_numbers_certificate"]
         margins[run_dir.name] = RunMargin(exact["margin"], cert["margin"],

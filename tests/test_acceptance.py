@@ -20,6 +20,7 @@ from defcast.games import Game
 from defcast.kernels import Kernel, KernelExpansion
 from defcast.protocol import Engine
 from oracle import oracle_forecast
+import reference
 
 SOB = Kernel.sobolev()
 FIXTURE = Path(__file__).parent / "fixtures" / "replay_fixture.csv"
@@ -45,7 +46,7 @@ def matched_targets(gen_name):
 
 def fit_expansion(targets):
     """Interpolate targets at CENTERS, scaled so sup |f| stays below 1."""
-    g = SOB.gram(CENTERS)
+    g = reference.gram(SOB, CENTERS)
     alpha = np.linalg.solve(g, np.asarray(targets, dtype=float))
     f = KernelExpansion.build(CENTERS, alpha, SOB)
     sup = float(np.max(np.abs(f(np.linspace(-1, 1, 2001)))))
@@ -87,7 +88,7 @@ def battery():
                 y = gen.outcome(77, n, x, engine.pending_forecast.p)
                 engine.observe(y)
             comparators = [
-                KernelExpansion.zero(SOB),
+                KernelExpansion((), (), SOB),
                 random_unit_expansion(rng),
                 fit_expansion(matched_targets(gen_name)),
             ]

@@ -14,7 +14,7 @@ import pytest
 from defcast.experiments import ExperimentConfig, run
 from defcast.games import Game
 from defcast.kernels import Kernel
-from exact_margin import exact_margins
+from exact_margin import exact_margins, main as exact_margin_main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "battery_summary.json"
@@ -92,6 +92,26 @@ def test_battery_fails_when_certify_differs_in_one_bit(tmp_path, monkeypatch,
         assert abs(margins[name].exact) < math.ulp(margins[name].lhs), name
     negative = any(m.exact < 0 for m in margins.values())
     assert code == int(bool(bits_off) or negative)
+
+
+def test_exact_margin_prints_the_shipped_and_the_exact_margin(tmp_path,
+                                                             capsys):
+    # tests/exact_margin.py's command line prints, per run, the report's
+    # margin and the exact one to 17 digits, and the first in ulps of lhs
+    config = ExperimentConfig.from_json({
+        "game": "square", "kernel": "sobolev",
+        "generator": {"kind": "iid_logistic"}, "horizon": 32, "seed": 7})
+    run_dir = tmp_path / "square_iid"
+    cert = run(config, run_dir).report["large_numbers_certificate"]
+    capsys.readouterr()
+    assert exact_margin_main(["--game", "square", str(run_dir)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["run", "shipped", "exact", "ulps", "of", "lhs"]
+    exact = exact_margins([run_dir], Game.square(), Kernel.sobolev())
+    assert row.split() == [
+        "square_iid", f"{cert['margin']:.17g}",
+        f"{float(exact['square_iid'].exact):.17g}",
+        f"{cert['margin'] / math.ulp(cert['lhs']):.4g}"]
 
 
 # the configs of perfbench/run.py's three workloads, and the SHA-256 of

@@ -26,6 +26,7 @@ from defcast.kernels import Kernel, KernelExpansion, ordered_dot
 from defcast.protocol import Engine
 from exact_margin import exact_certificate
 import quad_reference
+import reference
 from oracle import oracle_forecast
 from test_games import convex_polylines
 
@@ -125,7 +126,8 @@ PARITY_IDS = ["square", "absolute", "log", "custom"]
 
 def array_sign(fc, p, A, B, C):
     with np.errstate(all="ignore"):
-        return int(fc._sgn(*fc._ranges_on(np.array([p]), A, B, C))[0])
+        return int(reference.sgn(*reference.ranges_on(
+            fc.game, np.array([p]), A, B, C))[0])
 
 
 @given(st.floats(0.0, 1.0), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
@@ -490,14 +492,14 @@ SINGLE_VERTEX = Game.custom([(0.3, 0.7)])
 
 def assert_first_sign_change(game, kernel, A, B, C):
     """next_forecast at fixed (A, B, C) takes the first sign change of
-    _ranges_on on a dense grid that holds every special p: the branch, and
-    on a root round a p between the grid points that bracket the change
-    (to a few ulps), or p = 0 where the sign at 0 is 0."""
+    reference.ranges_on on a dense grid that holds every special p: the
+    branch, and on a root round a p between the grid points that bracket
+    the change (to a few ulps), or p = 0 where the sign at 0 is 0."""
     fc = BracketRecorder(game, kernel, (A, B, C))
     rep = fc.next_forecast(0.0)
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2049),
                                      game.special_ps()]))
-    sgn = fc._sgn(*fc._ranges_on(grid, A, B, C))
+    sgn = reference.sgn(*reference.ranges_on(fc.game, grid, A, B, C))
     flips = np.nonzero(sgn != sgn[0])[0]
     if sgn[0] == 0:
         assert rep.branch is Branch.ROOT and rep.forecast.p == 0.0
@@ -895,7 +897,8 @@ def test_cached_scan_equals_uncached_ranges(game):
             with np.errstate(invalid="ignore"):
                 v = fc._scan(delta, A, B, C)[1]
                 assert np.array_equal(
-                    fc._sgn(v, v), fc._sgn(*fc._ranges_on(grid, A, B, C)))
+                    reference.sgn(v, v), reference.sgn(
+                        *reference.ranges_on(fc.game, grid, A, B, C)))
         assert fc._scan_terms(delta)[0] is grid  # filled once per grid
 
 
@@ -922,7 +925,7 @@ def test_scan_finds_the_first_sign_change(name, delta, A, B, C, zero_at):
             k = zero_at % len(grid)  # a log grid has one point fewer
             C, B = 0.0, -float(quad[k] + A * e_hi[k])
         _, v, s0, i = fc._scan(delta, A, B, C)
-        sgn = fc._sgn(*fc._ranges_on(grid, A, B, C))
+        sgn = reference.sgn(*reference.ranges_on(fc.game, grid, A, B, C))
     assert s0 == sgn[0]
     flips = np.nonzero(sgn != s0)[0]
     assert i == (int(flips[0]) if s0 and flips.size else 0)
@@ -1172,7 +1175,7 @@ def test_log_loss_runs_at_every_kernel_scale(tmp_path, k):
         assert abs(e - want) <= 4.0 * math.ulp(want)
     exact = exact_certificate(
         *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
-        kernel.gram(fc.column("x")).tolist())
+        reference.gram(kernel, fc.column("x")).tolist())
     assert 0 <= exact["margin"] <= 10 * exact["slack"]
     log = tmp_path / "round_log.csv"
     log.write_text("\n".join(engine.round_log_rows()) + "\n")
@@ -1346,7 +1349,7 @@ def test_k29_equals_the_gram_formulas():
             for i, (x, p, q, y) in enumerate(rows):
                 fc.update((i, x) if opaque else x, Forecast(p, q), y)
         resid, es, ps, xs = (fc.column(c) for c in ("residual", "e", "p", "x"))
-        gram = kernel.gram(xs)
+        gram = reference.gram(kernel, xs)
         rhs = float(np.sum(ps * (1.0 - ps) * (es * es + np.diag(gram))))
         got, got_rhs = fc.k29_certificate()
         assert got_rhs == rhs
@@ -1412,7 +1415,7 @@ def test_large_numbers_verdict_is_the_exact_one(seed):
     shipped = fc.large_numbers_certificate()
     exact = exact_certificate(
         *(fc.column(c).tolist() for c in ("p", "y", "e", "s_residual")),
-        config.kernel.gram(fc.column("x")).tolist())
+        reference.gram(config.kernel, fc.column("x")).tolist())
     for key in ("lhs", "rhs", "slack"):
         assert shipped[key] == pytest.approx(float(exact[key]), rel=1e-12)
     assert shipped["pass"] == (exact["margin"] >= 0)
@@ -1498,7 +1501,7 @@ def test_resolution_with_given_values_equals_recomputed():
 
 def test_resolution_zero_expansion():
     fc, _ = run_random(Game.square(), SOB, 20, seed=29)
-    lhs, bound = fc.resolution_certificate(KernelExpansion.zero(SOB))
+    lhs, bound = fc.resolution_certificate(KernelExpansion((), (), SOB))
     assert (lhs, bound) == (0.0, 0.0)
 
 

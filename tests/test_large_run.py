@@ -1,4 +1,4 @@
-"""scripts/large_run.py runs and certifies square and log loss end to end."""
+"""scripts/large_run.py runs and certifies its three runs end to end."""
 
 import hashlib
 import re
@@ -14,11 +14,11 @@ def test_large_run_reports_each_process_and_reproduces_its_runs(tmp_path):
         [sys.executable, str(SCRIPT), "--horizon", "200", "--out",
          str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for game in ("square", "log"):
-        log = tmp_path / game / "round_log.csv"
+    for name in ("square", "log", "polyline"):
+        log = tmp_path / name / "round_log.csv"
         assert len(log.read_text().splitlines()) == 201  # header + rounds
         lines = [ln for ln in proc.stdout.splitlines()
-                 if ln.split()[:1] == [game]]
+                 if ln.split()[:1] == [name]]
         run, certify, verdicts, digest = lines
         assert re.search(r"rounds [\d.]+ s, generator [\d.]+ s, report "
                          r"[\d.]+ s, export [\d.]+ s\); ru_maxrss [\d.]+ MB$",

@@ -19,7 +19,6 @@ METHODS = {
     Forecaster: ("s_value", "coefficients", "k29_certificate"),
     Engine: ("comparator_round_losses", "round_log_rows"),
     Game: ("exposure_interval_arrays", "exposure_interval"),
-    Kernel: ("gram",),
 }
 FUNCTIONS = {experiments: ("run", "run_engine", "certify_log"),
              experiments.ExperimentConfig: ("from_json",),

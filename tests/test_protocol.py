@@ -10,10 +10,11 @@ from defcast.forecaster import _INITIAL_CAPACITY, Branch
 from defcast.games import DomainError, Forecast, Game
 from defcast.kernels import Kernel, KernelExpansion, ordered_dot
 from defcast.protocol import ComparatorError, Engine, UsageError
+import reference
 
 SOB = Kernel.sobolev()
 
-ZERO = KernelExpansion.zero(SOB)
+ZERO = KernelExpansion((), (), SOB)
 
 
 def run_engine_random(game, n_rounds, seed, kernel=SOB):
@@ -437,8 +438,9 @@ def test_exposure_identity_per_round():
         game = Game.from_json(game_name)
         engine = run_engine_random(game, 50, seed=19)
         for r in engine.round_log:
-            lhs = game.loss(r.y, r.gamma) - game.expected_loss(r.p, r.gamma)
-            rhs = (r.y - r.p) * game.exposure(r.gamma)
+            lhs = game.loss(r.y, r.gamma) - reference.expected_loss(
+                game, r.p, r.gamma)
+            rhs = (r.y - r.p) * reference.exposure(game, r.gamma)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
