@@ -8,8 +8,8 @@ the exposure variable e over the optimal face's exposure interval:
 with A the running sum of exposure-weighted residuals and B, C determined
 by the kernel column at the new datum.  Stage 1 brackets the first sign
 change of S in lexicographic order; stage 2 shrinks that bracket to
-adjacent floats; stage 3 solves the quadratic in e analytically and maps e
-back to the tie-breaker q.
+adjacent floats; on a polyline, stage 3 solves the quadratic in e
+analytically and maps e back to the tie-breaker q.
 
 Stage 1 for square and log loss, which have no special ps, takes the
 first sign change of S on a p-grid of point faces.  Where S provably
@@ -39,10 +39,10 @@ bracket, so a safeguarded Illinois regula falsi steps to the secant
 point, or bisects where a step lands within the face tolerance of a
 special p, whose wide face has no value.  Its evaluations run in plain
 Python floats with the scan's arithmetic: the same expressions in the
-same order, and np.log.  Stage 3 solves at the closed bracket's end with
-the smaller |S|: once on square and log, whose faces are points; at both
-ends on a polyline, which finds the face at p once, for its exposures
-and the decision the report carries.
+same order, and np.log.  Square and log faces are points, so each report
+carries the value of S that stage 1 or 2 computed at its p.  A polyline's
+stage 3 solves at both ends of the closed bracket, finding the face at p
+once, for its exposures and the decision the report carries.
 
 The history is one columnar store: a numpy column per field (x, p, q, y,
 exposure e, residual y - p, gamma, loss, s_residual, branch), grown by
@@ -151,6 +151,11 @@ class RootReport(NamedTuple):
     decision: Decision | None = None
 
 
+def _point(p: float, v: float, branch: Branch = Branch.ROOT) -> RootReport:
+    """The report at p on a point face where S has the value v."""
+    return RootReport(Forecast(p, 0.5), abs(v), branch)
+
+
 class Forecaster:
     """State of one online forecasting sequence (single-writer)."""
 
@@ -191,11 +196,9 @@ class Forecaster:
     # -- kernel sums ------------------------------------------------------
 
     def at_x(self, f: KernelExpansion) -> np.ndarray:
-        """f(x_i) for each round: one call over a built-in kernel's float
-        column, one call per point for a custom kernel's opaque points."""
-        if f.kernel.kind is KernelKind.CUSTOM:
-            return np.array([f(x) for x in self.column("x").tolist()])
-        return f(self.column("x"))
+        """f(x_i) for each round: Kernel.sums over the x column at f's
+        centres and weights, with the bits of f at each x alone."""
+        return f.kernel.sums(self.column("x"), *f.arrays)
 
     def coefficients(self, x) -> tuple[float, float, float]:
         """(A, B, C) of the quadratic-in-e form of S at datum x."""
@@ -343,7 +346,7 @@ class Forecaster:
             return None
         if vb < 0.0:
             return self._refine(g[j - 1], va, g[j], vb, 1, A, B, C)
-        return self._solve_at(g[j], A, B, C)  # a zero or NaN: sign 0
+        return _point(g[j], vb)  # a zero or NaN: sign 0
 
     def _s_at(self, p: float, A: float, B: float, C: float, exposures=None):
         """(sign, value) of S at a scalar p on the face with exposures
@@ -375,16 +378,15 @@ class Forecaster:
         grid, v, s0, i = self._scan(_DELTA_START, A, B, C)
         if s0 and not i and self.game.stripped:  # no sign change visible
             grid, v, s0, i = self._scan(_NORMAL_MIN, A, B, C)
-        if s0 == 0:
-            return self._solve_at(float(grid[0]), A, B, C)
+        vi = float(v[i])
+        if not (vi > 0.0 or vi < 0.0):  # sign 0 (s0 == 0 gives i = 0)
+            return _point(float(grid[i]), vi)
         if i:
-            vi = float(v[i])
-            if not (vi > 0.0 or vi < 0.0):  # a zero or NaN: sign 0
-                return self._solve_at(float(grid[i]), A, B, C)
             return self._refine(float(grid[i - 1]), float(v[i - 1]),
                                 float(grid[i]), vi, s0, A, B, C)
         if self.game.stripped:  # the root lies beyond s0's end float
-            return self._solve_at(float(grid[-1 if s0 > 0 else 0]), A, B, C)
+            k = -1 if s0 > 0 else 0
+            return _point(float(grid[k]), float(v[k]))
         return self._endpoint(s0)
 
     def _walk(self, A: float, B: float, C: float) -> RootReport:
@@ -413,9 +415,8 @@ class Forecaster:
         return self._endpoint(s0)
 
     def _endpoint(self, s: int) -> RootReport:
-        p = (1.0 + s) / 2.0
         branch = Branch.ENDPOINT_POSITIVE if s > 0 else Branch.ENDPOINT_NEGATIVE
-        return RootReport(Forecast(p, 0.5), 0.0, branch)
+        return _point((1.0 + s) / 2.0, 0.0, branch)
 
     def _refine(self, pa, fa, pb, fb, s0: int,
                 A: float, B: float, C: float) -> RootReport:
@@ -427,8 +428,8 @@ class Forecaster:
         rounds onto an end moves to the next float inside, so a root within
         an ulp of one end is closed in a step or two, not by halving.  No
         special p sits strictly inside, so S is continuous on (pa, pb).
-        Stage 3 solves at the end with the smaller |S|, pa on a tie, by the
-        ends' values on square and log; a polyline solves both, as its
+        Square and log report the end with the smaller |S|, pa on a tie, with
+        its value, S on its point face; a polyline solves both ends, as its
         ends' values use the segment's exposure, not a special p's face.
         """
         nextafter, s_at = math.nextafter, self._s_at
@@ -450,7 +451,8 @@ class Forecaster:
                     else nextafter(pb, pa)
             s, f = s_at(pm, A, B, C)
             if s == 0:
-                return self._solve_at(pm, A, B, C)
+                return _point(pm, f) if self._path is None \
+                    else self._solve_at(pm, A, B, C)
             if s == s0:
                 if side < 0:
                     fb *= 0.5
@@ -460,30 +462,21 @@ class Forecaster:
                     fa *= 0.5
                 pb, fb, vb, side = pm, f, f, 1
         if self._path is None:
-            return self._solve_at(pb if abs(vb) < abs(va) else pa, A, B, C)
+            return _point(pb, vb) if abs(vb) < abs(va) else _point(pa, va)
         ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
         return rb if rb.s_residual < ra.s_residual else ra  # a tie: pa's
 
     def _solve_at(self, p: float, A: float, B: float, C: float) -> RootReport:
-        """Solve the quadratic in e at fixed p; map e to the tie-breaker q.
-        A polyline's face at p is found once: it gives the exposures here
-        and the report's decision, which the protocol then plays."""
+        """Solve a polyline's quadratic in e on its face at p; map e to the
+        tie-breaker q.  The face is found once: it gives the exposures here
+        and the report's decision, which the protocol then plays.  Square
+        and log faces are points: stage 1 or 2's value is their report."""
         game = self.game
-        if self._path is None:
-            face = None
-            e_hi, e_lo = game.exposure_interval(p)
-        else:
-            face = game._custom_face(p)
-            e_hi, e_lo = game._face_exposures(face)
+        face = game._custom_face(p)
+        e_hi, e_lo = game._face_exposures(face)
         a = 0.5 * (1.0 - 2.0 * p)
         c = B + C * p
-        if e_hi == e_lo:
-            return RootReport(
-                Forecast(p, 0.5), abs(a * e_hi * e_hi + A * e_hi + c),
-                Branch.ROOT,
-                None if face is None else game._face_choice(face, 0.5))
 
-        # a wide face: only a polyline has one
         def phi(e):
             return a * e * e + A * e + c
 
@@ -491,6 +484,8 @@ class Forecaster:
             return RootReport(Forecast(p, q), abs(phi(e)), Branch.ROOT,
                               game._face_choice(face, q))
 
+        if e_hi == e_lo:
+            return report(0.5, e_hi)
         tiny = 1e-14 * (1.0 + abs(A) + abs(c))
         if abs(a) * max(abs(e_hi), abs(e_lo)) ** 2 < tiny and abs(A) * max(
                 abs(e_hi), abs(e_lo)) < tiny:

@@ -420,7 +420,7 @@ class KernelExpansion:
         return KernelExpansion.build(doc["centers"], doc["weights"], kernel)
 
     @functools.cached_property
-    def _arrays(self) -> tuple:
+    def arrays(self) -> tuple:
         """(centers, weights) as read-only arrays, converted once; a custom
         kernel's centres stay its tuple of opaque points."""
         custom = self.kernel.kind is KernelKind.CUSTOM
@@ -446,7 +446,7 @@ class KernelExpansion:
         kernel's x is one opaque point.  At a float array, a built-in
         kernel's entries are Kernel.sums, each with the bits of a call at
         that x alone."""
-        zs, w = self._arrays
+        zs, w = self.arrays
         if self.kernel.kind is KernelKind.CUSTOM or np.ndim(x) == 0:
             return ordered_dot(self.kernel.row(x, zs), w)
         xs = np.asarray(x, dtype=float)

@@ -2,8 +2,10 @@
 
 The tests compare the package against these: the range of the betting
 function S over the face at each p (ranges_on) and its sign (sgn), which
-the forecaster's scan, walk and _s_at must all match; a kernel's Gram
-matrix (gram); and a game's expected loss and exposure of a decision.
+the forecaster's scan, walk and _s_at must all match; |S| on a square or
+log game's point face (point_residual), which each such root report's
+s_residual must equal; a kernel's Gram matrix (gram); and a game's
+expected loss and exposure of a decision.
 Each takes the game or kernel it reads as its first argument.
 """
 
@@ -40,6 +42,13 @@ def ranges_on(game, ps: np.ndarray, A: float, B: float, C: float):
 def sgn(lo, hi):
     """1 where lo > 0, -1 where hi < 0, else 0 (NaN included); lo <= hi."""
     return (lo > 0.0).view(np.int8) - (hi < 0.0).view(np.int8)
+
+
+def point_residual(game, p: float, A: float, B: float, C: float) -> float:
+    """|S| at p on a point face, with the exposure read again from
+    game.exposure_interval(p): the quadratic in e at its one e."""
+    e, _ = game.exposure_interval(p)
+    return abs(0.5 * (1.0 - 2.0 * p) * e * e + A * e + (B + C * p))
 
 
 def gram(kernel, points) -> np.ndarray:

@@ -18,7 +18,8 @@ def test_diff_logs_reports_the_differences(tmp_path, capsys):
     log = run(config, tmp_path / "run").round_log_path
     assert diff_logs.diff_logs(log, log) == {
         "rounds": [12, 12], "max_abs_dp": 0.0, "max_abs_dq": 0.0,
-        "first_divergent_round": None, "y_or_branch_differ": []}
+        "max_abs_ds_residual": 0.0, "first_divergent_round": None,
+        "y_or_branch_differ": []}
 
     lines = log.read_text().splitlines()  # line n holds round n
     header = lines[0].split(",")
@@ -36,8 +37,18 @@ def test_diff_logs_reports_the_differences(tmp_path, capsys):
     assert got["max_abs_dp"] == abs(float(repr(p4 + 2.0 ** -30)) - p4)
     assert got["max_abs_dq"] == abs(float(lines[6].split(",")[3]) - q6)
     assert got["first_divergent_round"] == 4
+    assert got["max_abs_ds_residual"] == 0.0
     assert [d["round"] for d in got["y_or_branch_differ"]] == [8]
     assert got["y_or_branch_differ"][0]["branch"][1] == "endpoint_negative"
+
+    # an s_residual alone differs in round 2: the first divergent round
+    s2 = float(rows[2][header.index("s_residual")])
+    rows[2][header.index("s_residual")] = repr(s2 + 0.125)
+    other.write_text("\n".join(map(",".join, rows)) + "\n")
+    got = diff_logs.diff_logs(log, other)
+    assert got["max_abs_ds_residual"] == abs(float(repr(s2 + 0.125)) - s2)
+    assert got["first_divergent_round"] == 2
+    assert got["max_abs_dp"] == abs(float(repr(p4 + 2.0 ** -30)) - p4)
 
     shorter = tmp_path / "shorter.csv"
     shorter.write_text("\n".join(lines[:9]) + "\n")

@@ -249,20 +249,21 @@ def test_report_contents(tmp_path):
 
 def test_run_evaluates_each_comparator_once_per_round(tmp_path, monkeypatch):
     # the report's losses, its resolution certificate and the regret curve
-    # share one evaluation of each comparator at each x: one call over the
-    # x column per comparator; each call records how many points it took
+    # share one evaluation of each comparator at each x: one Kernel.sums
+    # over the x column per comparator; each call records how many points
+    # it took
     calls = []
-    evaluate = KernelExpansion.__call__
+    sums = Kernel.sums
 
-    def counted(self, x):
-        calls.append(np.size(x))
-        return evaluate(self, x)
+    def counted(self, xs, points, w):
+        calls.append(np.size(xs))
+        return sums(self, xs, points, w)
 
     doc = config_doc(horizon=30, comparators=[
         {"centers": [], "weights": []},
         {"centers": [-0.5, 0.5], "weights": [0.6, -0.6]}])
     expected = run(ExperimentConfig.from_json(doc), tmp_path / "a")
-    monkeypatch.setattr(KernelExpansion, "__call__", counted)
+    monkeypatch.setattr(Kernel, "sums", counted)
     counted_run = run(ExperimentConfig.from_json(doc), tmp_path / "b")
     assert calls == [30, 30]
     assert counted_run.report == expected.report

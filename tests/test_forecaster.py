@@ -375,17 +375,24 @@ def test_each_stage_2_step_reads_its_exposures_once(game, monkeypatch):
     assert fc.steps > 60 and len(calls) == fc.steps
 
 
-class TwoSolveAudit(Forecaster):
-    """Checks each stage-2 report against the two-solve rule: _solve_at at
-    both ends of the closed bracket, keeping the smaller s_residual, pa's
-    on a tie.  The closed bracket comes from stage 2's own steps: pa is
-    the last p of sign s0, pb the last of sign -s0."""
+def closed_ends(steps, s0, pa, pb):
+    """The ends of [pa, pb] that stage 2's steps (p, sign) closed on: the
+    last p of sign s0 and the last of sign -s0, or the p of an exact zero
+    alone."""
+    if steps and steps[-1][1] == 0:
+        return (steps[-1][0],)
+    for p, s in steps:
+        pa, pb = (p, pb) if s == s0 else (pa, p)
+    return pa, pb
+
+
+class StepAudit(Forecaster):
+    """Records the (p, sign) of each stage-2 step on the open bracket."""
 
     def __init__(self, game, kernel):
         super().__init__(game, kernel)
         self.steps = None  # (p, sign) of each step on the open bracket
-        self.solved = []  # p of each _solve_at on the open bracket
-        # (closed on adjacent floats, not at a zero; solved) per bracket
+        # (closed on adjacent floats, not at a zero; what stage 3 did)
         self.brackets = []
 
     def _s_at(self, p, A, B, C, exposures=None):
@@ -394,34 +401,78 @@ class TwoSolveAudit(Forecaster):
             self.steps.append((p, s))
         return s, v
 
+    def _refine(self, pa, fa, pb, fb, s0, A, B, C):
+        self.steps = []
+        rep = super()._refine(pa, fa, pb, fb, s0, A, B, C)
+        ends, self.steps = closed_ends(self.steps, s0, pa, pb), None
+        self.check(rep, ends, A, B, C)
+        return rep
+
+
+class TwoSolveAudit(StepAudit):
+    """Checks each stage-2 report against the two-solve rule: _solve_at at
+    both ends of the closed bracket, keeping the smaller s_residual, pa's
+    on a tie, or at an exact zero alone."""
+
+    def __init__(self, game, kernel):
+        super().__init__(game, kernel)
+        self.solved = None  # p of each _solve_at on the open bracket
+
     def _solve_at(self, p, A, B, C):
-        if self.steps is not None:
+        if self.solved is not None:
             self.solved.append(p)
         return super()._solve_at(p, A, B, C)
 
     def _refine(self, pa, fa, pb, fb, s0, A, B, C):
-        self.steps, self.solved = [], []
-        rep = super()._refine(pa, fa, pb, fb, s0, A, B, C)
-        steps, self.steps = self.steps, None
-        closed = not (steps and steps[-1][1] == 0)
-        if not closed:  # an exact zero, solved alone
-            expected = self._solve_at(steps[-1][0], A, B, C)
-        else:
-            for p, s in steps:
-                pa, pb = (p, pb) if s == s0 else (pa, p)
-            ra, rb = self._solve_at(pa, A, B, C), self._solve_at(pb, A, B, C)
-            expected = rb if rb.s_residual < ra.s_residual else ra
-        self.brackets.append((closed, self.solved))
+        self.solved = []
+        return super()._refine(pa, fa, pb, fb, s0, A, B, C)
+
+    def check(self, rep, ends, A, B, C):
+        solved, self.solved = self.solved, None
+        ra, rb = (self._solve_at(p, A, B, C) for p in (ends[0], ends[-1]))
+        expected = rb if rb.s_residual < ra.s_residual else ra
+        self.brackets.append((len(ends) == 2, solved))
         assert rep == expected
         assert rep.forecast.p.hex() == expected.forecast.p.hex()
         assert rep.s_residual.hex() == expected.s_residual.hex()
+
+
+class PointFaceAudit(StepAudit):
+    """Checks square and log reports, which solve nothing: each stage-2
+    report is at the closed bracket's end with the smaller
+    reference.point_residual, pa's on a tie, or at an exact zero, and
+    every root report's s_residual is point_residual at its p, bit for
+    bit.  Counts the calls of _solve_at."""
+
+    solves = 0
+
+    def _solve_at(self, p, A, B, C):
+        self.solves += 1
+        return super()._solve_at(p, A, B, C)
+
+    def residual(self, p, A, B, C):
+        return reference.point_residual(self.game, p, A, B, C)
+
+    def check(self, rep, ends, A, B, C):
+        ra, rb = (self.residual(p, A, B, C) for p in (ends[0], ends[-1]))
+        p = ends[-1] if rb < ra else ends[0]
+        self.brackets.append((len(ends) == 2, p))
+        assert rep.forecast == Forecast(p, 0.5)
+        assert rep.forecast.p.hex() == p.hex()
+        assert repr(rep.s_residual) == repr(self.residual(p, A, B, C))
+
+    def next_forecast(self, x):
+        rep = super().next_forecast(x)
+        if rep.branch is Branch.ROOT:
+            want = self.residual(rep.forecast.p, *self.coefficients(x))
+            assert repr(rep.s_residual) == repr(want)
         return rep
 
 
 @pytest.mark.parametrize("game", [Game.square(), Game.log()],
                          ids=["square", "log"])
-def test_stage_3_solves_once_with_the_two_solve_rule_bits(game):
-    fc = TwoSolveAudit(game, SOB)
+def test_stage_3_solves_nothing_and_keeps_the_two_solve_rule_bits(game):
+    fc = PointFaceAudit(game, SOB)
     rng = np.random.default_rng(59)
     for _ in range(300):
         # S with a root at r (B cancels S(r) at B = 0), bracketed around r
@@ -439,7 +490,7 @@ def test_stage_3_solves_once_with_the_two_solve_rule_bits(game):
         rep = fc.next_forecast(x)
         fc.update(x, rep.forecast, int(rng.integers(0, 2)),
                   s_residual=rep.s_residual, branch=rep.branch)
-    assert all(len(solved) == 1 for _, solved in fc.brackets)
+    assert fc.solves == 0
     assert sum(closed for closed, _ in fc.brackets) >= 200
 
 
@@ -455,15 +506,16 @@ def adjacent_bracket(fc, k):
 
 
 def test_stage_3_keeps_pa_on_a_tie():
-    fc = TwoSolveAudit(Game.square(), SOB)
+    fc = PointFaceAudit(Game.square(), SOB)
     pa, fa, pb, fb, B = adjacent_bracket(fc, 3)
     assert fa == -fb
     assert fc._refine(pa, fa, pb, fb, 1, 0.0, B, 0.0).forecast.p == pa
-    assert fc.brackets[-1] == (True, [pa])
+    assert fc.brackets[-1] == (True, pa)
     pa, fa, pb, fb, B = adjacent_bracket(fc, 4)
     assert abs(fb) < abs(fa)
     assert fc._refine(pa, fa, pb, fb, 1, 0.0, B, 0.0).forecast.p == pb
-    assert fc.brackets[-1] == (True, [pb])
+    assert fc.brackets[-1] == (True, pb)
+    assert fc.solves == 0
 
 
 def test_stage_3_solves_both_ends_of_a_polyline_bracket():
