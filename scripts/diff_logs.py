@@ -26,7 +26,8 @@ COLUMNS = ("p", "q", "y", "s_residual", "branch")
 
 def diff_logs(path_a, path_b) -> dict:
     """The comparison of two round logs that main prints."""
-    a, b = (list(zip(*read_round_log(path, COLUMNS)[1]))
+    a, b = (list(zip(*(column.tolist() for column in
+                       read_round_log(path, COLUMNS)[1])))
             for path in (path_a, path_b))
     dp = dq = ds = 0.0
     first = None if len(a) == len(b) else min(len(a), len(b)) + 1

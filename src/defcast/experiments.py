@@ -8,11 +8,12 @@ regret curve sampled at powers of two.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,8 @@ class Replay:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.pairs = list(zip(*read_round_log(self.path, ("x", "y"),
-                                              headerless=True)[1]))
+        xs, ys = read_round_log(self.path, ("x", "y"), headerless=True)[1]
+        self.pairs = list(zip(xs.tolist(), ys.tolist()))
 
     def datum(self, seed, n):
         if n > len(self.pairs):
@@ -205,7 +206,7 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
         report["regret_curve"] = engine.regret_curve(config.comparators)
 
         log_path = out / "round_log.csv"
-        log_path.write_text("\n".join(engine.round_log_rows()) + "\n")
+        log_path.write_text("\n".join([*engine.round_log_rows(), ""]))
         report_path = out / "regret_report.json"
         report_path.write_text(json.dumps(report, indent=2) + "\n")
     except BaseException:
@@ -217,64 +218,87 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
 
 # -- reading a round log -------------------------------------------------
 
-def _checked(name: str, admits, meaning: str):
-    """A column reader: float(), then the column's rule on the value."""
-    def read(s: str) -> float:
-        v = float(s)
-        if not admits(v):
-            raise ValueError(f"{name}={s} is not {meaning}")
-        return v
-    return read
+# rules of values or arrays (s_residual: the engine writes |S|; p, q: any)
+_RULES = {"x": (lambda v: abs(v) < math.inf, "finite"),
+          "y": (lambda v: (v == 0.0) | (v == 1.0), "0 or 1"),
+          "s_residual": (lambda v: (0.0 <= v) & (v < math.inf),
+                         "finite and >= 0")}
 
 
-# y and branch hold a few distinct strings, so each is read once
-_READ = {"x": _checked("x", math.isfinite, "finite"), "p": float, "q": float,
-         "y": lru_cache(64)(_checked("y", (0.0, 1.0).__contains__, "0 or 1")),
-         # the engine writes |S| at the forecast
-         "s_residual": _checked("s_residual", lambda v: 0.0 <= v < math.inf,
-                                "finite and >= 0"),
-         "branch": lru_cache(64)(Branch)}
+def _read(name: str, s: str):
+    """The per-line reader's value: Branch(s), or float(s) by its rule."""
+    v = Branch(s) if name == "branch" else float(s)
+    if name in _RULES and not _RULES[name][0](v):
+        raise ValueError(f"{name}={s} is not {_RULES[name][1]}")
+    return v
+
+
+def _read_fast(path, names, cols, start):
+    """The columns by numpy's C reader, or None for the per-line reader to
+    decide: on a byte the two read apart (a NUL ends a numpy string, numpy
+    strips \x1c-\x1f off a float, splitlines ends a line at \v \f \x1c-\x1e
+    and a lone \r), a numpy error or warning, a failed rule or a blank line."""
+    data = Path(path).read_bytes()
+    if (not data.isascii() or any(c in data for c in b"\0\v\f\x1c\x1d\x1e\x1f")
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    lines = np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    try:
+        with warnings.catch_warnings(action="error"):  # "no data", say
+            table = np.loadtxt(  # S18: no longer field is cut to a branch
+                io.BytesIO(data), [(c, "S18" if c == "branch" else float)
+                                   for c in names], delimiter=",",
+                comments=None, skiprows=start - 1, usecols=cols, ndmin=1)
+        columns = [table[name] for name in names]
+        if "branch" in names:  # Branch() of each distinct field
+            values, at = np.unique(table["branch"], return_inverse=True)
+            columns[names.index("branch")] = np.array(
+                [Branch(v.decode()) for v in values])[at]
+        if not all(_RULES[c][0](table[c]).all() for c in names if c in _RULES):
+            return None
+    except (ValueError, Warning):
+        return None
+    if len(table) == lines + (not data.endswith(b"\n")) - start + 1:
+        return columns
 
 
 def read_round_log(path, names, headerless=False) -> tuple[list, list]:
-    """(line numbers, columns) of the rows of a CSV log: a list per named
-    column, each value read by the column's rule in _READ (y through float,
-    so 1.0 reads as 1).  The header names the columns; with `headerless`, a
-    file whose first line does not name them all holds just those columns,
-    in order.  A bad value is reported by the first line that holds one,
-    as a ConfigError whose `before` holds the (line numbers, columns) of
-    the rows above it."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",") if lines else []
+    """(line numbers, columns) of a CSV log's rows: an array per named column
+    by _read_fast or, where it gives None, by _read per line (y through
+    float: 1.0 reads as 1).  The header names the columns; with `headerless`,
+    a first line not naming them all is a row of those, in order.  The first
+    bad line raises a ConfigError whose `before` holds the (line numbers,
+    columns) of the rows above it."""
+    with open(path) as fh:  # the first line, as splitlines ends it
+        first = fh.readline().splitlines()[:1]
+    header = first[0].split(",") if first else []
     missing = [c for c in names if c not in header]
     if not missing:
         cols, start = [header.index(c) for c in names], 2
-    elif headerless and lines:
+    elif headerless and first:
         cols, start = range(len(names)), 1
     else:
         raise ConfigError(f"{path}: not a round log (header lacks "
                           f"{', '.join(missing)})")
-    rules = [(_READ[name], i) for name, i in zip(names, cols)]
+    if (fast := _read_fast(path, names, cols, start)) is not None:
+        return list(range(start, start + len(fast[0]))), fast
+    lines = Path(path).read_text().splitlines()
     linenos = [n for n in range(start, len(lines) + 1) if lines[n - 1].strip()]
     rows = [lines[n - 1].split(",") for n in linenos]
 
     def columns(rows):
-        return [list(map(read, [parts[i] for parts in rows]))
-                for read, i in rules]
+        return [np.array([_read(name, parts[i]) for parts in rows],
+                         object if name == "branch" else float)
+                for name, i in zip(names, cols)]
 
-    try:
-        return linenos, columns(rows)
-    except (ValueError, IndexError):  # find the first bad line
-        for k, (lineno, parts) in enumerate(zip(linenos, rows)):
-            try:
-                for read, i in rules:
-                    read(parts[i])
-            except (ValueError, IndexError) as exc:
-                error = ConfigError(f"{path}:{lineno}: bad row: {exc}")
-                error.before = linenos[:k], columns(rows[:k])
-                raise error from None
-        raise
+    for k, (lineno, parts) in enumerate(zip(linenos, rows)):
+        try:
+            [_read(name, parts[i]) for name, i in zip(names, cols)]
+        except (ValueError, IndexError) as exc:
+            error = ConfigError(f"{path}:{lineno}: bad row: {exc}")
+            error.before = linenos[:k], columns(rows[:k])
+            raise error from None
+    return linenos, columns(rows)
 
 
 def certify_log(log_path, game: Game, kernel: Kernel) -> dict:

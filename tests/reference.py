@@ -4,9 +4,10 @@ The tests compare the package against these: the range of the betting
 function S over the face at each p (ranges_on) and its sign (sgn), which
 the forecaster's scan, walk and _s_at must all match; |S| on a square or
 log game's point face (point_residual), which each such root report's
-s_residual must equal; a kernel's Gram matrix (gram); and a game's
-expected loss and exposure of a decision.
-Each takes the game or kernel it reads as its first argument.
+s_residual must equal; a kernel's Gram matrix (gram); a game's
+expected loss and exposure of a decision; and the round log's CSV lines
+formatted a row at a time (round_log_rows).
+Each takes the game, kernel or engine it reads as its first argument.
 """
 
 from __future__ import annotations
@@ -83,3 +84,14 @@ def exposure(game, gamma: float) -> float:
         return math.log((1.0 - gamma) / gamma)
     a, b = game._boundary_pair(gamma)
     return b - a
+
+
+def round_log_rows(engine) -> list[str]:
+    """The round-log CSV's lines, a row at a time: the header, then str(n),
+    repr(float(x)), repr of each float, str(y) and branch.value per round."""
+    rows = [engine.CSV_HEADER]
+    for r in engine.round_log:
+        rows.append(",".join([
+            str(r.n), repr(float(r.x)), repr(r.p), repr(r.q), repr(r.gamma),
+            str(r.y), repr(r.loss), repr(r.s_residual), r.branch.value]))
+    return rows

@@ -469,6 +469,24 @@ def test_certify_empty_or_headerless_log_exits_two(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", ["", "1,0.5,0.5,0.5,1,0.25,0.0,root\n",
+                "n,x,p,q,gamma,y,loss,s_residual,branch\n",
+                "n,x,p,q,gamma,y,loss,s_residual,branch\n\n\n"],
+    ids=["empty", "headerless", "header-only", "header-and-blank-lines"])
+def test_certify_of_a_log_without_rows_warns_nothing(tmp_path, capsys,
+                                                     content):
+    # numpy's reader warns on a log with no rows; the warning stays inside
+    # read_round_log, so that certify exits 2 with just its error line
+    log = tmp_path / "round_log.csv"
+    log.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--log", str(log), "--game", "square"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 BAD_ROWS = {
     "x-nan": "1,nan,0.5,0.5,0.5,1,0.25,0.0,root",
     "x-inf": "1,inf,0.5,0.5,0.5,1,0.25,0.0,root",

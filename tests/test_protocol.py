@@ -478,3 +478,29 @@ def test_round_log_rows_format():
         assert not any("np." in f for f in fields)
         for i in (1, 2, 3, 4, 6, 7):  # x, p, q, gamma, loss, s_residual
             assert repr(float(fields[i])) == fields[i]
+
+
+def test_round_log_rows_keep_each_float_apart_by_its_bits():
+    # a load-built history whose floats would trip an export that shares a
+    # repr between floats that are == or that share a place: -0.0 beside
+    # 0.0 in one column, gamma == p but in a block's last row, a constant q
+    # that changes in a block's last row, the least subnormal, and the two
+    # floats at repr's switches to an exponent (1e16, 1e-4's neighbour)
+    n, block = 3 * 256 + 5, 256
+    engine = Engine(Game.absolute(), SOB)
+    x = np.resize([-0.0, 0.0, 5e-324, 1e16, 9.999999999999999e-05, 1e-4,
+                   -5e-324, 0.1], n)
+    p = np.resize([0.0, 1.0], n)  # a point face: gamma is p, bit for bit
+    p[block - 1::block] = 0.5  # the segment: gamma is q
+    q = np.full(n, 0.5)
+    q[block - 1::block] = 0.25
+    s_residual = np.resize([0.0, -0.0, 5e-324, 1e16], n)
+    branch = np.resize(np.array(list(Branch), object), n)
+    engine.forecaster.load(x, p, q, np.resize([0, 1, 1], n), s_residual,
+                           branch)
+    gamma = engine.forecaster.column("gamma")
+    assert (gamma.view(np.int64) == p.view(np.int64)).sum() == n - 3
+    rows = engine.round_log_rows()
+    assert rows == reference.round_log_rows(engine)
+    assert rows[1].split(",")[1:3] == ["-0.0", "0.0"]
+    assert rows[block].split(",")[2:5] == ["0.5", "0.25", "0.25"]
