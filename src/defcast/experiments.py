@@ -302,9 +302,9 @@ def read_round_log(path, names, headerless=False) -> tuple[list, list]:
 
 
 def certify_log(log_path, game: Game, kernel: Kernel) -> dict:
-    """Rebuild the forecaster state from a round log and re-check it.  The
-    log is read in columns and loaded by one Forecaster.load (update stays
-    the per-round writer of a run).  The first bad row in file order is
+    """Rebuild the forecaster state from a round log and re-check it: the
+    arrays of read_round_log go to one Forecaster.load (update stays the
+    per-round writer of a run).  The first bad row in file order is
     reported by its line number: one that does not read, unless a row
     above it, loaded first, is one that the game or the kernel refuses."""
     unread = None
